@@ -11,7 +11,7 @@ verify      Re-derive every reference number in the catalog and grade it.
 File formats (JSON):
 
 * operator file: ``{"n": 3, "terms": [{"string": "XXI", "coeff": 0.5}, ...]}``
-  with unique length-``n`` words over I/X/Y/Z and real coefficients.
+  with unique length-``n`` words over I/X/Y/Z and finite real coefficients.
 * state file: either ``{"catalog": "ghz3", "params": {"p": 0.8}}``
   (``params`` optional; ``R`` selects the operator scale of the ``mds``
   family, ``p`` mixes in white noise) or ``{"matrix": 2, "entries":
@@ -44,10 +44,9 @@ from .pauli_core import (
     InvalidStateError,
 )
 from .product_max import alpha_grid_oracle, alpha_max
-from .states import CatalogEntry, catalog, mix_white_noise
-from .witness import WitnessIneffectiveError, analyze, mds_entanglement_threshold
+from .states import ENTRY_NAMES, CatalogEntry, catalog, mix_white_noise
+from .witness import REPORT_ATOL, WitnessIneffectiveError, analyze, grade, mds_entanglement_threshold
 
-CATALOG_NAMES = ("ghz3", "w3", "ghz4", "w4", "cl4", "mds")
 REPORT_FIELDS = (
     "beta_cl",
     "beta_qu",
@@ -58,7 +57,6 @@ REPORT_FIELDS = (
     "pcrit_witness",
     "threshold_r",
 )
-VERIFY_ATOL = 1e-9
 
 
 class UsageError(Exception):
@@ -131,7 +129,7 @@ def operator_document(op: HSOperator) -> dict[str, Any]:
     """Render an HSOperator as an operator-file document (terms in word order)."""
     return {
         "n": op.n,
-        "terms": [{"string": s.label(), "coeff": c} for s, c in op.terms.items()],
+        "terms": [{"string": w, "coeff": c} for w, c in zip(op.labels(), op.coeffs.tolist())],
     }
 
 
@@ -142,9 +140,9 @@ def load_state(doc: Any) -> DensityMatrix:
         if not set(doc) <= {"catalog", "params"}:
             raise UsageError("catalog state file allows only 'catalog' and 'params'")
         name = doc["catalog"]
-        if name not in CATALOG_NAMES:
+        if name not in ENTRY_NAMES:
             raise UsageError(
-                f"unknown catalog name {name!r}; choose from {', '.join(CATALOG_NAMES)}"
+                f"unknown catalog name {name!r}; choose from {', '.join(ENTRY_NAMES)}"
             )
         params = _require_mapping(doc.get("params", {}), "'params'")
         allowed = {"R", "p"} if name == "mds" else {"p"}
@@ -192,15 +190,16 @@ def load_state(doc: Any) -> DensityMatrix:
 def cmd_decompose(args: argparse.Namespace) -> int:
     state = load_state(_load_json(args.state))
     coeffs = hs_decompose(state)
-    kept = {s.label(): c for s, c in coeffs.terms.items() if abs(c) >= args.threshold}
-    op = HSOperator(state.n, kept)
+    keep = np.abs(coeffs.coeffs) >= args.threshold
+    doc = operator_document(coeffs)
+    doc["terms"] = [term for term, k in zip(doc["terms"], keep) if k]
     if args.json:
-        print(json.dumps(operator_document(op)))
+        print(json.dumps(doc))
         return 0
-    print(f"n {op.n}")
-    print(f"terms {len(op)}")
-    for s, c in op.terms.items():
-        print(f"{s.label()} {_fmt(c)}")
+    print(f"n {doc['n']}")
+    print(f"terms {len(doc['terms'])}")
+    for term in doc["terms"]:
+        print(f"{term['string']} {_fmt(term['coeff'])}")
     return 0
 
 
@@ -253,18 +252,15 @@ def cmd_alpha(args: argparse.Namespace) -> int:
 
 def entry_rows(entry: CatalogEntry) -> list[tuple[str, float, float, bool]]:
     """(field, computed, expected, ok) for every expected field of one entry."""
-    report = analyze(entry)
-    computed = report.computed()
+    computed = analyze(entry).computed()
     if "threshold_r" in entry.expected:
         computed["threshold_r"] = mds_entanglement_threshold()
-    rows = []
-    for field in REPORT_FIELDS:
-        if field not in entry.expected:
-            continue
-        got = float(computed[field])
-        want = float(entry.expected[field])
-        rows.append((field, got, want, bool(abs(got - want) <= VERIFY_ATOL)))
-    return rows
+    ok = grade(computed, entry.expected, REPORT_ATOL)
+    return [
+        (field, float(computed[field]), float(entry.expected[field]), ok[field])
+        for field in REPORT_FIELDS
+        if field in entry.expected
+    ]
 
 
 def cmd_report(args: argparse.Namespace) -> int:
@@ -315,7 +311,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         status = "PASS" if ok else "FAIL"
         print(f"{name} {field} {_fmt(got)} expected {_fmt(want)} {status}")
     verdict = "PASS" if all_pass else "FAIL"
-    print(f"RESULT {verdict} ({len(rows)} checks at {_fmt(VERIFY_ATOL)})")
+    print(f"RESULT {verdict} ({len(rows)} checks at {_fmt(REPORT_ATOL)})")
     return 0 if all_pass else 1
 
 
@@ -358,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_alpha)
 
     p = sub.add_parser("report", help="benchmark table for one catalog entry")
-    p.add_argument("name", choices=CATALOG_NAMES, help="catalog entry")
+    p.add_argument("name", choices=ENTRY_NAMES, help="catalog entry")
     p.add_argument(
         "--mds-r",
         type=float,

@@ -10,108 +10,159 @@ Tr(O rho) = sum_s O_s R_s, with no dimension factor.
 from __future__ import annotations
 
 from numbers import Real
-from typing import Iterable, Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
 from .pauli_core import (
+    AXIS_LABELS,
     SIGMA,
     Array,
+    CapacityError,
     DensityMatrix,
     PauliString,
     check_qubit_count,
-    identity_string,
-    string_matrix,
 )
 
 PRUNE_TOL = 1e-12
 
+TermKey = PauliString | str | tuple[int, ...]
+_DIGITS = str.maketrans(AXIS_LABELS, "0123")
 
-def _as_string(key: PauliString | str | tuple[int, ...], n: int) -> PauliString:
-    if isinstance(key, PauliString):
-        s = key
-    elif isinstance(key, str):
-        s = PauliString.from_label(key)
+
+def _code(key: TermKey, n: int) -> int:
+    """Base-4 code of one term key, qubit 0 the most significant digit."""
+    if isinstance(key, str):
+        label = key.upper()
+        if not set(label) <= set(AXIS_LABELS):
+            raise ValueError(f"labels may only contain I, X, Y, Z, got {key!r}")
     else:
-        s = PauliString(tuple(key))
-    if s.n != n:
-        raise ValueError(f"term {s} has {s.n} qubits, expected {n}")
-    return s
+        label = str(key if isinstance(key, PauliString) else PauliString(tuple(key)))
+    if len(label) != n:
+        raise ValueError(f"term {label} has {len(label)} qubits, expected {n}")
+    return int(label.translate(_DIGITS), 4)
+
+
+def _axes(codes: Array, n: int) -> Array:
+    return (codes[:, None] >> np.arange(2 * n - 2, -1, -2)) & 3
+
+
+def _labels(codes: Array, n: int) -> list[str]:
+    letters = np.frombuffer(AXIS_LABELS.encode(), dtype="S1")[_axes(codes, n)]
+    return np.ascontiguousarray(letters).view(f"S{n}").ravel().astype(f"U{n}").tolist()
 
 
 class HSOperator:
     """Real linear combination of Pauli strings on a fixed qubit count.
 
-    Terms with |coefficient| < PRUNE_TOL are dropped at construction, and
-    the remaining terms are kept sorted by label so iteration order is
-    deterministic.
+    The terms form one table: ``codes`` holds sorted, unique base-4 codes
+    with qubit 0 as the most significant digit, so code order is label
+    order and a code is also the flat index into the 4^n coefficient
+    tensor; ``coeffs`` holds the matching float64 coefficients.  Terms
+    with |coefficient| < PRUNE_TOL are dropped at construction, and
+    non-finite coefficients are rejected.
     """
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n", "codes", "coeffs")
 
-    def __init__(
-        self,
-        n: int,
-        terms: Mapping[PauliString | str | tuple[int, ...], float] | None = None,
-    ) -> None:
-        check_qubit_count(n)
-        cleaned: dict[PauliString, float] = {}
+    def __init__(self, n: int, terms: Mapping[TermKey, float] | None = None) -> None:
+        codes, coeffs = [], []
         for key, value in (terms or {}).items():
-            s = _as_string(key, n)
             if not isinstance(value, Real):
-                raise ValueError(f"coefficient for {s} must be real, got {value!r}")
-            c = float(value)
-            if s in cleaned:
-                raise ValueError(f"duplicate term {s}")
-            if abs(c) >= PRUNE_TOL:
-                cleaned[s] = c
-        self.n = n
-        self.terms = dict(sorted(cleaned.items(), key=lambda kv: kv[0].axes))
+                raise ValueError(f"coefficient for {key} must be real, got {value!r}")
+            codes.append(_code(key, n))
+            coeffs.append(float(value))
+        self._fill(n, codes, coeffs)
 
-    def coefficient(self, key: PauliString | str | tuple[int, ...]) -> float:
+    @classmethod
+    def from_dense(cls, table: Array) -> HSOperator:
+        """Operator from a (4,) * n coefficient array indexed by axes, qubit 0 first."""
+        table = np.asarray(table, dtype=float)
+        if table.ndim < 1 or table.shape != (4,) * table.ndim:
+            raise ValueError(f"expected a (4,) * n table, got shape {table.shape}")
+        return cls._from_codes(table.ndim, np.arange(table.size), table.reshape(-1))
+
+    @classmethod
+    def _from_codes(cls, n: int, codes, coeffs) -> HSOperator:
+        return cls.__new__(cls)._fill(n, codes, coeffs)
+
+    def _fill(self, n: int, codes, coeffs) -> HSOperator:
+        """Check finiteness, sort, reject duplicates, prune; the one path into a table."""
+        if check_qubit_count(n) > 31:  # codes are int64
+            raise CapacityError(f"the term table holds at most 31 qubits, got {n}")
+        codes = np.asarray(codes, dtype=np.int64)
+        coeffs = np.asarray(coeffs, dtype=float)
+        if not np.isfinite(coeffs).all():
+            bad = np.flatnonzero(~np.isfinite(coeffs))[0]
+            raise ValueError(f"coefficient for {_labels(codes[[bad]], n)[0]} must be finite, got {coeffs[bad]}")
+        if not (codes[1:] > codes[:-1]).all():
+            order = np.argsort(codes, kind="stable")
+            codes, coeffs = codes[order], coeffs[order]
+            if (codes[1:] == codes[:-1]).any():
+                dup = np.flatnonzero(codes[1:] == codes[:-1])[0]
+                raise ValueError(f"duplicate term {_labels(codes[[dup]], n)[0]}")
+        keep = np.abs(coeffs) >= PRUNE_TOL
+        self.n, self.codes, self.coeffs = n, codes[keep], coeffs[keep]
+        self.codes.flags.writeable = self.coeffs.flags.writeable = False
+        return self
+
+    def _values_at(self, codes: Array) -> Array:
+        """Coefficients at the given codes, 0.0 where a code is absent."""
+        out = np.zeros(len(codes), dtype=float)
+        if len(self.codes):
+            idx = np.minimum(np.searchsorted(self.codes, codes), len(self.codes) - 1)
+            hit = self.codes[idx] == codes
+            out[hit] = self.coeffs[idx[hit]]
+        return out
+
+    @property
+    def axes(self) -> Array:
+        """(terms, n) table of axis indices, one row per term, qubit 0 first."""
+        return _axes(self.codes, self.n)
+
+    def coefficient(self, key: TermKey) -> float:
         """Coefficient of one Pauli string, 0.0 when absent."""
-        return self.terms.get(_as_string(key, self.n), 0.0)
+        return float(self._values_at(np.array([_code(key, self.n)]))[0])
 
     @property
     def identity_coefficient(self) -> float:
-        return self.terms.get(identity_string(self.n), 0.0)
+        # the all-identity string has code 0, the first in sorted order
+        return float(self.coeffs[0]) if len(self.codes) and self.codes[0] == 0 else 0.0
 
     @property
     def support(self) -> frozenset[PauliString]:
-        return frozenset(self.terms)
+        return frozenset(s for s, _ in self)
 
     def labels(self) -> list[str]:
-        return [s.label() for s in self.terms]
+        return _labels(self.codes, self.n)
 
     def __len__(self) -> int:
-        return len(self.terms)
+        return len(self.codes)
 
-    def __iter__(self) -> Iterable[tuple[PauliString, float]]:
-        return iter(self.terms.items())
+    def __iter__(self) -> Iterator[tuple[PauliString, float]]:
+        for axes, c in zip(self.axes.tolist(), self.coeffs.tolist()):
+            yield PauliString(tuple(axes)), c
 
     def __add__(self, other: HSOperator) -> HSOperator:
         if not isinstance(other, HSOperator):
             return NotImplemented
         if other.n != self.n:
             raise ValueError(f"cannot add operators on {self.n} and {other.n} qubits")
-        merged = dict(self.terms)
-        for s, c in other.terms.items():
-            merged[s] = merged.get(s, 0.0) + c
-        return HSOperator(self.n, merged)
+        codes = np.union1d(self.codes, other.codes)
+        return HSOperator._from_codes(self.n, codes, self._values_at(codes) + other._values_at(codes))
 
     def __sub__(self, other: HSOperator) -> HSOperator:
         return self + (-other)
 
     def __neg__(self) -> HSOperator:
-        return HSOperator(self.n, {s: -c for s, c in self.terms.items()})
+        return HSOperator._from_codes(self.n, self.codes, -self.coeffs)
 
     def __rmul__(self, scale: float) -> HSOperator:
         if not isinstance(scale, Real):
             return NotImplemented
-        return HSOperator(self.n, {s: float(scale) * c for s, c in self.terms.items()})
+        return HSOperator._from_codes(self.n, self.codes, float(scale) * self.coeffs)
 
-    def __mul__(self, scale: float) -> HSOperator:
-        return self.__rmul__(scale)
+    __mul__ = __rmul__
 
     def relabel(self, mapping: Mapping[int, int]) -> HSOperator:
         """Apply one permutation of the axes {1: x, 2: y, 3: z} on every qubit.
@@ -123,23 +174,25 @@ class HSOperator:
         perm = {0: 0, **{int(k): int(v) for k, v in mapping.items()}}
         if sorted(perm) != [0, 1, 2, 3] or sorted(perm.values()) != [0, 1, 2, 3]:
             raise ValueError(f"mapping must be a permutation of {{1, 2, 3}}, got {dict(mapping)}")
-        return HSOperator(
-            self.n,
-            {PauliString(tuple(perm[a] for a in s.axes)): c for s, c in self.terms.items()},
-        )
+        mapped = np.array([perm[a] for a in range(4)])[self.axes]
+        return HSOperator._from_codes(self.n, mapped @ 4 ** np.arange(self.n - 1, -1, -1), self.coeffs)
 
     def is_close(self, other: HSOperator, atol: float = 1e-9) -> bool:
         """True when both operators have the same coefficients within atol."""
         if self.n != other.n:
             return False
-        for s in self.support | other.support:
-            if abs(self.terms.get(s, 0.0) - other.terms.get(s, 0.0)) > atol:
-                return False
-        return True
+        codes = np.union1d(self.codes, other.codes)
+        return bool(np.all(np.abs(self._values_at(codes) - other._values_at(codes)) <= atol))
 
     def __repr__(self) -> str:
-        body = " + ".join(f"{c:g}*{s}" for s, c in self.terms.items()) or "0"
+        body = " + ".join(f"{c:g}*{s}" for s, c in zip(self.labels(), self.coeffs.tolist())) or "0"
         return f"HSOperator({self.n}, {body})"
+
+
+def require_identity_free(op: HSOperator) -> None:
+    """Reject operators with an all-identity term, whose bounds and maxima are offset."""
+    if op.identity_coefficient != 0.0:
+        raise ValueError("operator has an all-identity component; subtract it first")
 
 
 def hs_decompose(rho: DensityMatrix) -> HSOperator:
@@ -158,13 +211,7 @@ def hs_decompose(rho: DensityMatrix) -> HSOperator:
     coeffs = np.einsum(*operands, optimize=True)
     if np.max(np.abs(coeffs.imag)) > 1e-8:
         raise ValueError("decomposition produced complex coefficients; input is not Hermitian")
-    flat = coeffs.real.reshape(-1)
-    keep = np.nonzero(np.abs(flat) >= PRUNE_TOL)[0]
-    terms: dict[PauliString, float] = {}
-    for idx in keep:
-        axes = tuple(int(a) for a in np.unravel_index(int(idx), (4,) * n))
-        terms[PauliString(axes)] = float(flat[idx])
-    return HSOperator(n, terms)
+    return HSOperator.from_dense(coeffs.real)
 
 
 def hs_reconstruct(op: HSOperator) -> Array:
@@ -173,18 +220,18 @@ def hs_reconstruct(op: HSOperator) -> Array:
     For coefficients obtained from :func:`hs_decompose` this returns
     2^n rho, not rho; divide by 2^n to materialize the state.
     """
-    dim = 2**op.n
-    total = np.zeros((dim, dim), dtype=complex)
-    for s, c in op.terms.items():
-        total += c * string_matrix(s)
-    return total
+    n = op.n
+    dense = np.zeros(4**n)
+    dense[op.codes] = op.coeffs
+    tensor = dense.reshape((4,) * n)
+    for _ in range(n):  # contract the leading axis a_k, append the row and column of qubit k
+        tensor = np.tensordot(tensor, SIGMA, axes=(0, 0))
+    rows_then_columns = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
+    return tensor.transpose(rows_then_columns).reshape(2**n, 2**n)
 
 
 def overlap(op: HSOperator, state_coeffs: HSOperator) -> float:
     """Tr(O rho) = sum_s O_s R_s for an operator and a state decomposition."""
     if op.n != state_coeffs.n:
         raise ValueError(f"qubit counts differ: {op.n} vs {state_coeffs.n}")
-    small, large = op.terms, state_coeffs.terms
-    if len(large) < len(small):
-        small, large = large, small
-    return float(sum(c * large.get(s, 0.0) for s, c in small.items()))
+    return float(op.coeffs @ state_coeffs._values_at(op.codes))

@@ -3,7 +3,7 @@
 An LHV model assigns a definite +/-1 outcome to every (qubit, axis)
 measurement; the classical bound is the maximum of the operator's value
 over all such assignments.  Identity letters contribute a fixed factor
-1, so operators with an all-identity component have no meaningful
+1, so operators with an all-identity term have no meaningful
 classical bound and are rejected.
 """
 
@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hs import HSOperator
-from .pauli_core import AXIS_LABELS
+from .hs import HSOperator, require_identity_free
+from .pauli_core import AXIS_LABELS, Array
 
 DEFAULT_CHUNK = 1 << 20
 DEFAULT_MAX_ASSIGNMENTS = 1 << 26
@@ -70,29 +70,25 @@ class BoundResult:
     evaluations: int
 
 
+def _incidence(op: HSOperator) -> tuple[list[tuple[int, int]], Array]:
+    """Sorted measured (qubit, axis) pairs and the (terms, pairs) incidence table."""
+    full = (op.axes[:, :, None] == np.arange(1, 4)).reshape(len(op), 3 * op.n)  # column 3k + a - 1 is (k, a)
+    cols = np.flatnonzero(full.any(axis=0))
+    return [(j // 3, j % 3 + 1) for j in cols.tolist()], full[:, cols]
+
+
 def used_pairs(op: HSOperator) -> list[tuple[int, int]]:
     """Sorted (qubit, axis) pairs the operator actually measures."""
-    pairs = {(k, a) for s in op.terms for k, a in enumerate(s.axes) if a != 0}
-    return sorted(pairs)
+    return _incidence(op)[0]
 
 
 def evaluate_assignment(op: HSOperator, assignment: LHVAssignment) -> float:
     """Operator value under one definite-outcome assignment."""
     if assignment.n != op.n:
         raise ValueError(f"assignment has {assignment.n} qubits, operator {op.n}")
-    total = 0.0
-    for s, c in op.terms.items():
-        prod = 1
-        for k, a in enumerate(s.axes):
-            if a != 0:
-                prod *= assignment.values[k][a - 1]
-        total += c * prod
-    return total
-
-
-def _reject_identity(op: HSOperator) -> None:
-    if abs(op.identity_coefficient) != 0.0:
-        raise ValueError("operator has an all-identity component; subtract it first")
+    pairs, incidence = _incidence(op)
+    signs = np.array([assignment.value(k, a) for k, a in pairs], dtype=float)
+    return float(np.where(incidence, signs, 1.0).prod(axis=1) @ op.coeffs)
 
 
 def _full_table(op: HSOperator, signs: dict[tuple[int, int], int]) -> LHVAssignment:
@@ -117,23 +113,15 @@ def classical_bound(
     bit 0 meaning +1, so the first maximum met in ascending order is
     exactly that assignment, independent of chunking.
     """
-    _reject_identity(op)
+    require_identity_free(op)
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be positive, got {chunk_size}")
-    pairs = used_pairs(op)
+    pairs, incidence = _incidence(op)
     m = len(pairs)
     if m > 63 or 2**m > max_assignments:
         raise ValueError(f"2^{m} assignments exceed the enumeration budget of {max_assignments}")
-    bit_of = {pair: np.uint64(1) << np.uint64(m - 1 - j) for j, pair in enumerate(pairs)}
-    masks = []
-    coeffs = []
-    for s, c in op.terms.items():
-        mask = np.uint64(0)
-        for k, a in enumerate(s.axes):
-            if a != 0:
-                mask |= bit_of[(k, a)]
-        masks.append(mask)
-        coeffs.append(c)
+    bits = np.uint64(1) << np.arange(m - 1, -1, -1, dtype=np.uint64)
+    masks = np.where(incidence, bits, np.uint64(0)).sum(axis=1, dtype=np.uint64)
 
     total_count = 2**m
     best_value = -np.inf
@@ -142,7 +130,7 @@ def classical_bound(
         stop = min(start + chunk_size, total_count)
         codes = np.arange(start, stop, dtype=np.uint64)
         values = np.zeros(codes.shape[0], dtype=float)
-        for mask, c in zip(masks, coeffs):
+        for mask, c in zip(masks, op.coeffs):
             parity = (np.bitwise_count(codes & mask) & np.uint64(1)).astype(np.int8)
             values += c * (1 - 2 * parity)
         idx = int(np.argmax(values))
@@ -156,28 +144,20 @@ def classical_bound(
 
 def sampled_lower_bound(op: HSOperator, trials: int, seed: int = 0) -> float:
     """Best value over uniformly random assignments; never above the bound."""
-    _reject_identity(op)
+    require_identity_free(op)
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
-    pairs = used_pairs(op)
-    m = len(pairs)
-    col_of = {pair: j for j, pair in enumerate(pairs)}
+    pairs, incidence = _incidence(op)
+    term_cols = [np.flatnonzero(row) for row in incidence]
     rng = np.random.default_rng(seed)
-    term_cols = [
-        [col_of[(k, a)] for k, a in enumerate(s.axes) if a != 0] for s in op.terms
-    ]
-    coeffs = list(op.terms.values())
     best_value = -np.inf
     done = 0
     while done < trials:
         count = min(DEFAULT_CHUNK, trials - done)
-        signs = (1 - 2 * rng.integers(0, 2, size=(count, m), dtype=np.int8)).astype(np.int8)
+        signs = (1 - 2 * rng.integers(0, 2, size=(count, len(pairs)), dtype=np.int8)).astype(np.int8)
         values = np.zeros(count, dtype=float)
-        for cols, c in zip(term_cols, coeffs):
-            if cols:
-                values += c * signs[:, cols].prod(axis=1)
-            else:
-                values += c
+        for cols, c in zip(term_cols, op.coeffs):
+            values += c * signs[:, cols].prod(axis=1)
         best_value = max(best_value, float(values.max()))
         done += count
     return best_value

@@ -197,9 +197,9 @@ def hermitian_eigenvalues(
 class DensityMatrix:
     """A validated n-qubit density matrix.
 
-    Construction checks Hermiticity and unit trace; positivity is only
-    checked by :meth:`from_matrix`, the entry point for matrices of
-    unknown origin.
+    Construction checks finiteness, Hermiticity and unit trace;
+    positivity is only checked by :meth:`from_matrix`, the entry point
+    for matrices of unknown origin.
     """
 
     matrix: Array
@@ -211,6 +211,8 @@ class DensityMatrix:
         dim = 2**self.n
         if mat.shape != (dim, dim):
             raise InvalidStateError(f"expected shape {(dim, dim)} for {self.n} qubits, got {mat.shape}")
+        if not np.all(np.isfinite(mat)):
+            raise InvalidStateError("matrix has non-finite entries")
         if np.max(np.abs(mat - mat.conj().T)) > HERMITIAN_ATOL:
             raise InvalidStateError("matrix is not Hermitian")
         trace = np.trace(mat)
@@ -230,7 +232,7 @@ class DensityMatrix:
             raise InvalidStateError(f"matrix dimension must be a power of two >= 2, got {dim}")
         state = cls(mat, n)
         if check_psd:
-            smallest = hermitian_eigenvalues(state.matrix)[0]
+            smallest = np.linalg.eigvalsh(state.matrix)[0]
             if smallest < EIGENVALUE_FLOOR:
                 raise InvalidStateError(f"matrix has a negative eigenvalue {smallest}")
         return state

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hs import HSOperator
+from .hs import HSOperator, require_identity_free
 from .pauli_core import Array
 from .states import ProductState
 
@@ -26,49 +26,35 @@ GRID_SUFFIX_ELEMENTS = 8_000_000
 GRID_BLOCK_ELEMENTS = 4_000_000
 
 
-def _term_arrays(op: HSOperator) -> tuple[Array, Array]:
-    axes = np.array([s.axes for s in op.terms], dtype=np.int64).reshape(len(op.terms), op.n)
-    coeffs = np.array(list(op.terms.values()), dtype=float)
-    return axes, coeffs
-
-
-def _component_table(blochs: Array) -> Array:
-    """(n, 4) table whose row k is (1, v_x, v_y, v_z) for qubit k."""
-    n = blochs.shape[0]
+def _factors(axes: Array, blochs: Array) -> Array:
+    """(terms, n) table of qubit k's Bloch component along term t's axis; rows multiply to term values."""
+    n = axes.shape[1]
+    if blochs.shape != (n, 3):
+        raise ValueError(f"expected Bloch vectors of shape {(n, 3)}, got {blochs.shape}")
     table = np.empty((n, 4), dtype=float)
     table[:, 0] = 1.0
     table[:, 1:] = blochs
-    return table
+    return table[np.arange(n), axes]
+
+
+def _field(factors: Array, coeffs: Array, axes: Array, qubit: int) -> Array:
+    """(c0, cx, cy, cz) of the objective as affine in one qubit; sets that column of factors to 1."""
+    factors[:, qubit] = 1.0
+    return np.bincount(axes[:, qubit], weights=coeffs * factors.prod(axis=1), minlength=4)
 
 
 def objective(op: HSOperator, blochs: Array) -> float:
     """Expectation sum_s c_s prod_k v_k[s_k] at the given Bloch vectors."""
-    blochs = np.asarray(blochs, dtype=float)
-    if blochs.shape != (op.n, 3):
-        raise ValueError(f"expected Bloch vectors of shape {(op.n, 3)}, got {blochs.shape}")
-    if not op.terms:
-        return 0.0
-    axes, coeffs = _term_arrays(op)
-    table = _component_table(blochs)
-    vals = table[np.arange(op.n)[None, :], axes]
-    return float(vals.prod(axis=1) @ coeffs)
+    return float(_factors(op.axes, np.asarray(blochs, dtype=float)).prod(axis=1) @ op.coeffs)
 
 
 def effective_field(op: HSOperator, blochs: Array, qubit: int) -> tuple[float, Array]:
     """Split the objective as c0 + c . v_qubit with all other qubits fixed."""
-    blochs = np.asarray(blochs, dtype=float)
-    if blochs.shape != (op.n, 3):
-        raise ValueError(f"expected Bloch vectors of shape {(op.n, 3)}, got {blochs.shape}")
+    axes = op.axes
+    factors = _factors(axes, np.asarray(blochs, dtype=float))
     if not 0 <= qubit < op.n:
         raise ValueError(f"qubit index must lie in [0, {op.n}), got {qubit}")
-    if not op.terms:
-        return 0.0, np.zeros(3)
-    axes, coeffs = _term_arrays(op)
-    table = _component_table(blochs)
-    vals = table[np.arange(op.n)[None, :], axes]
-    vals[:, qubit] = 1.0
-    weighted = coeffs * vals.prod(axis=1)
-    sums = np.bincount(axes[:, qubit], weights=weighted, minlength=4)
+    sums = _field(factors, op.coeffs, axes, qubit)
     return float(sums[0]), sums[1:4].copy()
 
 
@@ -128,29 +114,22 @@ def ascend(
     degenerate).  The trajectory stops once a sweep improves the value
     by less than ``tol``, or after ``max_iters`` sweeps.
     """
-    if abs(op.identity_coefficient) != 0.0:
-        raise ValueError("operator has an all-identity component; subtract it first")
+    require_identity_free(op)
     blochs = np.array(blochs, dtype=float)
-    n = op.n
-    if blochs.shape != (n, 3):
-        raise ValueError(f"expected Bloch vectors of shape {(n, 3)}, got {blochs.shape}")
-    if not op.terms:
+    axes, coeffs = op.axes, op.coeffs
+    vals = _factors(axes, blochs)
+    if not len(op):
         return Ascent(0.0, blochs, 0, True, (0.0,))
 
-    axes, coeffs = _term_arrays(op)
-    table = _component_table(blochs)
-    vals = table[np.arange(n)[None, :], axes]
     value = float(vals.prod(axis=1) @ coeffs)
     history = [value]
     converged = False
     sweeps = 0
     for _ in range(max_iters):
         sweeps += 1
-        for k in range(n):
+        for k in range(op.n):
             saved = vals[:, k].copy()
-            vals[:, k] = 1.0
-            weighted = coeffs * vals.prod(axis=1)
-            field = np.bincount(axes[:, k], weights=weighted, minlength=4)[1:4]
+            field = _field(vals, coeffs, axes, k)[1:4]
             norm = np.linalg.norm(field)
             if norm < DEGENERATE_FIELD:
                 vals[:, k] = saved
@@ -182,12 +161,11 @@ def alpha_max(
     scheduling or how many starts run.  The best trajectory's value,
     endpoint, sweep count and convergence flag are reported.
     """
-    if abs(op.identity_coefficient) != 0.0:
-        raise ValueError("operator has an all-identity component; subtract it first")
+    require_identity_free(op)
     if starts < 1:
         raise ValueError(f"starts must be positive, got {starts}")
     n = op.n
-    if not op.terms:
+    if not len(op):
         poles = ProductState(tuple((0.0, 0.0) for _ in range(n)))
         return AlphaResult(0.0, poles, starts, 0, True)
 
@@ -223,8 +201,7 @@ def alpha_grid_oracle(
     ``max_points``.  The result is a certified lower bound on the true
     product-state maximum that converges to it as divisions grows.
     """
-    if abs(op.identity_coefficient) != 0.0:
-        raise ValueError("operator has an all-identity component; subtract it first")
+    require_identity_free(op)
     if divisions < 4:
         raise ValueError(f"divisions must be at least 4, got {divisions}")
     n = op.n
@@ -234,7 +211,7 @@ def alpha_grid_oracle(
             f"grid of {total} points exceeds the budget of {max_points}; "
             "lower divisions or raise max_points"
         )
-    if not op.terms:
+    if not len(op):
         return 0.0
 
     thetas = np.linspace(0.0, np.pi, divisions + 1)
@@ -247,8 +224,8 @@ def alpha_grid_oracle(
     points = vectors.shape[0]
     components = np.column_stack((np.ones(points), vectors))
 
-    axes, coeffs = _term_arrays(op)
-    n_terms = axes.shape[0]
+    axes, coeffs = op.axes, op.coeffs
+    n_terms = len(op)
     # per-qubit matrices B_k[i, t] = component of grid point i along term t's axis
     per_qubit = [components[:, axes[:, k]] for k in range(n)]
 

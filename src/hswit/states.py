@@ -138,17 +138,10 @@ def product_state_coeffs(ps: ProductState) -> HSOperator:
     R_s = prod_k v_k[s_k] with v_k[0] = 1, so the full table follows from
     an outer product over qubits.
     """
-    blochs = ps.bloch_vectors()
-    table = np.ones(1, dtype=float)
-    for k in range(ps.n):
-        table = np.outer(table, np.concatenate(([1.0], blochs[k]))).reshape(-1)
-    coeffs = table.reshape((4,) * ps.n)
-    terms = {}
-    for axes in np.ndindex(*coeffs.shape):
-        c = float(coeffs[axes])
-        if abs(c) >= 1e-12:
-            terms[tuple(int(a) for a in axes)] = c
-    return HSOperator(ps.n, terms)
+    table = np.ones(())
+    for bloch in ps.bloch_vectors():
+        table = np.multiply.outer(table, np.concatenate(([1.0], bloch)))
+    return HSOperator.from_dense(table)
 
 
 def mix_white_noise(rho: DensityMatrix, p: float) -> DensityMatrix:
@@ -221,11 +214,11 @@ def _entry(
     return CatalogEntry(name, description, state, hs_decompose(state), bell, g_witness, expected)
 
 
-def _ghz3_entry() -> CatalogEntry:
+def _ghz3_entry(name: str) -> CatalogEntry:
     bell = HSOperator(3, {"XXX": 1, "XYY": -1, "YXY": -1, "YYX": -1})
     g = bell + HSOperator(3, {"ZZI": 1})
     return _entry(
-        "ghz3",
+        name,
         "three-qubit GHZ state",
         ghz(3),
         bell,
@@ -242,11 +235,11 @@ def _ghz3_entry() -> CatalogEntry:
     )
 
 
-def _w3_entry() -> CatalogEntry:
+def _w3_entry(name: str) -> CatalogEntry:
     bell = HSOperator(3, {"ZXX": 1, "XZX": 1, "XXZ": 1, "ZZZ": -1})
     g = bell + HSOperator(3, {"YYI": 1})
     return _entry(
-        "w3",
+        name,
         "three-qubit W state",
         w_state(3),
         bell,
@@ -263,7 +256,7 @@ def _w3_entry() -> CatalogEntry:
     )
 
 
-def _ghz4_entry() -> CatalogEntry:
+def _ghz4_entry(name: str) -> CatalogEntry:
     bell = HSOperator(
         4,
         {
@@ -279,7 +272,7 @@ def _ghz4_entry() -> CatalogEntry:
     )
     g = bell + HSOperator(4, {"ZZZZ": 1})
     return _entry(
-        "ghz4",
+        name,
         "four-qubit GHZ state",
         ghz(4),
         bell,
@@ -296,7 +289,7 @@ def _ghz4_entry() -> CatalogEntry:
     )
 
 
-def _w4_entry() -> CatalogEntry:
+def _w4_entry(name: str) -> CatalogEntry:
     half = Fraction(1, 2)
     bell = HSOperator(
         4,
@@ -317,7 +310,7 @@ def _w4_entry() -> CatalogEntry:
         },
     )
     return _entry(
-        "w4",
+        name,
         "four-qubit W state",
         w_state(4),
         bell,
@@ -334,7 +327,7 @@ def _w4_entry() -> CatalogEntry:
     )
 
 
-def _cl4_entry() -> CatalogEntry:
+def _cl4_entry(name: str) -> CatalogEntry:
     bell = HSOperator(
         4,
         {
@@ -349,7 +342,7 @@ def _cl4_entry() -> CatalogEntry:
         },
     )
     return _entry(
-        "cl4",
+        name,
         "four-qubit linear cluster state",
         cluster4(),
         bell,
@@ -366,9 +359,9 @@ def _cl4_entry() -> CatalogEntry:
     )
 
 
-def _mds_entry(r: float) -> CatalogEntry:
+def _mds_entry(name: str, r: float) -> CatalogEntry:
     return _entry(
-        "mds",
+        name,
         f"three-qubit maximally disordered subsystems state, r = {r:g}",
         mds(r),
         None,
@@ -383,20 +376,24 @@ def _mds_entry(r: float) -> CatalogEntry:
     )
 
 
+_BUILDERS = {
+    "ghz3": _ghz3_entry,
+    "w3": _w3_entry,
+    "ghz4": _ghz4_entry,
+    "w4": _w4_entry,
+    "cl4": _cl4_entry,
+    "mds": _mds_entry,
+}
+ENTRY_NAMES = tuple(_BUILDERS)
+
+
 def catalog(mds_r: float = 0.5) -> dict[str, CatalogEntry]:
-    """All reference entries keyed by name.
+    """All reference entries keyed by name, in ENTRY_NAMES order.
 
     ``mds_r`` sets the mixing coefficient of the mds entry; it must be
     positive so the witness-side numbers are defined.
     """
     if not 0.0 < mds_r <= MDS_R_LIMIT + 1e-12:
         raise ValueError(f"mds_r must lie in (0, 1/sqrt(3)], got {mds_r}")
-    entries = [
-        _ghz3_entry(),
-        _w3_entry(),
-        _ghz4_entry(),
-        _w4_entry(),
-        _cl4_entry(),
-        _mds_entry(mds_r),
-    ]
-    return {e.name: e for e in entries}
+    params = {"mds": (mds_r,)}
+    return {name: build(name, *params.get(name, ())) for name, build in _BUILDERS.items()}

@@ -1,6 +1,6 @@
 """Entanglement witnesses built from product-state maxima.
 
-For an operator G with no all-identity component, alpha = max over pure
+For an operator G with no all-identity term, alpha = max over pure
 product states of Tr(G rho_prod) gives the witness E_W = alpha I - G:
 every fully separable state has Tr(E_W rho) >= 0 by convexity, so a
 negative expectation certifies entanglement.  Mixing a state with white
@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .hs import HSOperator, hs_decompose, overlap
+from .hs import HSOperator, hs_decompose, overlap, require_identity_free
 from .lhv_bound import BoundResult, classical_bound
 from .pauli_core import DensityMatrix, identity_string
 from .product_max import AlphaResult, alpha_max
@@ -45,8 +45,7 @@ class Witness:
     alpha_result: AlphaResult
 
     def __post_init__(self) -> None:
-        if abs(self.g.identity_coefficient) != 0.0:
-            raise ValueError("witness kernel must have no all-identity component")
+        require_identity_free(self.g)
         if self.alpha_result.argmax.n != self.g.n:
             raise ValueError(
                 f"optimization ran on {self.alpha_result.argmax.n} qubits, kernel has {self.g.n}"
@@ -142,6 +141,11 @@ def mds_entanglement_threshold(
     return 0.5 * (lo + hi)
 
 
+def grade(computed: Mapping[str, float], expected: Mapping[str, object], atol: float) -> dict[str, bool]:
+    """Field -> |computed - expected| <= atol, for every expected field that was computed."""
+    return {k: bool(abs(computed[k] - float(v)) <= atol) for k, v in expected.items() if k in computed}
+
+
 @dataclass(frozen=True)
 class WitnessReport:
     """All benchmark numbers for one catalog entry.
@@ -182,12 +186,7 @@ class WitnessReport:
 
     def checks(self, atol: float = REPORT_ATOL) -> dict[str, bool]:
         """Per-field comparison against the expected values, where both exist."""
-        computed = self.computed()
-        out = {}
-        for key, exp in self.expected.items():
-            if key in computed:
-                out[key] = abs(computed[key] - float(exp)) <= atol
-        return out
+        return grade(self.computed(), self.expected, atol)
 
     def all_ok(self, atol: float = REPORT_ATOL) -> bool:
         checks = self.checks(atol)

@@ -257,11 +257,24 @@ def test_semantic_errors_exit_one(tmp_path, capsys):
         {"catalog": "mds", "params": {"R": 0.9}},
         {"matrix": 1, "entries": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]},
         {"matrix": 1, "entries": [[1.5, 0.0], [0.0, 0.0], [0.0, 0.0], [-0.5, 0.0]]},
+        {"matrix": 1, "entries": [[float("nan"), 0.0]] * 4},
     ]
     for i, doc in enumerate(cases):
         path = write_json(tmp_path, f"bad{i}.json", doc)
         assert main(["decompose", path]) == 1, doc
         assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("command", ["bound", "alpha"])
+def test_non_finite_coefficients_exit_one(tmp_path, capsys, command, value):
+    doc = {"n": 2, "terms": [{"string": "XX", "coeff": value}, {"string": "ZZ", "coeff": 1.0}]}
+    path = write_json(tmp_path, "nonfinite.json", doc)
+    assert main([command, path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "finite" in captured.err
 
 
 def test_qubit_cap_applies_to_loaded_operators(tmp_path, monkeypatch, capsys):
