@@ -224,6 +224,10 @@ def cmd_bound(args: argparse.Namespace) -> int:
 def cmd_alpha(args: argparse.Namespace) -> int:
     if args.grid_check and args.grid_check < 4:
         raise UsageError("--grid-check needs at least 4 divisions")
+    if args.starts < 1:
+        raise UsageError("--starts needs at least 1 start")
+    if not 0 <= args.seed < 2**64:
+        raise UsageError("--seed must lie in [0, 2**64)")
     op = load_operator(_load_json(args.operator))
     result = alpha_max(op, starts=args.starts, seed=args.seed)
     grid_value = alpha_grid_oracle(op, args.grid_check) if args.grid_check else None

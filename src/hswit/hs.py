@@ -9,6 +9,7 @@ Tr(O rho) = sum_s O_s R_s, with no dimension factor.
 
 from __future__ import annotations
 
+import functools
 from numbers import Real
 from typing import Iterator, Mapping
 
@@ -195,6 +196,23 @@ def require_identity_free(op: HSOperator) -> None:
         raise ValueError("operator has an all-identity component; subtract it first")
 
 
+def _decompose_operands(tensor: Array, n: int) -> list:
+    """einsum operands contracting a (2,) * 2n matrix tensor with one SIGMA per qubit."""
+    # index layout: rows r_k = k, columns c_k = n + k, axes a_k = 2n + k
+    operands: list = [tensor, list(range(2 * n))]
+    for k in range(n):
+        operands.extend([SIGMA, [2 * n + k, n + k, k]])
+    operands.append([2 * n + k for k in range(n)])
+    return operands
+
+
+@functools.cache
+def _decompose_path(n: int) -> tuple:
+    """The contraction path ``optimize=True`` would search for, found once per qubit count."""
+    shape_only = np.broadcast_to(0j, (2,) * (2 * n))
+    return tuple(np.einsum_path(*_decompose_operands(shape_only, n), optimize="greedy")[0])
+
+
 def hs_decompose(rho: DensityMatrix) -> HSOperator:
     """Coefficients R_s = Tr(rho sigma_s) for every Pauli string.
 
@@ -203,12 +221,7 @@ def hs_decompose(rho: DensityMatrix) -> HSOperator:
     """
     n = rho.n
     tensor = rho.matrix.reshape((2,) * (2 * n))
-    # index layout: rows r_k = k, columns c_k = n + k, axes a_k = 2n + k
-    operands: list = [tensor, list(range(2 * n))]
-    for k in range(n):
-        operands.extend([SIGMA, [2 * n + k, n + k, k]])
-    operands.append([2 * n + k for k in range(n)])
-    coeffs = np.einsum(*operands, optimize=True)
+    coeffs = np.einsum(*_decompose_operands(tensor, n), optimize=_decompose_path(n))
     if np.max(np.abs(coeffs.imag)) > 1e-8:
         raise ValueError("decomposition produced complex coefficients; input is not Hermitian")
     return HSOperator.from_dense(coeffs.real)

@@ -7,12 +7,21 @@ attained at v_k = c/|c|.  Alternating that closed-form update over the
 qubits ascends monotonically; a multistart over counter-based RNG
 streams guards against local maxima.  A brute-force angular grid search
 is provided as an independent cross-check.
+
+One evaluator serves every entry point: a block of starts shares one
+(n, starts, terms) factor table and each ascent step is one numpy call
+for the whole block.  Per start the arithmetic is that of a lone start:
+field sums are one ``bincount`` over start-major bins, which keeps each
+start's term order, and values and norms are stacked vector products,
+one dot per start.  So a start's result does not depend on which block
+it ran in or how many starts ran beside it.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,37 +33,139 @@ DEGENERATE_FIELD = 1e-14
 DEFAULT_GRID_BUDGET = 250_000_000
 GRID_SUFFIX_ELEMENTS = 8_000_000
 GRID_BLOCK_ELEMENTS = 4_000_000
+GRID_FOLD_ELEMENTS = 262_144  # entries of the last grid fold materialized at once
+ASCENT_BLOCK_ELEMENTS = 65_536  # factor-table entries per block of ascent starts
+MIN_DRAW_NORM = 1e-12  # shorter random triples are redrawn
 
 
-def _factors(axes: Array, blochs: Array) -> Array:
-    """(terms, n) table of qubit k's Bloch component along term t's axis; rows multiply to term values."""
-    n = axes.shape[1]
-    if blochs.shape != (n, 3):
-        raise ValueError(f"expected Bloch vectors of shape {(n, 3)}, got {blochs.shape}")
-    table = np.empty((n, 4), dtype=float)
-    table[:, 0] = 1.0
-    table[:, 1:] = blochs
-    return table[np.arange(n), axes]
+def _components(blochs: Array) -> Array:
+    """(starts, n, 4) rows (1, vx, vy, vz): each qubit's component along every axis, identity first."""
+    starts, n = blochs.shape[:2]
+    components = np.empty((starts, n, 4))
+    components[:, :, 0] = 1.0
+    components[:, :, 1:] = blochs
+    return components
 
 
-def _field(factors: Array, coeffs: Array, axes: Array, qubit: int) -> Array:
-    """(c0, cx, cy, cz) of the objective as affine in one qubit; sets that column of factors to 1."""
-    factors[:, qubit] = 1.0
-    return np.bincount(axes[:, qubit], weights=coeffs * factors.prod(axis=1), minlength=4)
+def _factors(axes: Array, components: Array) -> Array:
+    """(n, starts, terms) table: entry [k, s, t] is start s's qubit-k component along term t's axis.
+
+    Entries along the first axis multiply to the term's value.  The
+    table stays C-ordered, so every start's products form one contiguous
+    row, as a lone start's do.
+    """
+    starts, n = components.shape[:2]
+    factors = np.empty((n, starts, len(axes)))
+    for k in range(n):
+        factors[k] = components[:, k, axes[:, k]]
+    return factors
+
+
+def _lengths(rows: Array) -> Array:
+    """Euclidean length of each row of a (rows, 3) array, one dot per row as in ``np.linalg.norm``."""
+    return np.sqrt((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
+
+
+def _values(factors: Array, coeffs: Array) -> Array:
+    """Objective of every start in the table, one dot per start."""
+    return (factors.prod(axis=0)[:, None, :] @ coeffs[:, None])[:, 0, 0]
+
+
+def _fields(factors: Array, coeffs: Array, axes: Array, qubit: int) -> Array:
+    """(starts, 4) rows (c0, cx, cy, cz) of the objective as affine in one qubit.
+
+    Sets that qubit's slice of the table to 1.  One bincount over
+    start-major bins sums each start's terms in term order.
+    """
+    starts = factors.shape[1]
+    factors[qubit] = 1.0
+    bins = (4 * np.arange(starts))[:, None] + axes[:, qubit]
+    weights = coeffs * factors.prod(axis=0)
+    return np.bincount(bins.ravel(), weights=weights.ravel(), minlength=4 * starts).reshape(starts, 4)
+
+
+class _Runs(NamedTuple):
+    """Per-start results of one block; ``history`` is (starts, sweeps + 1), NaN past a start's end."""
+
+    values: Array
+    blochs: Array
+    sweeps: Array
+    converged: Array
+    history: Array | None
+
+
+def _ascend(
+    axes: Array,
+    coeffs: Array,
+    blochs: Array,
+    tol: float,
+    max_iters: int,
+    keep_history: bool = False,
+) -> _Runs:
+    """Alternating ascent of a block of starts from (starts, n, 3) unit Bloch vectors.
+
+    A start leaves the block once a sweep improves it by less than
+    ``tol``, or after ``max_iters`` sweeps, and the block is compacted.
+    ``keep_history`` records every start's value after each sweep.
+    """
+    starts, n = blochs.shape[:2]
+    blochs = blochs.copy()
+    live = np.arange(starts)  # start index of each row still ascending
+    components = _components(blochs)
+    factors = _factors(axes, components)
+    value = _values(factors, coeffs)
+    values = value.copy()
+    sweeps = np.zeros(starts, dtype=int)
+    converged = np.zeros(starts, dtype=bool)
+    history = [value.copy()] if keep_history else None
+    for sweep in range(1, max_iters + 1):
+        for k in range(n):
+            field = _fields(factors, coeffs, axes, k)[:, 1:]
+            norm = _lengths(field)
+            moved = ~(norm < DEGENERATE_FIELD)  # a degenerate field keeps the vector
+            np.divide(field, norm[:, None], out=components[:, k, 1:], where=moved[:, None])
+            factors[k] = components[:, k, axes[:, k]]
+        new = _values(factors, coeffs)
+        best = np.where(new > value, new, value)
+        done = new - value < tol
+        value = np.where(done, best, new)
+        if history is not None:
+            history.append(np.full(starts, np.nan))
+            history[-1][live] = best
+        stop = done | (sweep == max_iters)
+        if stop.any():
+            ended = live[stop]
+            values[ended], blochs[ended], sweeps[ended] = value[stop], components[stop, :, 1:], sweep
+            converged[ended] = done[stop]
+            if stop.all():
+                break
+            keep = ~stop
+            live, components, value = live[keep], components[keep], value[keep]
+            factors = factors.compress(keep, axis=1)  # stays C-ordered
+    if history is not None:
+        history = np.stack(history, axis=1)
+    return _Runs(values, blochs, sweeps, converged, history)
+
+
+def _one_start(op: HSOperator, blochs: Array) -> Array:
+    """Bloch vectors of one start as a block of one."""
+    blochs = np.array(blochs, dtype=float)
+    if blochs.shape != (op.n, 3):
+        raise ValueError(f"expected Bloch vectors of shape {(op.n, 3)}, got {blochs.shape}")
+    return blochs[None]
 
 
 def objective(op: HSOperator, blochs: Array) -> float:
     """Expectation sum_s c_s prod_k v_k[s_k] at the given Bloch vectors."""
-    return float(_factors(op.axes, np.asarray(blochs, dtype=float)).prod(axis=1) @ op.coeffs)
+    return float(_values(_factors(op.axes, _components(_one_start(op, blochs))), op.coeffs)[0])
 
 
 def effective_field(op: HSOperator, blochs: Array, qubit: int) -> tuple[float, Array]:
     """Split the objective as c0 + c . v_qubit with all other qubits fixed."""
-    axes = op.axes
-    factors = _factors(axes, np.asarray(blochs, dtype=float))
+    factors = _factors(op.axes, _components(_one_start(op, blochs)))
     if not 0 <= qubit < op.n:
         raise ValueError(f"qubit index must lie in [0, {op.n}), got {qubit}")
-    sums = _field(factors, op.coeffs, axes, qubit)
+    sums = _fields(factors, op.coeffs, op.axes, qubit)[0]
     return float(sums[0]), sums[1:4].copy()
 
 
@@ -80,6 +191,8 @@ class AlphaResult:
     Nothing here certifies global optimality: ``converged`` only says
     the best trajectory's final sweep improved by less than the
     tolerance within the iteration budget, over ``starts_used`` seeds.
+    ``starts_at_best`` counts the starts that ended within the tolerance
+    of the best value.
     """
 
     alpha: float
@@ -87,18 +200,23 @@ class AlphaResult:
     starts_used: int
     iterations: int
     converged: bool
+    starts_at_best: int
 
 
-def _random_unit_vectors(rng: np.random.Generator, n: int) -> Array:
-    out = np.empty((n, 3), dtype=float)
-    for k in range(n):
-        while True:
-            v = rng.normal(size=3)
-            norm = np.linalg.norm(v)
-            if norm > 1e-12:
-                out[k] = v / norm
-                break
-    return out
+def _start_blochs(seed: int, start: int, n: int) -> Array:
+    """Unit Bloch vectors of one start, from its own Philox stream keyed on (seed, start).
+
+    Qubit k normalizes the k-th triple of normal draws that is longer
+    than MIN_DRAW_NORM; shorter triples are skipped.
+    """
+    rng = np.random.Generator(np.random.Philox(key=np.array([seed, start], dtype=np.uint64)))
+    draws = rng.normal(size=(n, 3))
+    lengths = _lengths(draws)
+    while (short := n - np.count_nonzero(lengths > MIN_DRAW_NORM)) > 0:
+        more = rng.normal(size=(short, 3))
+        draws, lengths = np.concatenate((draws, more)), np.concatenate((lengths, _lengths(more)))
+    keep = np.flatnonzero(lengths > MIN_DRAW_NORM)[:n]
+    return draws[keep] / lengths[keep, None]
 
 
 def ascend(
@@ -115,36 +233,13 @@ def ascend(
     by less than ``tol``, or after ``max_iters`` sweeps.
     """
     require_identity_free(op)
-    blochs = np.array(blochs, dtype=float)
-    axes, coeffs = op.axes, op.coeffs
-    vals = _factors(axes, blochs)
+    start = _one_start(op, blochs)
     if not len(op):
-        return Ascent(0.0, blochs, 0, True, (0.0,))
-
-    value = float(vals.prod(axis=1) @ coeffs)
-    history = [value]
-    converged = False
-    sweeps = 0
-    for _ in range(max_iters):
-        sweeps += 1
-        for k in range(op.n):
-            saved = vals[:, k].copy()
-            field = _field(vals, coeffs, axes, k)[1:4]
-            norm = np.linalg.norm(field)
-            if norm < DEGENERATE_FIELD:
-                vals[:, k] = saved
-                continue
-            blochs[k] = field / norm
-            row = np.concatenate(([1.0], blochs[k]))
-            vals[:, k] = row[axes[:, k]]
-        new_value = float(vals.prod(axis=1) @ coeffs)
-        history.append(max(value, new_value))
-        if new_value - value < tol:
-            value = max(value, new_value)
-            converged = True
-            break
-        value = new_value
-    return Ascent(value, blochs, sweeps, converged, tuple(history))
+        return Ascent(0.0, start[0], 0, True, (0.0,))
+    runs = _ascend(op.axes, op.coeffs, start, tol, max_iters, keep_history=True)
+    sweeps = int(runs.sweeps[0])
+    history = tuple(runs.history[0, : sweeps + 1].tolist())
+    return Ascent(float(runs.values[0]), runs.blochs[0], sweeps, bool(runs.converged[0]), history)
 
 
 def alpha_max(
@@ -158,27 +253,45 @@ def alpha_max(
 
     Each start draws its own counter-based RNG stream keyed on
     (seed, start index), so results are reproducible and independent of
-    scheduling or how many starts run.  The best trajectory's value,
-    endpoint, sweep count and convergence flag are reported.
+    scheduling or how many starts run.  The starts ascend in blocks of
+    at most ``ASCENT_BLOCK_ELEMENTS`` factor-table entries, so the
+    tables do not grow with ``starts``.  The first start to reach the
+    best value supplies the endpoint, sweep count and convergence flag.
     """
     require_identity_free(op)
     if starts < 1:
         raise ValueError(f"starts must be positive, got {starts}")
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
     n = op.n
     if not len(op):
         poles = ProductState(tuple((0.0, 0.0) for _ in range(n)))
-        return AlphaResult(0.0, poles, starts, 0, True)
+        return AlphaResult(0.0, poles, starts, 0, True, starts)
 
-    best: Ascent | None = None
-    for start in range(starts):
-        rng = np.random.Generator(np.random.Philox(key=np.array([seed, start], dtype=np.uint64)))
-        trajectory = ascend(op, _random_unit_vectors(rng, n), tol=tol, max_iters=max_iters)
-        if best is None or trajectory.value > best.value:
-            best = trajectory
+    axes, coeffs = op.axes, op.coeffs
+    block = max(1, ASCENT_BLOCK_ELEMENTS // axes.size)
+    values = np.empty(starts)
+    best: tuple[_Runs, int] | None = None
+    for lo in range(0, starts, block):
+        hi = min(starts, lo + block)
+        draws = np.stack([_start_blochs(seed, s, n) for s in range(lo, hi)])
+        runs = _ascend(axes, coeffs, draws, tol, max_iters)
+        values[lo:hi] = runs.values
+        i = int(np.argmax(runs.values))
+        if best is None or runs.values[i] > best[0].values[best[1]]:
+            best = (runs, i)
 
-    blochs = best.blochs / np.linalg.norm(best.blochs, axis=1)[:, None]
+    runs, i = best
+    alpha = float(runs.values[i])
+    blochs = runs.blochs[i] / np.linalg.norm(runs.blochs[i], axis=1)[:, None]
     argmax = ProductState.from_bloch_vectors(blochs)
-    return AlphaResult(float(best.value), argmax, starts, best.sweeps, best.converged)
+    at_best = int(np.count_nonzero(alpha - values <= tol))
+    return AlphaResult(alpha, argmax, starts, int(runs.sweeps[i]), bool(runs.converged[i]), at_best)
+
+
+def _khatri_rao(left: Array, right: Array) -> Array:
+    """Row-wise products of every row of ``left`` with every row of ``right``, left-major."""
+    return (left[:, None, :] * right[None, :, :]).reshape(-1, left.shape[1])
 
 
 def grid_point_count(n: int, divisions: int) -> int:
@@ -230,15 +343,20 @@ def alpha_grid_oracle(
     per_qubit = [components[:, axes[:, k]] for k in range(n)]
 
     # fold as many trailing qubits as fit into one row-wise (Khatri-Rao) block
-    suffix = per_qubit[-1]
-    split = n - 1
-    while split > 0 and suffix.shape[0] * points * n_terms <= GRID_SUFFIX_ELEMENTS:
+    suffix = np.ones((1, n_terms))
+    split = n
+    while split > 1 and suffix.shape[0] * points * n_terms <= GRID_SUFFIX_ELEMENTS:
         split -= 1
-        block = per_qubit[split][:, None, :] * suffix[None, :, :]
-        suffix = block.reshape(-1, n_terms)
+        suffix = _khatri_rao(per_qubit[split], suffix)
 
-    if split == 0:
-        return float(np.max(suffix @ coeffs))
+    if split == 1 and suffix.shape[0] * points * n_terms <= GRID_SUFFIX_ELEMENTS:
+        # qubit 0 folds in too, a few of its rows at a time to bound memory; blocks of
+        # 4k rows keep every grid point's dot product the one a single fold would take
+        rows = 4 * max(1, GRID_FOLD_ELEMENTS // (4 * suffix.size))
+        return max(
+            float(np.max(_khatri_rao(per_qubit[0][lo : lo + rows], suffix) @ coeffs))
+            for lo in range(0, points, rows)
+        )
     # innermost prefix qubit is vectorized in row blocks; the rest walk an odometer
     inner = per_qubit[split - 1]
     outer_qubits = per_qubit[: split - 1]

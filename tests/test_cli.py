@@ -136,6 +136,26 @@ def test_alpha_rejects_tiny_grid(bell_g3_file, capsys):
     assert main(["alpha", bell_g3_file, "--grid-check", "2"]) == 2
 
 
+@pytest.mark.parametrize("flags", [
+    ["--grid-check", "2"],
+    ["--starts", "0"],
+    ["--starts", "-3"],
+    ["--seed", "-1"],
+    ["--seed", str(2**64)],
+])
+def test_alpha_bad_arguments_exit_two(bell_g3_file, capsys, flags):
+    assert main(["alpha", bell_g3_file, *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert "Traceback" not in captured.err
+
+
+def test_alpha_accepts_the_largest_seed(bell_g3_file, capsys):
+    assert main(["alpha", bell_g3_file, "--seed", str(2**64 - 1), "--starts", "1"]) == 0
+    assert "starts_used 1" in capsys.readouterr().out
+
+
 # ---------------------------------------------------------------------------
 # report and verify
 

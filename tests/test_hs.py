@@ -10,7 +10,7 @@ import itertools
 import numpy as np
 import pytest
 
-from hswit.hs import HSOperator, hs_decompose, hs_reconstruct, overlap
+from hswit.hs import HSOperator, _decompose_operands, hs_decompose, hs_reconstruct, overlap
 from hswit.pauli_core import PauliString, string_matrix
 from hswit.states import ProductState, ghz, product_state, product_state_coeffs, w_state
 
@@ -86,6 +86,18 @@ def test_decompose_equals_direct_traces_on_random_states(n):
             s = PauliString(axes)
             want = _trace_coefficient(rho, s)
             assert abs(coeffs.coefficient(s) - want) < 1e-10
+
+
+@pytest.mark.parametrize("n", [1, 3, 4, 6])
+def test_cached_contraction_path_gives_the_searched_result(n):
+    # the path is found once per n; the result must equal a per-call search bit for bit
+    rho = random_density(np.random.default_rng(20 + n), n)
+    tensor = rho.matrix.reshape((2,) * (2 * n))
+    searched = np.einsum(*_decompose_operands(tensor, n), optimize=True).real
+    got = HSOperator.from_dense(searched)
+    coeffs = hs_decompose(rho)
+    np.testing.assert_array_equal(coeffs.codes, got.codes)
+    np.testing.assert_array_equal(coeffs.coeffs, got.coeffs)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

@@ -3,8 +3,12 @@
 import numpy as np
 import pytest
 
+from hswit import product_max
 from hswit.hs import HSOperator, overlap
 from hswit.product_max import (
+    DEGENERATE_FIELD,
+    _ascend,
+    _start_blochs,
     alpha_grid_oracle,
     alpha_max,
     ascend,
@@ -167,6 +171,9 @@ def test_alpha_validates_arguments(cat):
     op = cat["ghz3"].g_witness
     with pytest.raises(ValueError):
         alpha_max(op, starts=0)
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match="seed"):
+            alpha_max(op, seed=seed)
     with pytest.raises(ValueError, match="identity"):
         alpha_max(HSOperator(2, {"II": 1.0, "XX": 1.0}))
 
@@ -202,6 +209,15 @@ def test_ascent_meets_or_beats_the_grid(cat, name, divisions):
     assert abs(best - grid) < 1e-9
 
 
+@pytest.mark.parametrize("name", ["ghz3", "w3", "mds"])
+def test_grid_oracle_folds_in_blocks_without_changing_a_bit(cat, monkeypatch, name):
+    op = cat[name].g_witness
+    monkeypatch.setattr(product_max, "GRID_FOLD_ELEMENTS", 1 << 40)  # one block: a single fold
+    whole = alpha_grid_oracle(op, 8)
+    monkeypatch.setattr(product_max, "GRID_FOLD_ELEMENTS", 1)  # four rows of qubit 0 at a time
+    assert alpha_grid_oracle(op, 8) == whole
+
+
 def test_grid_oracle_validates_divisions(cat):
     with pytest.raises(ValueError, match="divisions"):
         alpha_grid_oracle(cat["ghz3"].g_witness, 3)
@@ -212,3 +228,177 @@ def test_grid_oracle_enforces_the_point_budget(cat):
         alpha_grid_oracle(cat["ghz4"].g_witness, 24)
     with pytest.raises(ValueError, match="budget"):
         alpha_grid_oracle(cat["ghz3"].g_witness, 24, max_points=1000)
+
+
+# ---------------------------------------------------------------------------
+# the batched evaluator against the single-start loop it replaced
+
+
+def _lone_ascend(op, blochs, tol=1e-10, max_iters=500):
+    """One start at a time, in the arithmetic the batched evaluator must reproduce bit for bit."""
+    blochs = np.array(blochs, dtype=float)
+    axes, coeffs = op.axes, op.coeffs
+    table = np.empty((op.n, 4))
+    table[:, 0] = 1.0
+    table[:, 1:] = blochs
+    vals = table[np.arange(op.n), axes]
+    value = float(vals.prod(axis=1) @ coeffs)
+    history = [value]
+    converged = False
+    sweeps = 0
+    for _ in range(max_iters):
+        sweeps += 1
+        for k in range(op.n):
+            saved = vals[:, k].copy()
+            vals[:, k] = 1.0
+            field = np.bincount(axes[:, k], weights=coeffs * vals.prod(axis=1), minlength=4)[1:4]
+            norm = np.linalg.norm(field)
+            if norm < DEGENERATE_FIELD:
+                vals[:, k] = saved
+                continue
+            blochs[k] = field / norm
+            row = np.concatenate(([1.0], blochs[k]))
+            vals[:, k] = row[axes[:, k]]
+        new_value = float(vals.prod(axis=1) @ coeffs)
+        history.append(max(value, new_value))
+        if new_value - value < tol:
+            value = max(value, new_value)
+            converged = True
+            break
+        value = new_value
+    return value, blochs, sweeps, converged, tuple(history)
+
+
+def _lone_start(seed, start, n, min_norm=1e-12):
+    rng = np.random.Generator(np.random.Philox(key=np.array([seed, start], dtype=np.uint64)))
+    out = np.empty((n, 3))
+    for k in range(n):
+        while True:
+            v = rng.normal(size=3)
+            norm = np.linalg.norm(v)
+            if norm > min_norm:
+                out[k] = v / norm
+                break
+    return out
+
+
+def _lone_alpha(op, starts, seed=0, tol=1e-10):
+    runs = [_lone_ascend(op, _lone_start(seed, s, op.n), tol) for s in range(starts)]
+    best = None
+    for run in runs:
+        if best is None or run[0] > best[0]:
+            best = run
+    at_best = sum(1 for run in runs if best[0] - run[0] <= tol)
+    return best, at_best
+
+
+def _random_operator(rng, n, terms):
+    labels = set()
+    while len(labels) < terms:
+        word = "".join("IXYZ"[a] for a in rng.integers(0, 4, size=n))
+        if set(word) != {"I"}:
+            labels.add(word)
+    return HSOperator(n, {w: float(rng.normal()) for w in sorted(labels)})
+
+
+def _assert_block_matches_lone(op, starts, tol=1e-10, max_iters=500):
+    runs = _ascend(op.axes, op.coeffs, np.stack(starts), tol, max_iters, keep_history=True)
+    for s, start in enumerate(starts):
+        value, blochs, sweeps, converged, history = _lone_ascend(op, start, tol, max_iters)
+        assert runs.values[s] == value, s
+        np.testing.assert_array_equal(runs.blochs[s], blochs)
+        assert runs.sweeps[s] == sweeps, s
+        assert runs.converged[s] == converged, s
+        assert tuple(runs.history[s, : sweeps + 1].tolist()) == history, s
+        assert np.isnan(runs.history[s, sweeps + 1 :]).all()
+    return runs
+
+
+def _operators(cat):
+    rng = np.random.default_rng(31)
+    ops = [(name, cat[name].g_witness) for name, _ in ALPHA_CASES]
+    for n, terms in ((1, 3), (2, 5), (3, 9), (4, 16), (5, 20), (6, 24), (7, 24), (8, 40)):
+        ops.append((f"random n={n}", _random_operator(rng, n, terms)))
+    return ops
+
+
+def test_block_ascent_is_bit_identical_to_lone_starts(cat):
+    for name, op in _operators(cat):
+        starts = [_lone_start(5, s, op.n) for s in range(12)]
+        runs = _assert_block_matches_lone(op, starts)
+        lone = ascend(op, starts[0])
+        assert (lone.value, lone.sweeps, lone.converged) == (runs.values[0], runs.sweeps[0], runs.converged[0]), name
+        assert lone.history == tuple(runs.history[0, : lone.sweeps + 1].tolist()), name
+        np.testing.assert_array_equal(lone.blochs, runs.blochs[0])
+
+
+def test_block_mixes_degenerate_and_moving_starts():
+    op = HSOperator(2, {"ZZ": 1.0, "XY": 0.25})
+    equator = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    rng = np.random.default_rng(8)
+    starts = [equator, _random_blochs(rng, 2), np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]), _random_blochs(rng, 2)]
+    runs = _assert_block_matches_lone(HSOperator(2, {"ZZ": 1.0}), starts)
+    np.testing.assert_array_equal(runs.blochs[0], equator)  # both fields vanish: the start stays put
+    assert runs.values[0] == 0.0 and runs.values[1] == 1.0
+    _assert_block_matches_lone(op, starts)
+
+
+def test_block_compacts_starts_that_stop_on_different_sweeps(cat):
+    op = _operators(cat)[-4][1]
+    starts = [_lone_start(0, s, op.n) for s in range(24)]
+    runs = _assert_block_matches_lone(op, starts, tol=1e-13)
+    assert len(set(runs.sweeps.tolist())) > 5
+
+
+@pytest.mark.parametrize("tol,max_iters", [(0.0, 0), (0.0, 2), (-1.0, 40)])
+def test_block_respects_the_iteration_budget(cat, tol, max_iters):
+    # with a negative tolerance no sweep converges, and the value follows
+    # every last-bit wobble of the sweeps while the history keeps the maximum
+    op = _operators(cat)[-4][1]
+    starts = [_lone_start(1, s, op.n) for s in range(6)]
+    runs = _assert_block_matches_lone(op, starts, tol=tol, max_iters=max_iters)
+    assert (runs.sweeps == max_iters).all()
+    assert not runs.converged.any()
+
+
+def test_start_draws_skip_short_triples(monkeypatch):
+    # with a floor of 1 about a fifth of all triples are redrawn, shifting later qubits
+    monkeypatch.setattr(product_max, "MIN_DRAW_NORM", 1.0)
+    shifted = 0
+    for s in range(20):
+        got = _start_blochs(3, s, 5)
+        np.testing.assert_array_equal(got, _lone_start(3, s, 5, min_norm=1.0))
+        shifted += not np.array_equal(got, _lone_start(3, s, 5))
+    assert shifted > 0
+
+
+def test_alpha_max_matches_lone_starts_across_blocks(cat, monkeypatch):
+    ops = _operators(cat)
+    for name, op in ops[:6] + ops[-3:]:
+        best, at_best = _lone_alpha(op, 20, seed=9)
+        for elements in (op.axes.size, 3 * op.axes.size, product_max.ASCENT_BLOCK_ELEMENTS):
+            monkeypatch.setattr(product_max, "ASCENT_BLOCK_ELEMENTS", elements)
+            result = alpha_max(op, starts=20, seed=9)
+            assert result.alpha == best[0], name
+            assert (result.iterations, result.converged) == (best[2], best[3]), name
+            assert result.starts_at_best == at_best, name
+            want = best[1] / np.linalg.norm(best[1], axis=1)[:, None]
+            assert result.argmax == ProductState.from_bloch_vectors(want), name
+
+
+def test_alpha_max_of_k_starts_is_the_best_of_the_first_k(cat):
+    op = _operators(cat)[-2][1]
+    starts = np.stack([_start_blochs(2, s, op.n) for s in range(30)])
+    runs = _ascend(op.axes, op.coeffs, starts, 1e-10, 500)
+    for k in (1, 4, 17, 30):
+        i = int(np.argmax(runs.values[:k]))
+        result = alpha_max(op, starts=k, seed=2)
+        assert result.alpha == runs.values[i]
+        assert (result.iterations, result.converged) == (runs.sweeps[i], runs.converged[i])
+        assert result.starts_at_best == np.count_nonzero(runs.values[i] - runs.values[:k] <= 1e-10)
+
+
+def test_starts_at_best_counts_the_starts_that_reach_alpha(cat):
+    result = alpha_max(cat["ghz3"].g_witness)
+    assert 1 <= result.starts_at_best <= result.starts_used == 64
+    assert alpha_max(HSOperator(2)).starts_at_best == 64
