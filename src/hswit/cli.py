@@ -42,6 +42,7 @@ from .pauli_core import (
     CapacityError,
     DensityMatrix,
     InvalidStateError,
+    check_qubit_count,
 )
 from .product_max import alpha_grid_oracle, alpha_max
 from .states import ENTRY_NAMES, CatalogEntry, catalog, mix_white_noise
@@ -94,7 +95,10 @@ def _require_mapping(doc: Any, what: str) -> Mapping[str, Any]:
 def _real_number(value: Any, what: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise UsageError(f"{what} must be a real number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError as exc:  # an integer literal beyond the float range
+        raise ValueError(f"{what} must be finite, got an integer too large for a float") from exc
 
 
 def load_operator(doc: Any) -> HSOperator:
@@ -166,7 +170,7 @@ def load_state(doc: Any) -> DensityMatrix:
         if isinstance(n, bool) or not isinstance(n, int) or n < 1:
             raise UsageError(f"'matrix' must be a positive qubit count, got {n!r}")
         entries = doc["entries"]
-        dim = 2**n
+        dim = 2 ** check_qubit_count(n)
         if not isinstance(entries, list) or len(entries) != dim * dim:
             raise UsageError(
                 f"'entries' must list {dim * dim} [re, im] pairs (row-major)"

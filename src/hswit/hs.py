@@ -9,7 +9,6 @@ Tr(O rho) = sum_s O_s R_s, with no dimension factor.
 
 from __future__ import annotations
 
-import functools
 from numbers import Real
 from typing import Iterator, Mapping
 
@@ -196,32 +195,27 @@ def require_identity_free(op: HSOperator) -> None:
         raise ValueError("operator has an all-identity component; subtract it first")
 
 
-def _decompose_operands(tensor: Array, n: int) -> list:
-    """einsum operands contracting a (2,) * 2n matrix tensor with one SIGMA per qubit."""
-    # index layout: rows r_k = k, columns c_k = n + k, axes a_k = 2n + k
-    operands: list = [tensor, list(range(2 * n))]
-    for k in range(n):
-        operands.extend([SIGMA, [2 * n + k, n + k, k]])
-    operands.append([2 * n + k for k in range(n)])
-    return operands
+# Per-qubit tables between a (row, column) pair 2r + c and an axis a; Tr(rho sigma) = sum rho[r, c] sigma[c, r]
+_PAIR_TO_AXIS = SIGMA.transpose(2, 1, 0).reshape(4, 4)  # [2r + c, a] = SIGMA[a, c, r]
+_AXIS_TO_PAIR = SIGMA.reshape(4, 4)  # [a, 2r + c] = SIGMA[a, r, c]
 
 
-@functools.cache
-def _decompose_path(n: int) -> tuple:
-    """The contraction path ``optimize=True`` would search for, found once per qubit count."""
-    shape_only = np.broadcast_to(0j, (2,) * (2 * n))
-    return tuple(np.einsum_path(*_decompose_operands(shape_only, n), optimize="greedy")[0])
+def _per_qubit(tensor: Array, table: Array) -> Array:
+    """Contract each axis of a (4,) * n tensor with a 4x4 table, qubit 0 first."""
+    for _ in range(tensor.ndim):  # contract the leading axis, append the result axis
+        tensor = np.tensordot(tensor, table, axes=(0, 0))
+    return tensor
 
 
 def hs_decompose(rho: DensityMatrix) -> HSOperator:
     """Coefficients R_s = Tr(rho sigma_s) for every Pauli string.
 
-    All 4^n traces are evaluated in one tensor contraction over the
-    per-qubit indices; terms below PRUNE_TOL are dropped.
+    Each qubit's (row, column) pair is mapped to its four axes in turn,
+    O(n 4^n) in all; terms below PRUNE_TOL are dropped.
     """
     n = rho.n
-    tensor = rho.matrix.reshape((2,) * (2 * n))
-    coeffs = np.einsum(*_decompose_operands(tensor, n), optimize=_decompose_path(n))
+    pairs = rho.matrix.reshape((2,) * (2 * n)).transpose(np.arange(2 * n).reshape(2, n).T.ravel())
+    coeffs = _per_qubit(pairs.reshape((4,) * n), _PAIR_TO_AXIS)
     if np.max(np.abs(coeffs.imag)) > 1e-8:
         raise ValueError("decomposition produced complex coefficients; input is not Hermitian")
     return HSOperator.from_dense(coeffs.real)
@@ -236,11 +230,9 @@ def hs_reconstruct(op: HSOperator) -> Array:
     n = op.n
     dense = np.zeros(4**n)
     dense[op.codes] = op.coeffs
-    tensor = dense.reshape((4,) * n)
-    for _ in range(n):  # contract the leading axis a_k, append the row and column of qubit k
-        tensor = np.tensordot(tensor, SIGMA, axes=(0, 0))
+    pairs = _per_qubit(dense.reshape((4,) * n), _AXIS_TO_PAIR)
     rows_then_columns = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
-    return tensor.transpose(rows_then_columns).reshape(2**n, 2**n)
+    return pairs.reshape((2,) * (2 * n)).transpose(rows_then_columns).reshape(2**n, 2**n)
 
 
 def overlap(op: HSOperator, state_coeffs: HSOperator) -> float:

@@ -82,13 +82,21 @@ def used_pairs(op: HSOperator) -> list[tuple[int, int]]:
     return _incidence(op)[0]
 
 
+def _sign_row_values(op: HSOperator, incidence: Array, signs: Array) -> Array:
+    """Operator value for each row of +/-1 signs over the measured pairs, terms added in order."""
+    values = np.zeros(len(signs))
+    for row, c in zip(incidence, op.coeffs):
+        values += c * signs[:, row].prod(axis=1)
+    return values
+
+
 def evaluate_assignment(op: HSOperator, assignment: LHVAssignment) -> float:
     """Operator value under one definite-outcome assignment."""
     if assignment.n != op.n:
         raise ValueError(f"assignment has {assignment.n} qubits, operator {op.n}")
     pairs, incidence = _incidence(op)
-    signs = np.array([assignment.value(k, a) for k, a in pairs], dtype=float)
-    return float(np.where(incidence, signs, 1.0).prod(axis=1) @ op.coeffs)
+    signs = np.array([[assignment.value(k, a) for k, a in pairs]], dtype=np.int8)
+    return float(_sign_row_values(op, incidence, signs)[0])
 
 
 def _full_table(op: HSOperator, signs: dict[tuple[int, int], int]) -> LHVAssignment:
@@ -148,16 +156,12 @@ def sampled_lower_bound(op: HSOperator, trials: int, seed: int = 0) -> float:
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     pairs, incidence = _incidence(op)
-    term_cols = [np.flatnonzero(row) for row in incidence]
     rng = np.random.default_rng(seed)
     best_value = -np.inf
     done = 0
     while done < trials:
         count = min(DEFAULT_CHUNK, trials - done)
         signs = (1 - 2 * rng.integers(0, 2, size=(count, len(pairs)), dtype=np.int8)).astype(np.int8)
-        values = np.zeros(count, dtype=float)
-        for cols, c in zip(term_cols, op.coeffs):
-            values += c * signs[:, cols].prod(axis=1)
-        best_value = max(best_value, float(values.max()))
+        best_value = max(best_value, float(_sign_row_values(op, incidence, signs).max()))
         done += count
     return best_value

@@ -221,7 +221,7 @@ class DensityMatrix:
         object.__setattr__(self, "matrix", mat)
 
     @classmethod
-    def from_matrix(cls, matrix: Array, check_psd: bool = True) -> DensityMatrix:
+    def from_matrix(cls, matrix: Array) -> DensityMatrix:
         """Validate an arbitrary matrix as a state, including positivity."""
         mat = np.asarray(matrix, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -231,10 +231,9 @@ class DensityMatrix:
         if dim < 2 or 2**n != dim:
             raise InvalidStateError(f"matrix dimension must be a power of two >= 2, got {dim}")
         state = cls(mat, n)
-        if check_psd:
-            smallest = np.linalg.eigvalsh(state.matrix)[0]
-            if smallest < EIGENVALUE_FLOOR:
-                raise InvalidStateError(f"matrix has a negative eigenvalue {smallest}")
+        smallest = np.linalg.eigvalsh(state.matrix)[0]
+        if smallest < EIGENVALUE_FLOOR:
+            raise InvalidStateError(f"matrix has a negative eigenvalue {smallest}")
         return state
 
     @classmethod

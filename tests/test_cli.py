@@ -278,6 +278,7 @@ def test_semantic_errors_exit_one(tmp_path, capsys):
         {"matrix": 1, "entries": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]},
         {"matrix": 1, "entries": [[1.5, 0.0], [0.0, 0.0], [0.0, 0.0], [-0.5, 0.0]]},
         {"matrix": 1, "entries": [[float("nan"), 0.0]] * 4},
+        {"catalog": "ghz3", "params": {"p": 10**400}},
     ]
     for i, doc in enumerate(cases):
         path = write_json(tmp_path, f"bad{i}.json", doc)
@@ -286,7 +287,9 @@ def test_semantic_errors_exit_one(tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize(
+    "value", [float("nan"), float("inf"), float("-inf"), pytest.param(10**400, id="int400")]
+)
 @pytest.mark.parametrize("command", ["bound", "alpha"])
 def test_non_finite_coefficients_exit_one(tmp_path, capsys, command, value):
     doc = {"n": 2, "terms": [{"string": "XX", "coeff": value}, {"string": "ZZ", "coeff": 1.0}]}
@@ -295,6 +298,14 @@ def test_non_finite_coefficients_exit_one(tmp_path, capsys, command, value):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:") and "finite" in captured.err
+
+
+@pytest.mark.parametrize("n", [40, 10**7])
+def test_matrix_state_is_checked_against_the_cap_before_its_size(tmp_path, monkeypatch, capsys, n):
+    monkeypatch.delenv("WITNESS_QUBIT_CAP", raising=False)
+    path = write_json(tmp_path, "wide.json", {"matrix": n, "entries": []})
+    assert main(["decompose", path]) == 1
+    assert capsys.readouterr().err == f"error: {n} qubits exceeds the cap of 10 (set WITNESS_QUBIT_CAP to raise it)\n"
 
 
 def test_qubit_cap_applies_to_loaded_operators(tmp_path, monkeypatch, capsys):

@@ -10,8 +10,8 @@ import itertools
 import numpy as np
 import pytest
 
-from hswit.hs import HSOperator, _decompose_operands, hs_decompose, hs_reconstruct, overlap
-from hswit.pauli_core import PauliString, string_matrix
+from hswit.hs import HSOperator, hs_decompose, hs_reconstruct, overlap
+from hswit.pauli_core import SIGMA, PauliString, string_matrix
 from hswit.states import ProductState, ghz, product_state, product_state_coeffs, w_state
 
 from conftest import random_density
@@ -88,16 +88,25 @@ def test_decompose_equals_direct_traces_on_random_states(n):
             assert abs(coeffs.coefficient(s) - want) < 1e-10
 
 
-@pytest.mark.parametrize("n", [1, 3, 4, 6])
-def test_cached_contraction_path_gives_the_searched_result(n):
-    # the path is found once per n; the result must equal a per-call search bit for bit
+def _einsum_decompose(rho) -> np.ndarray:
+    """All 4^n traces as one einsum over the per-qubit indices, its path searched per call."""
+    n = rho.n
+    # index layout: rows r_k = k, columns c_k = n + k, axes a_k = 2n + k
+    operands: list = [rho.matrix.reshape((2,) * (2 * n)), list(range(2 * n))]
+    for k in range(n):
+        operands.extend([SIGMA, [2 * n + k, n + k, k]])
+    operands.append([2 * n + k for k in range(n)])
+    return np.einsum(*operands, optimize=True).real
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_decompose_equals_the_searched_einsum(n):
+    # the per-qubit contraction must equal the one-einsum decomposition bit for bit
     rho = random_density(np.random.default_rng(20 + n), n)
-    tensor = rho.matrix.reshape((2,) * (2 * n))
-    searched = np.einsum(*_decompose_operands(tensor, n), optimize=True).real
-    got = HSOperator.from_dense(searched)
+    want = HSOperator.from_dense(_einsum_decompose(rho))
     coeffs = hs_decompose(rho)
-    np.testing.assert_array_equal(coeffs.codes, got.codes)
-    np.testing.assert_array_equal(coeffs.coeffs, got.coeffs)
+    np.testing.assert_array_equal(coeffs.codes, want.codes)
+    np.testing.assert_array_equal(coeffs.coeffs, want.coeffs)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

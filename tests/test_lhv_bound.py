@@ -169,3 +169,20 @@ def test_sampled_bound_is_deterministic_per_seed(cat):
     a = sampled_lower_bound(op, 200, seed=7)
     b = sampled_lower_bound(op, 200, seed=7)
     assert a == b
+
+
+def test_sampled_bound_is_the_best_evaluated_draw(cat):
+    # the sampled bound and evaluate_assignment share one evaluator: the bound
+    # equals, bit for bit, the best single-assignment value over the same draws
+    rng = np.random.default_rng(31)
+    ops = [cat[name].bell for name in ("ghz3", "w4", "cl4")]
+    ops += [_random_identity_free_op(rng, n, k) for n, k in ((2, 5), (3, 9), (4, 12))]
+    for op in ops:
+        pairs = used_pairs(op)
+        draws = 1 - 2 * np.random.default_rng(5).integers(0, 2, size=(40, len(pairs)), dtype=np.int8)
+        values = []
+        for row in draws.tolist():
+            signs = dict(zip(pairs, row))
+            table = tuple(tuple(signs.get((k, a), 1) for a in (1, 2, 3)) for k in range(op.n))
+            values.append(evaluate_assignment(op, LHVAssignment(table)))
+        assert sampled_lower_bound(op, 40, seed=5) == max(values)
