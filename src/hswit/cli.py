@@ -82,7 +82,7 @@ def _load_json(path: str) -> Any:
             return json.load(fh)
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer literal too long for int()
         raise UsageError(f"{path} is not valid JSON: {exc}") from exc
 
 

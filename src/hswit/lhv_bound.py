@@ -5,10 +5,18 @@ measurement; the classical bound is the maximum of the operator's value
 over all such assignments.  Identity letters contribute a fixed factor
 1, so operators with an all-identity term have no meaningful
 classical bound and are rejected.
+
+``classical_bound`` covers all 2^m assignments of the m measured pairs.
+A matrix product screens each chunk of them; only the assignments whose
+screened value lies within a rounding margin of the chunk's best are
+then summed exactly, term by term in order, and only those sums decide
+the bound, the maximizer and ties.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +26,8 @@ from .pauli_core import AXIS_LABELS, Array
 
 DEFAULT_CHUNK = 1 << 20
 DEFAULT_MAX_ASSIGNMENTS = 1 << 26
+LOW_BITS = 11  # at most 2^11 codes per row of the screen, the width of one matmul
+SIGN_TABLE_ELEMENTS = 1 << 18  # cap on the entries of one table of terms by rows or by codes
 
 
 @dataclass(frozen=True)
@@ -63,11 +73,16 @@ class LHVAssignment:
 
 @dataclass(frozen=True)
 class BoundResult:
-    """An exact classical bound with the assignment attaining it."""
+    """An exact classical bound with the assignment attaining it.
+
+    ``evaluations`` counts the assignments covered (2^m); ``exact_checks``
+    counts those whose value was summed in term order after the screen.
+    """
 
     beta_cl: float
     maximizer: LHVAssignment
     evaluations: int
+    exact_checks: int
 
 
 def _incidence(op: HSOperator) -> tuple[list[tuple[int, int]], Array]:
@@ -106,6 +121,36 @@ def _full_table(op: HSOperator, signs: dict[tuple[int, int], int]) -> LHVAssignm
     return LHVAssignment(table)
 
 
+def _parity_signs(x: Array) -> Array:
+    """(-1)^popcount(x) as int8 +/-1, elementwise over uint64 codes."""
+    return 1 - 2 * (np.bitwise_count(x) & np.uint8(1)).view(np.int8)
+
+
+def _chunk_best(high: Array, low_signs: Array, margin: float) -> tuple[float, int, int, int]:
+    """Best value over the codes (row, l) of one chunk: (value, row index, l, exact_checks).
+
+    ``high`` is (rows, T): each coefficient times its term's sign over a
+    row's high bits; ``low_signs`` is (T, 2^low): each term's sign over the
+    low bits.  Their matrix product screens the chunk; BLAS sums in an
+    order of its own, so the codes within ``margin`` of the screened best
+    are then summed again, c_t * (high sign * low sign) term by term in
+    order.  The first best in ascending code order wins.
+    """
+    screen = high @ low_signs
+    threshold = screen.max() - margin
+    if not math.isfinite(threshold):  # overflow or NaN in the screen: keep every code
+        threshold = -math.inf
+    rows, lows = np.divmod(np.flatnonzero(~(screen < threshold)), screen.shape[1])
+    values = np.empty(len(rows))
+    step = max(1, SIGN_TABLE_ELEMENTS // high.shape[1])
+    for i in range(0, len(rows), step):
+        terms = high[rows[i : i + step]] * low_signs[:, lows[i : i + step]].T
+        # a cumulative sum is sequential: ((c0 s0 + c1 s1) + c2 s2) + ...
+        values[i : i + step] = np.cumsum(terms, axis=1)[:, -1]
+    j = int(np.argmax(values))
+    return float(values[j]), int(rows[j]), int(lows[j]), len(values)
+
+
 def classical_bound(
     op: HSOperator,
     chunk_size: int = DEFAULT_CHUNK,
@@ -114,12 +159,30 @@ def classical_bound(
     """Exact classical bound by exhaustive enumeration.
 
     All 2^m assignments over the m measured (qubit, axis) pairs are
-    evaluated in chunks; unmeasured axes are fixed at +1.  Ties resolve
-    to the lexicographically smallest assignment: pairs ordered by qubit
-    then axis x, y, z, and +1 before -1.  Assignments are encoded as
-    integers whose most significant bit is the first measured pair with
-    bit 0 meaning +1, so the first maximum met in ascending order is
-    exactly that assignment, independent of chunking.
+    covered, so ``evaluations`` is 2^m; unmeasured axes are fixed at +1.
+    Assignments are encoded as integers whose most significant bit is
+    the first measured pair, with bit 0 meaning +1.
+
+    A term's sign at a code factors into a sign over the code's high bits
+    (its row) and one over its low bits, so the values of a chunk of rows
+    are one matrix product (see ``_chunk_best``).  The low bits number
+    min(m, LOW_BITS), fewer when the T terms would make a sign table of
+    more than SIGN_TABLE_ELEMENTS entries.  A chunk holds ``chunk_size``
+    codes rounded up to whole rows, and at most SIGN_TABLE_ELEMENTS // T
+    rows.
+
+    The product only screens.  The codes whose screened value is within a
+    rounding margin of the chunk's screened maximum are summed exactly,
+    the terms added in order, and only those sums are compared.  The
+    margin, 8 (T+1) eps sum|c|, exceeds twice the largest possible
+    difference, about (T-1) eps sum|c|, between two orders of summing the
+    same T signed coefficients, so every code that attains the chunk's
+    exact maximum is summed exactly.  The value, the maximizer and the tie
+    rule are therefore independent of chunking and of BLAS threads.
+
+    Ties resolve to the lexicographically smallest assignment: pairs
+    ordered by qubit then axis x, y, z, and +1 before -1, which is the
+    first maximum met in ascending code order.
     """
     require_identity_free(op)
     if chunk_size < 1:
@@ -128,26 +191,36 @@ def classical_bound(
     m = len(pairs)
     if m > 63 or 2**m > max_assignments:
         raise ValueError(f"2^{m} assignments exceed the enumeration budget of {max_assignments}")
+    if len(op) == 0:  # one assignment, of no pairs, with value 0
+        return BoundResult(0.0, _full_table(op, {}), 1, 1)
     bits = np.uint64(1) << np.arange(m - 1, -1, -1, dtype=np.uint64)
-    masks = np.where(incidence, bits, np.uint64(0)).sum(axis=1, dtype=np.uint64)
+    masks = incidence @ bits  # integer product: each row ORs its distinct bits
+    coeffs = op.coeffs
+    margin = 8 * (len(coeffs) + 1) * sys.float_info.epsilon * float(np.abs(coeffs).sum())
 
-    total_count = 2**m
+    table_rows = max(1, SIGN_TABLE_ELEMENTS // len(coeffs))
+    low = min(m, LOW_BITS, table_rows.bit_length() - 1)
+    low_signs = _parity_signs(masks[:, None] & np.arange(1 << low, dtype=np.uint64)).astype(float)
+    high_masks = masks >> np.uint64(low)
+    total_rows = 2 ** (m - low)
+    chunk_rows = min(-(-chunk_size // 2**low), table_rows)
     best_value = -np.inf
     best_code = 0
-    for start in range(0, total_count, chunk_size):
-        stop = min(start + chunk_size, total_count)
-        codes = np.arange(start, stop, dtype=np.uint64)
-        values = np.zeros(codes.shape[0], dtype=float)
-        for mask, c in zip(masks, op.coeffs):
-            parity = (np.bitwise_count(codes & mask) & np.uint64(1)).astype(np.int8)
-            values += c * (1 - 2 * parity)
-        idx = int(np.argmax(values))
-        if values[idx] > best_value:
-            best_value = float(values[idx])
-            best_code = start + idx
+    exact_checks = 0
+    for start in range(0, total_rows, chunk_rows):
+        if low < m:
+            rows = np.arange(start, min(start + chunk_rows, total_rows), dtype=np.uint64)
+            high = coeffs * _parity_signs(rows[:, None] & high_masks)
+        else:  # one row and no high bits: every high sign is +1
+            high = coeffs[None, :]
+        value, row, low_code, checked = _chunk_best(high, low_signs, margin)
+        exact_checks += checked
+        if value > best_value:
+            best_value = value
+            best_code = ((start + row) << low) | low_code
 
-    signs = {pair: 1 - 2 * int((best_code >> (m - 1 - j)) & 1) for j, pair in enumerate(pairs)}
-    return BoundResult(best_value, _full_table(op, signs), total_count)
+    signs = {pair: 1 - 2 * ((best_code >> (m - 1 - j)) & 1) for j, pair in enumerate(pairs)}
+    return BoundResult(best_value, _full_table(op, signs), 2**m, exact_checks)
 
 
 def sampled_lower_bound(op: HSOperator, trials: int, seed: int = 0) -> float:

@@ -239,6 +239,12 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     bad_json = tmp_path / "bad.json"
     bad_json.write_text("{nope")
     assert main(["bound", str(bad_json)]) == 2
+    # an integer literal past Python's int-string digit limit is a parse error, not a ValueError
+    long_int = tmp_path / "long_int.json"
+    long_int.write_text('{"n": 2, "terms": [{"string": "XX", "coeff": 1' + "0" * 5000 + "}]}")
+    capsys.readouterr()
+    assert main(["bound", str(long_int)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {long_int} is not valid JSON:")
     cases = [
         {"n": 2, "terms": [{"string": "XQ", "coeff": 1.0}]},
         {"n": 2, "terms": [{"string": "XXX", "coeff": 1.0}]},

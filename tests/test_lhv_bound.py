@@ -1,8 +1,10 @@
-"""Exhaustive classical bounds, cross-checked by a naive enumerator.
+"""Exhaustive classical bounds, cross-checked by two enumerators.
 
-The oracle here re-enumerates definite-outcome assignments with
+The naive oracle re-enumerates definite-outcome assignments with
 itertools and per-term arithmetic, sharing no code with the vectorized
-implementation under test.
+implementation under test.  The per-term enumerator is the earlier
+implementation, kept here to pin the matrix-product screen to the same
+bits: the same bound, maximizer and tie-break.
 """
 
 import itertools
@@ -10,9 +12,13 @@ import itertools
 import numpy as np
 import pytest
 
-from hswit.hs import HSOperator
+from hswit.hs import HSOperator, require_identity_free
 from hswit.lhv_bound import (
+    DEFAULT_CHUNK,
+    DEFAULT_MAX_ASSIGNMENTS,
     LHVAssignment,
+    _full_table,
+    _incidence,
     classical_bound,
     evaluate_assignment,
     sampled_lower_bound,
@@ -38,12 +44,52 @@ def _naive_extrema(op: HSOperator) -> tuple[float, float]:
     return best_lo, best_hi
 
 
+def _per_term_enumeration(
+    op: HSOperator,
+    chunk_size: int = DEFAULT_CHUNK,
+    max_assignments: int = DEFAULT_MAX_ASSIGNMENTS,
+) -> tuple[float, LHVAssignment, int]:
+    """The per-term enumerator that the matrix-product screen replaced, as it was.
+
+    Returns (beta_cl, maximizer, evaluations).  It sums every
+    assignment's value in term order, as the exact pass sums the
+    near-best ones, so the two must agree with ``==``.
+    """
+    require_identity_free(op)
+    if chunk_size < 1:
+        raise ValueError(f"chunk_size must be positive, got {chunk_size}")
+    pairs, incidence = _incidence(op)
+    m = len(pairs)
+    if m > 63 or 2**m > max_assignments:
+        raise ValueError(f"2^{m} assignments exceed the enumeration budget of {max_assignments}")
+    bits = np.uint64(1) << np.arange(m - 1, -1, -1, dtype=np.uint64)
+    masks = np.where(incidence, bits, np.uint64(0)).sum(axis=1, dtype=np.uint64)
+
+    total_count = 2**m
+    best_value = -np.inf
+    best_code = 0
+    for start in range(0, total_count, chunk_size):
+        stop = min(start + chunk_size, total_count)
+        codes = np.arange(start, stop, dtype=np.uint64)
+        values = np.zeros(codes.shape[0], dtype=float)
+        for mask, c in zip(masks, op.coeffs):
+            parity = (np.bitwise_count(codes & mask) & np.uint64(1)).astype(np.int8)
+            values += c * (1 - 2 * parity)
+        idx = int(np.argmax(values))
+        if values[idx] > best_value:
+            best_value = float(values[idx])
+            best_code = start + idx
+
+    signs = {pair: 1 - 2 * int((best_code >> (m - 1 - j)) & 1) for j, pair in enumerate(pairs)}
+    return best_value, _full_table(op, signs), total_count
+
+
+def _identity_free_labels(n):
+    return [axes for axes in itertools.product(range(4), repeat=n) if any(axes)]
+
+
 def _random_identity_free_op(rng, n, n_terms):
-    labels = [
-        axes
-        for axes in itertools.product(range(4), repeat=n)
-        if any(a != 0 for a in axes)
-    ]
+    labels = _identity_free_labels(n)
     picks = rng.choice(len(labels), size=n_terms, replace=False)
     return HSOperator(n, {labels[i]: float(rng.normal()) for i in picks})
 
@@ -74,6 +120,106 @@ def test_bound_matches_naive_enumeration_on_random_ops():
             assert abs(got.beta_cl - want) < 1e-12
             achieved = evaluate_assignment(op, got.maximizer)
             assert abs(achieved - got.beta_cl) < 1e-12
+
+
+def _random_coefficient_op(rng, n, kind, n_terms=None):
+    """Random identity-free operator with one of four coefficient families."""
+    labels = _identity_free_labels(n)
+    if n_terms is None:
+        n_terms = int(rng.integers(1, min(len(labels), 30) + 1))
+    picks = rng.choice(len(labels), size=n_terms, replace=False)
+    if kind == "normal":
+        coeffs = rng.normal(size=n_terms)
+    elif kind == "integer":
+        coeffs = rng.integers(-3, 4, size=n_terms).astype(float)
+    elif kind == "dyadic":  # few distinct magnitudes: many exact ties
+        coeffs = rng.integers(-4, 5, size=n_terms) / 8.0
+    else:  # "mixed": magnitudes 1e-9 and 1e9 side by side
+        coeffs = rng.normal(size=n_terms) * np.where(rng.random(n_terms) < 0.5, 1e-9, 1e9)
+    return HSOperator(n, {labels[i]: float(c) for i, c in zip(picks, coeffs) if c != 0})
+
+
+def _assert_same_bound(got, want):
+    assert (got.beta_cl, got.maximizer, got.evaluations) == want
+    assert 1 <= got.exact_checks <= got.evaluations
+
+
+def test_bound_equals_the_per_term_enumerator_on_catalog(cat):
+    for entry in cat.values():
+        for op in (entry.bell, entry.g_witness):
+            if op is None:
+                continue
+            want = _per_term_enumeration(op)
+            for chunk in (1, 3, 17, 4096, DEFAULT_CHUNK):
+                _assert_same_bound(classical_bound(op, chunk_size=chunk), want)
+
+
+@pytest.mark.parametrize("kind", ["normal", "integer", "dyadic", "mixed"])
+def test_bound_equals_the_per_term_enumerator_on_random_ops(kind):
+    rng = np.random.default_rng(["normal", "integer", "dyadic", "mixed"].index(kind))
+    for i in range(48):
+        op = _random_coefficient_op(rng, 1 + i % 6, kind)
+        want = _per_term_enumeration(op)
+        for chunk in (1, 3, 17, 4096, DEFAULT_CHUNK):
+            _assert_same_bound(classical_bound(op, chunk_size=chunk), want)
+
+
+@pytest.mark.parametrize("kind", ["normal", "dyadic"])
+def test_bound_equals_the_per_term_enumerator_over_several_chunks(kind):
+    # m > 11 measured pairs: rows of 2^11 codes, and chunks of 1, 4 or all rows
+    op = _random_coefficient_op(np.random.default_rng(4), 6, kind, n_terms=40)
+    assert len(used_pairs(op)) > 11
+    want = _per_term_enumeration(op)
+    for chunk in (1, 2048, 3 * 2048 + 1, DEFAULT_CHUNK):
+        _assert_same_bound(classical_bound(op, chunk_size=chunk), want)
+
+
+def _tenths_op(rng, n, n_terms, swap_symmetric):
+    """Coefficients +/-0.1 and +/-0.3, optionally equal on strings that differ by swapping qubits 0 and 1."""
+    labels = _identity_free_labels(n)
+    terms = {}
+    for i in rng.permutation(len(labels)):
+        if len(terms) >= n_terms:
+            break
+        coeff = float(rng.choice([0.1, 0.3]) * rng.choice([-1, 1]))
+        terms.setdefault(labels[i], coeff)
+        if swap_symmetric:
+            terms.setdefault((labels[i][1], labels[i][0]) + labels[i][2:], coeff)
+    return HSOperator(n, terms)
+
+
+@pytest.mark.parametrize("n,n_terms", [(3, 20), (3, 63), (4, 150), (4, 255)])
+def test_bound_equals_the_per_term_enumerator_on_rounded_ties(n, n_terms):
+    # Tenths are inexact in binary, so maxima tied in exact arithmetic (here
+    # also by a qubit-swap symmetry) differ in the last bits between summation
+    # orders, and BLAS adds the screen's terms in an order of its own.  Past
+    # 128 terms the screen also takes fewer low bits per row.
+    for seed in range(10):
+        for swap_symmetric in (False, True):
+            op = _tenths_op(np.random.default_rng(seed), n, n_terms, swap_symmetric)
+            want = _per_term_enumeration(op)
+            for chunk in (1, DEFAULT_CHUNK):
+                _assert_same_bound(classical_bound(op, chunk_size=chunk), want)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_bound_equals_the_per_term_enumerator_when_values_overflow():
+    # sums past the float range are +inf in both; the screen's overflow keeps every code
+    big = np.finfo(float).max
+    ops = [
+        HSOperator(1, {"X": 1e308, "Y": 1e308, "Z": 1e308}),
+        HSOperator(2, {"XX": big, "ZI": big / 2**53, "IZ": -big / 2**53}),
+        HSOperator(2, {"XX": -1e308, "XZ": -1e308, "ZZ": 1e308}),
+    ]
+    for op in ops:
+        _assert_same_bound(classical_bound(op), _per_term_enumeration(op))
+
+
+def test_exact_checks_count_the_tied_maximizers():
+    # x0*x1 is maximal at (+,+) and (-,-): both are summed exactly, nothing else
+    result = classical_bound(HSOperator(2, {"XX": 1.0}))
+    assert result.exact_checks == 2
+    assert result.evaluations == 4
 
 
 def test_maximizer_ties_resolve_to_all_plus_one():
