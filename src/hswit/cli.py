@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from collections.abc import Iterable, Mapping
 from typing import Any
@@ -192,6 +193,8 @@ def load_state(doc: Any) -> DensityMatrix:
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
+    if not math.isfinite(args.threshold):
+        raise UsageError(f"--threshold must be a finite number, got {args.threshold}")
     state = load_state(_load_json(args.state))
     coeffs = hs_decompose(state)
     keep = np.abs(coeffs.coeffs) >= args.threshold
@@ -263,7 +266,7 @@ def entry_rows(entry: CatalogEntry) -> list[tuple[str, float, float, bool]]:
     computed = analyze(entry).computed()
     if "threshold_r" in entry.expected:
         computed["threshold_r"] = mds_entanglement_threshold()
-    ok = grade(computed, entry.expected, REPORT_ATOL)
+    ok = grade(computed, entry.expected)
     return [
         (field, float(computed[field]), float(entry.expected[field]), ok[field])
         for field in REPORT_FIELDS

@@ -134,7 +134,8 @@ def _chunk_best(high: Array, low_signs: Array, margin: float) -> tuple[float, in
     low bits.  Their matrix product screens the chunk; BLAS sums in an
     order of its own, so the codes within ``margin`` of the screened best
     are then summed again, c_t * (high sign * low sign) term by term in
-    order.  The first best in ascending code order wins.
+    order.  The first best in ascending code order wins.  A sum that is
+    not finite raises ``ValueError``.
     """
     screen = high @ low_signs
     threshold = screen.max() - margin
@@ -147,15 +148,13 @@ def _chunk_best(high: Array, low_signs: Array, margin: float) -> tuple[float, in
         terms = high[rows[i : i + step]] * low_signs[:, lows[i : i + step]].T
         # a cumulative sum is sequential: ((c0 s0 + c1 s1) + c2 s2) + ...
         values[i : i + step] = np.cumsum(terms, axis=1)[:, -1]
+    if not np.isfinite(values).all():
+        raise ValueError("an assignment's value overflows the float range; no finite classical bound")
     j = int(np.argmax(values))
     return float(values[j]), int(rows[j]), int(lows[j]), len(values)
 
 
-def classical_bound(
-    op: HSOperator,
-    chunk_size: int = DEFAULT_CHUNK,
-    max_assignments: int = DEFAULT_MAX_ASSIGNMENTS,
-) -> BoundResult:
+def classical_bound(op: HSOperator) -> BoundResult:
     """Exact classical bound by exhaustive enumeration.
 
     All 2^m assignments over the m measured (qubit, axis) pairs are
@@ -167,9 +166,10 @@ def classical_bound(
     (its row) and one over its low bits, so the values of a chunk of rows
     are one matrix product (see ``_chunk_best``).  The low bits number
     min(m, LOW_BITS), fewer when the T terms would make a sign table of
-    more than SIGN_TABLE_ELEMENTS entries.  A chunk holds ``chunk_size``
+    more than SIGN_TABLE_ELEMENTS entries.  A chunk holds DEFAULT_CHUNK
     codes rounded up to whole rows, and at most SIGN_TABLE_ELEMENTS // T
-    rows.
+    rows.  More than DEFAULT_MAX_ASSIGNMENTS assignments raise
+    ``ValueError``, as does any exactly summed value that is not finite.
 
     The product only screens.  The codes whose screened value is within a
     rounding margin of the chunk's screened maximum are summed exactly,
@@ -185,12 +185,10 @@ def classical_bound(
     first maximum met in ascending code order.
     """
     require_identity_free(op)
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size must be positive, got {chunk_size}")
     pairs, incidence = _incidence(op)
     m = len(pairs)
-    if m > 63 or 2**m > max_assignments:
-        raise ValueError(f"2^{m} assignments exceed the enumeration budget of {max_assignments}")
+    if m > 63 or 2**m > DEFAULT_MAX_ASSIGNMENTS:
+        raise ValueError(f"2^{m} assignments exceed the enumeration budget of {DEFAULT_MAX_ASSIGNMENTS}")
     if len(op) == 0:  # one assignment, of no pairs, with value 0
         return BoundResult(0.0, _full_table(op, {}), 1, 1)
     bits = np.uint64(1) << np.arange(m - 1, -1, -1, dtype=np.uint64)
@@ -203,7 +201,7 @@ def classical_bound(
     low_signs = _parity_signs(masks[:, None] & np.arange(1 << low, dtype=np.uint64)).astype(float)
     high_masks = masks >> np.uint64(low)
     total_rows = 2 ** (m - low)
-    chunk_rows = min(-(-chunk_size // 2**low), table_rows)
+    chunk_rows = min(-(-DEFAULT_CHUNK // 2**low), table_rows)
     best_value = -np.inf
     best_code = 0
     exact_checks = 0

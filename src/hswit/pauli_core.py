@@ -32,6 +32,8 @@ SIGMA = np.array(
 HERMITIAN_ATOL = 1e-10
 TRACE_ATOL = 1e-10
 EIGENVALUE_FLOOR = -1e-9
+JACOBI_TOL = 1e-12  # off-diagonal norm at which Jacobi sweeps stop, relative above norm 1
+JACOBI_MAX_SWEEPS = 100
 
 DEFAULT_QUBIT_CAP = 10
 
@@ -130,20 +132,18 @@ def string_matrix(s: PauliString) -> Array:
     return mat
 
 
-def hermitian_eigenvalues(
-    matrix: Array,
-    tol: float = 1e-12,
-    max_sweeps: int = 100,
-) -> Array:
+def hermitian_eigenvalues(matrix: Array) -> Array:
     """Eigenvalues of a Hermitian matrix, ascending, via cyclic Jacobi.
 
     Each (p, q) rotation absorbs the phase of the off-diagonal entry into
     a diagonal unitary and then applies the standard real symmetric 2x2
     rotation, so every sweep strictly shrinks the off-diagonal norm.
-    Sweeps stop once that norm falls below ``tol`` scaled by the input's
-    Frobenius norm when that exceeds 1 (roundoff makes a smaller absolute
-    norm unreachable for large-scale matrices).  Intended for the small
-    dense matrices this package manipulates; it is O(dim^4) per unit of
+    Sweeps stop once that norm falls below JACOBI_TOL scaled by the
+    input's Frobenius norm when that exceeds 1 (roundoff makes a smaller
+    absolute norm unreachable for large-scale matrices); no convergence
+    within JACOBI_MAX_SWEEPS sweeps raises ``ValueError``.  The package
+    checks positivity with ``eigvalsh``; this is an independent reference
+    for tests on small dense matrices.  It is O(dim^4) per unit of
     accuracy gained, not a general-purpose solver.
     """
     a = np.array(matrix, dtype=complex)
@@ -159,9 +159,9 @@ def hermitian_eigenvalues(
         off = m - np.diag(np.diag(m))
         return float(np.linalg.norm(off))
 
-    stop = tol * max(1.0, float(np.linalg.norm(a)))
+    stop = JACOBI_TOL * max(1.0, float(np.linalg.norm(a)))
     threshold = stop / (2 * dim)
-    for _ in range(max_sweeps):
+    for _ in range(JACOBI_MAX_SWEEPS):
         if off_norm(a) < stop:
             break
         for p in range(dim - 1):
@@ -189,7 +189,7 @@ def hermitian_eigenvalues(
                 a[q, :] = s * row_p + c * phase * row_q
     else:
         if off_norm(a) >= stop:
-            raise ValueError(f"Jacobi sweeps did not converge within {max_sweeps} sweeps")
+            raise ValueError(f"Jacobi sweeps did not converge within {JACOBI_MAX_SWEEPS} sweeps")
     return np.sort(np.diag(a).real)
 
 

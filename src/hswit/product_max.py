@@ -257,6 +257,7 @@ def alpha_max(
     at most ``ASCENT_BLOCK_ELEMENTS`` factor-table entries, so the
     tables do not grow with ``starts``.  The first start to reach the
     best value supplies the endpoint, sweep count and convergence flag.
+    A best value or endpoint that is not finite raises ``ValueError``.
     """
     require_identity_free(op)
     if starts < 1:
@@ -284,6 +285,8 @@ def alpha_max(
     runs, i = best
     alpha = float(runs.values[i])
     blochs = runs.blochs[i] / np.linalg.norm(runs.blochs[i], axis=1)[:, None]
+    if not (np.isfinite(alpha) and np.isfinite(blochs).all()):
+        raise ValueError("the ascent overflows the float range; scale the coefficients down")
     argmax = ProductState.from_bloch_vectors(blochs)
     at_best = int(np.count_nonzero(alpha - values <= tol))
     return AlphaResult(alpha, argmax, starts, int(runs.sweeps[i]), bool(runs.converged[i]), at_best)
@@ -300,18 +303,14 @@ def grid_point_count(n: int, divisions: int) -> int:
     return per_qubit**n
 
 
-def alpha_grid_oracle(
-    op: HSOperator,
-    divisions: int,
-    max_points: int = DEFAULT_GRID_BUDGET,
-) -> float:
+def alpha_grid_oracle(op: HSOperator, divisions: int) -> float:
     """Exhaustive product-state maximum over an angular grid.
 
     theta takes divisions + 1 uniform samples of [0, pi] (both poles
     included) and phi takes divisions uniform samples of [0, 2 pi), per
     qubit.  All ((divisions + 1) divisions)^n joint choices are
     evaluated; the call refuses to start when that count exceeds
-    ``max_points``.  The result is a certified lower bound on the true
+    DEFAULT_GRID_BUDGET.  The result is a certified lower bound on the true
     product-state maximum that converges to it as divisions grows.
     """
     require_identity_free(op)
@@ -319,11 +318,8 @@ def alpha_grid_oracle(
         raise ValueError(f"divisions must be at least 4, got {divisions}")
     n = op.n
     total = grid_point_count(n, divisions)
-    if total > max_points:
-        raise ValueError(
-            f"grid of {total} points exceeds the budget of {max_points}; "
-            "lower divisions or raise max_points"
-        )
+    if total > DEFAULT_GRID_BUDGET:
+        raise ValueError(f"grid of {total} points exceeds the budget of {DEFAULT_GRID_BUDGET}; lower divisions")
     if not len(op):
         return 0.0
 

@@ -29,6 +29,8 @@ from .product_max import AlphaResult, alpha_max
 from .states import MDS_R_LIMIT, CatalogEntry, mds, mds_g_operator
 
 MDS_THRESHOLD_R_LO = 1e-6
+MDS_THRESHOLD_TOL = 1e-9  # bracket width at which the bisection stops
+MDS_THRESHOLD_STARTS = 16  # ascent starts per probe's witness
 REPORT_ATOL = 1e-9
 
 
@@ -40,7 +42,6 @@ class WitnessIneffectiveError(Exception):
 class Witness:
     """E_W = alpha I - G, with the optimization record that produced alpha."""
 
-    alpha: float
     g: HSOperator
     alpha_result: AlphaResult
 
@@ -52,6 +53,10 @@ class Witness:
             )
 
     @property
+    def alpha(self) -> float:
+        return self.alpha_result.alpha
+
+    @property
     def n(self) -> int:
         return self.g.n
 
@@ -60,22 +65,15 @@ class Witness:
         return HSOperator(self.n, {identity_string(self.n): self.alpha}) - self.g
 
 
-def build_witness(
-    g: HSOperator,
-    alpha_result: AlphaResult | None = None,
-    starts: int = 64,
-    seed: int = 0,
-    tol: float = 1e-10,
-    max_iters: int = 500,
-) -> Witness:
+def build_witness(g: HSOperator, alpha_result: AlphaResult | None = None) -> Witness:
     """Witness for an identity-free operator G via the product-state maximum.
 
     Pass a precomputed ``alpha_result`` (it must come from the same G) to
-    skip the optimization; otherwise one is run with the given settings.
+    skip the optimization; otherwise ``alpha_max`` runs with its defaults.
     """
     if alpha_result is None:
-        alpha_result = alpha_max(g, starts=starts, seed=seed, tol=tol, max_iters=max_iters)
-    return Witness(alpha_result.alpha, g, alpha_result)
+        alpha_result = alpha_max(g)
+    return Witness(g, alpha_result)
 
 
 def eval_witness(witness: Witness, rho: DensityMatrix) -> float:
@@ -105,25 +103,22 @@ def pcrit_witness(alpha: float, trace_g_rho: float) -> float:
     return alpha / trace_g_rho
 
 
-def mds_entanglement_threshold(
-    r_lo: float = MDS_THRESHOLD_R_LO,
-    r_hi: float = MDS_R_LIMIT,
-    tol: float = 1e-9,
-    starts: int = 16,
-    seed: int = 0,
-) -> float:
+def mds_entanglement_threshold() -> float:
     """Mixing coefficient where the mds witness starts detecting the family.
 
     Runs the full pipeline at every probe: build the state, decompose it,
-    rebuild the witness for that r, and bisect on the sign of the witness
-    expectation.  No closed form of the crossing is assumed.
+    rebuild the witness for that r from MDS_THRESHOLD_STARTS ascent
+    starts, and bisect on the sign of the witness expectation.  The
+    bracket is [MDS_THRESHOLD_R_LO, MDS_R_LIMIT] and the bisection stops
+    once it is MDS_THRESHOLD_TOL wide.  No closed form of the crossing is
+    assumed.  Witness values that do not change sign across the bracket
+    raise ``ValueError``.
     """
-    if not 0.0 < r_lo < r_hi:
-        raise ValueError(f"need 0 < r_lo < r_hi, got {r_lo}, {r_hi}")
+    r_lo, r_hi = MDS_THRESHOLD_R_LO, MDS_R_LIMIT
 
     def witness_value(r: float) -> float:
-        w = build_witness(mds_g_operator(r), starts=starts, seed=seed)
-        return eval_witness(w, mds(r))
+        g = mds_g_operator(r)
+        return eval_witness(build_witness(g, alpha_max(g, starts=MDS_THRESHOLD_STARTS)), mds(r))
 
     lo_val = witness_value(r_lo)
     hi_val = witness_value(r_hi)
@@ -132,7 +127,7 @@ def mds_entanglement_threshold(
             f"witness values do not bracket a crossing: f({r_lo}) = {lo_val}, f({r_hi}) = {hi_val}"
         )
     lo, hi = r_lo, r_hi
-    while hi - lo > tol:
+    while hi - lo > MDS_THRESHOLD_TOL:
         mid = 0.5 * (lo + hi)
         if witness_value(mid) > 0:
             lo = mid
@@ -141,9 +136,9 @@ def mds_entanglement_threshold(
     return 0.5 * (lo + hi)
 
 
-def grade(computed: Mapping[str, float], expected: Mapping[str, object], atol: float) -> dict[str, bool]:
-    """Field -> |computed - expected| <= atol, for every expected field that was computed."""
-    return {k: bool(abs(computed[k] - float(v)) <= atol) for k, v in expected.items() if k in computed}
+def grade(computed: Mapping[str, float], expected: Mapping[str, object]) -> dict[str, bool]:
+    """Field -> |computed - expected| <= REPORT_ATOL, for every expected field that was computed."""
+    return {k: bool(abs(computed[k] - float(v)) <= REPORT_ATOL) for k, v in expected.items() if k in computed}
 
 
 @dataclass(frozen=True)
@@ -184,18 +179,18 @@ class WitnessReport:
             out["pcrit_bell"] = self.pcrit_bell
         return out
 
-    def checks(self, atol: float = REPORT_ATOL) -> dict[str, bool]:
+    def checks(self) -> dict[str, bool]:
         """Per-field comparison against the expected values, where both exist."""
-        return grade(self.computed(), self.expected, atol)
+        return grade(self.computed(), self.expected)
 
-    def all_ok(self, atol: float = REPORT_ATOL) -> bool:
-        checks = self.checks(atol)
+    def all_ok(self) -> bool:
+        checks = self.checks()
         return bool(checks) and all(checks.values())
 
 
-def analyze(entry: CatalogEntry, starts: int = 64, seed: int = 0) -> WitnessReport:
+def analyze(entry: CatalogEntry) -> WitnessReport:
     """Compute every benchmark quantity one catalog entry supports."""
-    witness = build_witness(entry.g_witness, starts=starts, seed=seed)
+    witness = build_witness(entry.g_witness)
     trace_g_rho = overlap(entry.g_witness, entry.state_coeffs)
     witness_value = witness.alpha - trace_g_rho
     pc_w = pcrit_witness(witness.alpha, trace_g_rho)

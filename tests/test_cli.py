@@ -74,6 +74,14 @@ def test_decompose_threshold_filters_small_terms(tmp_path, capsys):
     assert "ZZI" not in words  # magnitude 1/3
 
 
+@pytest.mark.parametrize("threshold", ["nan", "inf"])
+def test_decompose_rejects_a_non_finite_threshold(ghz3_file, capsys, threshold):
+    assert main(["decompose", ghz3_file, "--threshold", threshold]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "--threshold" in captured.err
+
+
 def test_decompose_matrix_state(tmp_path, capsys):
     entries = [[0.5, 0.0], [0.0, 0.0], [0.0, 0.0], [0.5, 0.0]]
     state_file = write_json(tmp_path, "diag.json", {"matrix": 1, "entries": entries})
@@ -304,6 +312,21 @@ def test_non_finite_coefficients_exit_one(tmp_path, capsys, command, value):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:") and "finite" in captured.err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "terms", [{"X": 1e308, "Y": 1e308, "Z": 1e308}, {"XX": 1e308, "ZZ": 1e308}], ids=["XYZ", "XX_ZZ"]
+)
+@pytest.mark.parametrize("command", ["bound", "alpha"])
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_values_past_the_float_range_exit_one(tmp_path, capsys, command, terms, flags):
+    doc = {"n": len(next(iter(terms))), "terms": [{"string": w, "coeff": c} for w, c in terms.items()]}
+    path = write_json(tmp_path, "overflow.json", doc)
+    assert main([command, path, *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "overflow" in captured.err
 
 
 @pytest.mark.parametrize("n", [40, 10**7])

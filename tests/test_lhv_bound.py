@@ -12,6 +12,7 @@ import itertools
 import numpy as np
 import pytest
 
+from hswit import lhv_bound
 from hswit.hs import HSOperator, require_identity_free
 from hswit.lhv_bound import (
     DEFAULT_CHUNK,
@@ -139,39 +140,45 @@ def _random_coefficient_op(rng, n, kind, n_terms=None):
     return HSOperator(n, {labels[i]: float(c) for i, c in zip(picks, coeffs) if c != 0})
 
 
+def _bound_in_chunks(monkeypatch, op, chunk):
+    """classical_bound with its chunk of codes, the module constant DEFAULT_CHUNK, set to ``chunk``."""
+    monkeypatch.setattr(lhv_bound, "DEFAULT_CHUNK", chunk)
+    return classical_bound(op)
+
+
 def _assert_same_bound(got, want):
     assert (got.beta_cl, got.maximizer, got.evaluations) == want
     assert 1 <= got.exact_checks <= got.evaluations
 
 
-def test_bound_equals_the_per_term_enumerator_on_catalog(cat):
+def test_bound_equals_the_per_term_enumerator_on_catalog(cat, monkeypatch):
     for entry in cat.values():
         for op in (entry.bell, entry.g_witness):
             if op is None:
                 continue
             want = _per_term_enumeration(op)
             for chunk in (1, 3, 17, 4096, DEFAULT_CHUNK):
-                _assert_same_bound(classical_bound(op, chunk_size=chunk), want)
+                _assert_same_bound(_bound_in_chunks(monkeypatch, op, chunk), want)
 
 
 @pytest.mark.parametrize("kind", ["normal", "integer", "dyadic", "mixed"])
-def test_bound_equals_the_per_term_enumerator_on_random_ops(kind):
+def test_bound_equals_the_per_term_enumerator_on_random_ops(kind, monkeypatch):
     rng = np.random.default_rng(["normal", "integer", "dyadic", "mixed"].index(kind))
     for i in range(48):
         op = _random_coefficient_op(rng, 1 + i % 6, kind)
         want = _per_term_enumeration(op)
         for chunk in (1, 3, 17, 4096, DEFAULT_CHUNK):
-            _assert_same_bound(classical_bound(op, chunk_size=chunk), want)
+            _assert_same_bound(_bound_in_chunks(monkeypatch, op, chunk), want)
 
 
 @pytest.mark.parametrize("kind", ["normal", "dyadic"])
-def test_bound_equals_the_per_term_enumerator_over_several_chunks(kind):
+def test_bound_equals_the_per_term_enumerator_over_several_chunks(kind, monkeypatch):
     # m > 11 measured pairs: rows of 2^11 codes, and chunks of 1, 4 or all rows
     op = _random_coefficient_op(np.random.default_rng(4), 6, kind, n_terms=40)
     assert len(used_pairs(op)) > 11
     want = _per_term_enumeration(op)
     for chunk in (1, 2048, 3 * 2048 + 1, DEFAULT_CHUNK):
-        _assert_same_bound(classical_bound(op, chunk_size=chunk), want)
+        _assert_same_bound(_bound_in_chunks(monkeypatch, op, chunk), want)
 
 
 def _tenths_op(rng, n, n_terms, swap_symmetric):
@@ -189,7 +196,7 @@ def _tenths_op(rng, n, n_terms, swap_symmetric):
 
 
 @pytest.mark.parametrize("n,n_terms", [(3, 20), (3, 63), (4, 150), (4, 255)])
-def test_bound_equals_the_per_term_enumerator_on_rounded_ties(n, n_terms):
+def test_bound_equals_the_per_term_enumerator_on_rounded_ties(n, n_terms, monkeypatch):
     # Tenths are inexact in binary, so maxima tied in exact arithmetic (here
     # also by a qubit-swap symmetry) differ in the last bits between summation
     # orders, and BLAS adds the screen's terms in an order of its own.  Past
@@ -199,12 +206,13 @@ def test_bound_equals_the_per_term_enumerator_on_rounded_ties(n, n_terms):
             op = _tenths_op(np.random.default_rng(seed), n, n_terms, swap_symmetric)
             want = _per_term_enumeration(op)
             for chunk in (1, DEFAULT_CHUNK):
-                _assert_same_bound(classical_bound(op, chunk_size=chunk), want)
+                _assert_same_bound(_bound_in_chunks(monkeypatch, op, chunk), want)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
-def test_bound_equals_the_per_term_enumerator_when_values_overflow():
-    # sums past the float range are +inf in both; the screen's overflow keeps every code
+def test_bound_rejects_values_that_overflow():
+    # the per-term enumerator reaches +inf on each; the screen's overflow keeps every
+    # code, and a sum past the float range is an error, not a bound
     big = np.finfo(float).max
     ops = [
         HSOperator(1, {"X": 1e308, "Y": 1e308, "Z": 1e308}),
@@ -212,7 +220,9 @@ def test_bound_equals_the_per_term_enumerator_when_values_overflow():
         HSOperator(2, {"XX": -1e308, "XZ": -1e308, "ZZ": 1e308}),
     ]
     for op in ops:
-        _assert_same_bound(classical_bound(op), _per_term_enumeration(op))
+        assert _per_term_enumeration(op)[0] == np.inf
+        with pytest.raises(ValueError, match="overflows the float range"):
+            classical_bound(op)
 
 
 def test_exact_checks_count_the_tied_maximizers():
@@ -233,11 +243,11 @@ def test_maximizer_ties_resolve_to_all_plus_one():
     assert result.maximizer.values == ((1, 1, 1), (1, 1, 1))
 
 
-def test_chunk_partition_does_not_change_the_result(cat):
+def test_chunk_partition_does_not_change_the_result(cat, monkeypatch):
     op = cat["w4"].bell
     reference = classical_bound(op)
     for chunk in (1, 3, 17, 1000):
-        result = classical_bound(op, chunk_size=chunk)
+        result = _bound_in_chunks(monkeypatch, op, chunk)
         assert result.beta_cl == reference.beta_cl
         assert result.maximizer == reference.maximizer
         assert result.evaluations == reference.evaluations
@@ -267,9 +277,10 @@ def test_empty_operator_bound_is_zero():
     assert result.evaluations == 1
 
 
-def test_assignment_budget_is_enforced(cat):
+def test_assignment_budget_is_enforced(cat, monkeypatch):
+    monkeypatch.setattr(lhv_bound, "DEFAULT_MAX_ASSIGNMENTS", 4)
     with pytest.raises(ValueError, match="enumeration budget"):
-        classical_bound(cat["ghz3"].bell, max_assignments=4)
+        classical_bound(cat["ghz3"].bell)
 
 
 def test_evaluate_assignment_validates_width(cat):

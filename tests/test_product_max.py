@@ -178,6 +178,15 @@ def test_alpha_validates_arguments(cat):
         alpha_max(HSOperator(2, {"II": 1.0, "XX": 1.0}))
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("terms", [{"X": 1e308, "Y": 1e308, "Z": 1e308}, {"XX": 1e308, "ZZ": 1e308}])
+def test_alpha_names_an_overflow(terms):
+    # the fields pass the float range, so the best value or the endpoint is not finite
+    op = HSOperator(len(next(iter(terms))), terms)
+    with pytest.raises(ValueError, match="ascent overflows the float range"):
+        alpha_max(op)
+
+
 def test_grid_point_count():
     assert grid_point_count(1, 4) == 20
     assert grid_point_count(3, 24) == 600**3
@@ -223,11 +232,12 @@ def test_grid_oracle_validates_divisions(cat):
         alpha_grid_oracle(cat["ghz3"].g_witness, 3)
 
 
-def test_grid_oracle_enforces_the_point_budget(cat):
+def test_grid_oracle_enforces_the_point_budget(cat, monkeypatch):
     with pytest.raises(ValueError, match="budget"):
         alpha_grid_oracle(cat["ghz4"].g_witness, 24)
+    monkeypatch.setattr(product_max, "DEFAULT_GRID_BUDGET", 1000)
     with pytest.raises(ValueError, match="budget"):
-        alpha_grid_oracle(cat["ghz3"].g_witness, 24, max_points=1000)
+        alpha_grid_oracle(cat["ghz3"].g_witness, 24)
 
 
 # ---------------------------------------------------------------------------

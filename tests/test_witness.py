@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from hswit import witness
 from hswit.hs import HSOperator, hs_decompose, hs_reconstruct, overlap
 from hswit.pauli_core import DensityMatrix
 from hswit.product_max import alpha_max
@@ -158,6 +159,11 @@ def test_pcrit_witness_values_and_domain():
 def test_entanglement_threshold_of_the_disordered_family():
     threshold = mds_entanglement_threshold()
     assert abs(threshold - 1 / 3) <= 1e-9 + 1e-12
+    # bit for bit: the bracket is fixed, so this one float fixes the signs at its two
+    # ends and at all 30 midpoints (+-+--+--++++--++-+--+-++-++++--+); the nearest
+    # midpoint lies 4.9e-11 from the crossing
+    assert threshold == 0.33333333355291384
+    assert threshold.hex() == "0x1.555555591b0f0p-2"
 
 
 @pytest.mark.parametrize("r,sign", [(0.4, -1.0), (0.3, 1.0), (MDS_R_LIMIT, -1.0)])
@@ -169,9 +175,11 @@ def test_witness_sign_straddles_the_threshold(r, sign):
     assert abs(value - (r - 3 * r * r)) < 1e-9
 
 
-def test_threshold_rejects_bad_bracket():
-    with pytest.raises(ValueError):
-        mds_entanglement_threshold(r_lo=0.4, r_hi=0.5)
+def test_threshold_rejects_bad_bracket(monkeypatch):
+    monkeypatch.setattr(witness, "MDS_THRESHOLD_R_LO", 0.4)
+    monkeypatch.setattr(witness, "MDS_R_LIMIT", 0.5)
+    with pytest.raises(ValueError, match="bracket"):
+        mds_entanglement_threshold()
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +189,7 @@ def test_threshold_rejects_bad_bracket():
 def test_reports_grade_every_entry_ok(cat):
     for name, entry in cat.items():
         report = analyze(entry)
-        assert report.all_ok(1e-9), (name, report.checks(1e-9))
+        assert report.all_ok(), (name, report.checks())
         assert report.witness_value == report.alpha - report.trace_g_rho
         if entry.bell is None:
             assert report.beta_cl is None
@@ -197,9 +205,9 @@ def test_report_catches_a_corrupted_expectation(cat):
         cat["ghz3"], expected={**cat["ghz3"].expected, "beta_cl": 3}
     )
     report = analyze(entry)
-    checks = report.checks(1e-9)
+    checks = report.checks()
     assert not checks["beta_cl"]
-    assert not report.all_ok(1e-9)
+    assert not report.all_ok()
 
 
 def test_analyze_propagates_ineffective_witnesses():
@@ -214,5 +222,5 @@ def test_report_checks_skip_unknown_expected_fields(cat):
     )
     report = analyze(entry)
     # threshold is not analyze's job; the report grades only what it computed
-    assert "threshold_r" not in report.checks(1e-9)
-    assert report.all_ok(1e-9)
+    assert "threshold_r" not in report.checks()
+    assert report.all_ok()
