@@ -37,7 +37,7 @@ from typing import Any
 import numpy as np
 
 from .hs import HSOperator, hs_decompose
-from .lhv_bound import classical_bound, used_pairs
+from .lhv_bound import classical_bound
 from .pauli_core import (
     AXIS_LABELS,
     CapacityError,
@@ -223,7 +223,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
         return 0
     print(f"beta_cl {_fmt(result.beta_cl)}")
     print(f"evaluations {result.evaluations}")
-    for line in result.maximizer.lines(frozenset(used_pairs(op))):
+    for line in result.maximizer.lines(frozenset(result.pairs)):
         print(line)
     return 0
 

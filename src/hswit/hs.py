@@ -25,6 +25,7 @@ from .pauli_core import (
 )
 
 PRUNE_TOL = 1e-12
+TRACE_BLOCK_ELEMENTS = 1 << 15  # rho entries gathered at once by _trace_on_support (512 KiB, and as much scratch)
 
 TermKey = PauliString | str | tuple[int, ...]
 _DIGITS = str.maketrans(AXIS_LABELS, "0123")
@@ -240,3 +241,71 @@ def overlap(op: HSOperator, state_coeffs: HSOperator) -> float:
     if op.n != state_coeffs.n:
         raise ValueError(f"qubit counts differ: {op.n} vs {state_coeffs.n}")
     return float(op.coeffs @ state_coeffs._values_at(op.codes))
+
+
+_DIGIT_BITS = np.array([[0], [1]])  # shifts that bring each digit's low, then high bit to the even places
+_EVEN_PLACES = 0x5555555555555555
+_GATHER_STEPS = (  # (shift, keep): each step halves the spacing of bits spread over the even places
+    (1, 0x3333333333333333),
+    (2, 0x0F0F0F0F0F0F0F0F),
+    (4, 0x00FF00FF00FF00FF),
+    (8, 0x0000FFFF0000FFFF),
+    (16, 0x00000000FFFFFFFF),
+)
+
+
+def _flip_sign_masks(codes: Array, n: int) -> tuple[Array, Array]:
+    """Flip mask x (X and Y qubits) and sign mask z (Y and Z) of each code; qubit 0 is the top bit."""
+    masks = (codes >> _DIGIT_BITS) & _EVEN_PLACES  # X = 01, Y = 10, Z = 11: rows (low bits, high bits)
+    masks[0] ^= masks[1]  # low xor high: set for X and Y
+    for shift, keep in _GATHER_STEPS[: (n - 1).bit_length()]:
+        masks |= masks >> shift
+        masks &= keep
+    return masks[0], masks[1]
+
+
+def _walsh_hadamard(rows: Array) -> Array:
+    """sum_j (-1)^popcount(j & z) rows[:, j] for every z, by one butterfly per bit; overwrites ``rows``."""
+    half = rows.shape[1] // 2
+    buffers = rows, np.empty_like(rows)
+    reads = [(b[:, 0::2], b[:, 1::2]) for b in buffers]  # transform the low bit ...
+    writes = [(b[:, :half], b[:, half:]) for b in buffers]  # ... and rotate it to the top
+    for bit in range(half.bit_length()):
+        (even, odd), (low, high) = reads[bit & 1], writes[~bit & 1]
+        np.add(even, odd, out=low)
+        np.subtract(even, odd, out=high)
+    return buffers[half.bit_length() & 1]
+
+
+def _trace_on_support(op: HSOperator, rho: DensityMatrix) -> float:
+    """Tr(O rho), read from the entries of rho on O's support without the 4^n transform.
+
+    A string with flip mask x (its X and Y qubits), sign mask z (its Y and
+    Z qubits) and k letters Y has
+    Tr(sigma rho) = Re[i^k sum_j (-1)^popcount(j & z) rho[j, j ^ x]]:
+    the real part of the sum for even k, the imaginary part for odd k.
+    The sums of all strings that share a flip mask x are the
+    Walsh-Hadamard transform of the row rho[j, j ^ x], so only the rows
+    of O's u distinct flip masks are transformed: O(u n 2^n), at most
+    O(n 4^n) like ``hs_decompose``.  At most TRACE_BLOCK_ELEMENTS entries
+    of rho (one row when 2^n is larger) are gathered at a time.
+    """
+    n, dim = op.n, rho.dim
+    flips, signs = _flip_sign_masks(op.codes, n)
+    y_count = np.bitwise_count(flips & signs)
+    # Re(i^k w) is Re w (even k) or Im w (odd k), negated when k % 4 is 1 or 2
+    weights = op.coeffs * (1.0 - ((y_count + 1) & 2))
+    used = np.zeros(dim, dtype=bool)
+    used[flips] = True
+    rows = np.flatnonzero(used)
+    row_of = (np.cumsum(used) - 1)[flips]  # each term's place among the transformed rows
+    block = max(1, TRACE_BLOCK_ELEMENTS // dim)
+    # place of each term's sum in its block of sums, viewed as floats (real, imaginary in turn)
+    picks = ((((row_of % block) << n) | signs) << 1) | (y_count & 1)
+    entries, diag = rho.matrix.ravel(), np.arange(dim) * (dim + 1)  # diag ^ x: flat index of rho[j, j ^ x]
+    total = 0.0
+    for start in range(0, len(rows), block):
+        sums = _walsh_hadamard(entries[diag ^ rows[start : start + block, None]])
+        terms = row_of // block == start // block
+        total += weights[terms] @ sums.view(float).ravel()[picks[terms]]
+    return float(total)

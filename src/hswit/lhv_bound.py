@@ -76,13 +76,15 @@ class BoundResult:
     """An exact classical bound with the assignment attaining it.
 
     ``evaluations`` counts the assignments covered (2^m); ``exact_checks``
-    counts those whose value was summed in term order after the screen.
+    counts those whose value was summed in term order after the screen;
+    ``pairs`` are the m measured (qubit, axis) pairs, sorted.
     """
 
     beta_cl: float
     maximizer: LHVAssignment
     evaluations: int
     exact_checks: int
+    pairs: tuple[tuple[int, int], ...]
 
 
 def _incidence(op: HSOperator) -> tuple[list[tuple[int, int]], Array]:
@@ -90,11 +92,6 @@ def _incidence(op: HSOperator) -> tuple[list[tuple[int, int]], Array]:
     full = (op.axes[:, :, None] == np.arange(1, 4)).reshape(len(op), 3 * op.n)  # column 3k + a - 1 is (k, a)
     cols = np.flatnonzero(full.any(axis=0))
     return [(j // 3, j % 3 + 1) for j in cols.tolist()], full[:, cols]
-
-
-def used_pairs(op: HSOperator) -> list[tuple[int, int]]:
-    """Sorted (qubit, axis) pairs the operator actually measures."""
-    return _incidence(op)[0]
 
 
 def _sign_row_values(op: HSOperator, incidence: Array, signs: Array) -> Array:
@@ -190,7 +187,7 @@ def classical_bound(op: HSOperator) -> BoundResult:
     if m > 63 or 2**m > DEFAULT_MAX_ASSIGNMENTS:
         raise ValueError(f"2^{m} assignments exceed the enumeration budget of {DEFAULT_MAX_ASSIGNMENTS}")
     if len(op) == 0:  # one assignment, of no pairs, with value 0
-        return BoundResult(0.0, _full_table(op, {}), 1, 1)
+        return BoundResult(0.0, _full_table(op, {}), 1, 1, ())
     bits = np.uint64(1) << np.arange(m - 1, -1, -1, dtype=np.uint64)
     masks = incidence @ bits  # integer product: each row ORs its distinct bits
     coeffs = op.coeffs
@@ -218,7 +215,7 @@ def classical_bound(op: HSOperator) -> BoundResult:
             best_code = ((start + row) << low) | low_code
 
     signs = {pair: 1 - 2 * ((best_code >> (m - 1 - j)) & 1) for j, pair in enumerate(pairs)}
-    return BoundResult(best_value, _full_table(op, signs), 2**m, exact_checks)
+    return BoundResult(best_value, _full_table(op, signs), 2**m, exact_checks, tuple(pairs))
 
 
 def sampled_lower_bound(op: HSOperator, trials: int, seed: int = 0) -> float:

@@ -123,7 +123,7 @@ class ProductState:
         vec = np.ones(1, dtype=complex)
         for theta, phi in self.angles:
             qubit = np.array([np.cos(theta / 2.0), np.exp(1j * phi) * np.sin(theta / 2.0)])
-            vec = np.kron(vec, qubit)
+            vec = (vec[:, None] * qubit).ravel()
         return vec
 
 

@@ -23,13 +23,12 @@ from hswit.lhv_bound import (
     classical_bound,
     evaluate_assignment,
     sampled_lower_bound,
-    used_pairs,
 )
 
 
 def _naive_extrema(op: HSOperator) -> tuple[float, float]:
     """(min, max) over all assignments, one term at a time."""
-    pairs = used_pairs(op)
+    pairs = _incidence(op)[0]
     best_lo, best_hi = np.inf, -np.inf
     for signs in itertools.product((1, -1), repeat=len(pairs)):
         table = dict(zip(pairs, signs))
@@ -175,7 +174,7 @@ def test_bound_equals_the_per_term_enumerator_on_random_ops(kind, monkeypatch):
 def test_bound_equals_the_per_term_enumerator_over_several_chunks(kind, monkeypatch):
     # m > 11 measured pairs: rows of 2^11 codes, and chunks of 1, 4 or all rows
     op = _random_coefficient_op(np.random.default_rng(4), 6, kind, n_terms=40)
-    assert len(used_pairs(op)) > 11
+    assert len(_incidence(op)[0]) > 11
     want = _per_term_enumeration(op)
     for chunk in (1, 2048, 3 * 2048 + 1, DEFAULT_CHUNK):
         _assert_same_bound(_bound_in_chunks(monkeypatch, op, chunk), want)
@@ -230,6 +229,13 @@ def test_exact_checks_count_the_tied_maximizers():
     result = classical_bound(HSOperator(2, {"XX": 1.0}))
     assert result.exact_checks == 2
     assert result.evaluations == 4
+
+
+def test_result_carries_the_measured_pairs(cat):
+    for entry in cat.values():
+        if entry.bell is not None:
+            assert classical_bound(entry.bell).pairs == tuple(_incidence(entry.bell)[0])
+    assert classical_bound(HSOperator(2, {})).pairs == ()
 
 
 def test_maximizer_ties_resolve_to_all_plus_one():
@@ -335,7 +341,7 @@ def test_sampled_bound_is_the_best_evaluated_draw(cat):
     ops = [cat[name].bell for name in ("ghz3", "w4", "cl4")]
     ops += [_random_identity_free_op(rng, n, k) for n, k in ((2, 5), (3, 9), (4, 12))]
     for op in ops:
-        pairs = used_pairs(op)
+        pairs = _incidence(op)[0]
         draws = 1 - 2 * np.random.default_rng(5).integers(0, 2, size=(40, len(pairs)), dtype=np.int8)
         values = []
         for row in draws.tolist():

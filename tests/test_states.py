@@ -158,6 +158,16 @@ def test_single_qubit_statevector():
     np.testing.assert_allclose(ps.statevector(), want, atol=1e-12)
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_statevector_is_the_kronecker_chain_bit_for_bit(n):
+    rng = np.random.default_rng(40 + n)
+    angles = tuple((rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi)) for _ in range(n))
+    want = np.ones(1, dtype=complex)
+    for theta, phi in angles:
+        want = np.kron(want, np.array([np.cos(theta / 2.0), np.exp(1j * phi) * np.sin(theta / 2.0)]))
+    assert np.array_equal(ProductState(angles).statevector(), want)
+
+
 def test_product_state_coeffs_agree_with_decomposition():
     rng = np.random.default_rng(9)
     for n in (2, 3):

@@ -5,10 +5,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from hswit import witness
+from hswit import hs, witness
 from hswit.hs import HSOperator, hs_decompose, hs_reconstruct, overlap
 from hswit.pauli_core import DensityMatrix
-from hswit.product_max import alpha_max
+from hswit.product_max import AlphaResult, alpha_max
 from hswit.states import (
     MDS_R_LIMIT,
     ProductState,
@@ -82,6 +82,74 @@ def test_eval_witness_on_maximally_mixed_is_alpha(cat, witnesses):
 def test_eval_witness_checks_width(cat, witnesses):
     with pytest.raises(ValueError):
         eval_witness(witnesses["ghz4"], cat["ghz3"].state)
+
+
+def _witness_at(g: HSOperator, alpha: float = 0.75) -> witness.Witness:
+    """A witness on G with a given alpha; eval_witness reads nothing else."""
+    return witness.Witness(g, AlphaResult(alpha, ProductState(((0.0, 0.0),) * g.n), 1, 0, True, 1))
+
+
+def _full_rank_state(rng: np.random.Generator, n: int) -> DensityMatrix:
+    a = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+    rho = a @ a.conj().T
+    return DensityMatrix.from_matrix(rho / np.trace(rho).real)
+
+
+def _kernel(rng: np.random.Generator, n: int, terms: int) -> HSOperator:
+    """Identity-free G on ``terms`` random strings plus Y...Y and Z, X, Y, Z, X, ... in turn."""
+    table = np.zeros(4**n)
+    codes = rng.choice(np.arange(1, 4**n), size=min(terms, 4**n - 1), replace=False)
+    table[codes] = rng.normal(size=len(codes))
+    for label in ("Y" * n, ("ZXY" * n)[:n]):
+        table[hs._code(label, n)] = rng.normal()
+    return HSOperator.from_dense(table.reshape((4,) * n))
+
+
+def _assert_matches_the_decomposition(g: HSOperator, rho: DensityMatrix) -> None:
+    w = _witness_at(g)
+    want = w.alpha - overlap(g, hs_decompose(rho))
+    assert abs(eval_witness(w, rho) - want) <= 1e-12 * (1 + np.abs(g.coeffs).sum())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_eval_witness_equals_alpha_minus_the_decomposed_overlap(n):
+    rng = np.random.default_rng(100 + n)
+    for terms in (1, 3, 12, 60):
+        _assert_matches_the_decomposition(_kernel(rng, n, terms), _full_rank_state(rng, n))
+
+
+def test_eval_witness_on_all_y_strings():
+    # Tr(Y...Y rho) carries the phase i^n; n = 1..4 covers every power of i, n = 5 wraps around
+    rng = np.random.default_rng(7)
+    for n in (1, 2, 3, 4, 5):
+        _assert_matches_the_decomposition(HSOperator(n, {"Y" * n: 1.3}), _full_rank_state(rng, n))
+
+
+def test_eval_witness_with_a_full_support_kernel():
+    rng = np.random.default_rng(8)
+    g = _kernel(rng, 3, 63)
+    assert len(g) == 63
+    _assert_matches_the_decomposition(g, _full_rank_state(rng, 3))
+
+
+@pytest.mark.parametrize("terms", [5, 63])
+@pytest.mark.parametrize("elements", [16, 4])
+def test_eval_witness_over_several_gathered_blocks(monkeypatch, terms, elements):
+    # two of the 8 rows rho[j, j ^ x] a block at 16 entries, one row (past the bound) at 4; some rows on 5 terms
+    monkeypatch.setattr(hs, "TRACE_BLOCK_ELEMENTS", elements)
+    rng = np.random.default_rng(9)
+    g = _kernel(rng, 3, terms)
+    assert len(np.unique(hs._flip_sign_masks(g.codes, 3)[0])) > 2
+    _assert_matches_the_decomposition(g, _full_rank_state(rng, 3))
+
+
+def test_eval_witness_does_not_decompose_the_state(cat, witnesses, monkeypatch):
+    def refuse(rho):
+        raise AssertionError("hs_decompose called")
+
+    monkeypatch.setattr(hs, "hs_decompose", refuse)
+    monkeypatch.setattr(witness, "hs_decompose", refuse, raising=False)
+    assert abs(eval_witness(witnesses["ghz3"], cat["ghz3"].state) + 4.0) < 1e-9
 
 
 def test_witnesses_are_nonnegative_on_product_states(cat, witnesses):
