@@ -19,7 +19,6 @@ it ran in or how many starts ran beside it.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -33,8 +32,9 @@ DEGENERATE_FIELD = 1e-14
 DEFAULT_GRID_BUDGET = 250_000_000
 GRID_SUFFIX_ELEMENTS = 8_000_000
 GRID_BLOCK_ELEMENTS = 4_000_000
-GRID_FOLD_ELEMENTS = 262_144  # entries of the last grid fold materialized at once
 ASCENT_BLOCK_ELEMENTS = 65_536  # factor-table entries per block of ascent starts
+ASCENT_TOL = 1e-10  # a start stops once a sweep improves it by less than this
+ASCENT_MAX_SWEEPS = 500
 MIN_DRAW_NORM = 1e-12  # shorter random triples are redrawn
 
 
@@ -222,8 +222,8 @@ def _start_blochs(seed: int, start: int, n: int) -> Array:
 def ascend(
     op: HSOperator,
     blochs: Array,
-    tol: float = 1e-10,
-    max_iters: int = 500,
+    tol: float = ASCENT_TOL,
+    max_iters: int = ASCENT_MAX_SWEEPS,
 ) -> Ascent:
     """Run one alternating-ascent trajectory from given unit Bloch vectors.
 
@@ -242,22 +242,19 @@ def ascend(
     return Ascent(float(runs.values[0]), runs.blochs[0], sweeps, bool(runs.converged[0]), history)
 
 
-def alpha_max(
-    op: HSOperator,
-    starts: int = 64,
-    seed: int = 0,
-    tol: float = 1e-10,
-    max_iters: int = 500,
-) -> AlphaResult:
+def alpha_max(op: HSOperator, starts: int = 64, seed: int = 0) -> AlphaResult:
     """Maximum of the operator over pure product states, by ascent.
 
     Each start draws its own counter-based RNG stream keyed on
     (seed, start index), so results are reproducible and independent of
-    scheduling or how many starts run.  The starts ascend in blocks of
-    at most ``ASCENT_BLOCK_ELEMENTS`` factor-table entries, so the
-    tables do not grow with ``starts``.  The first start to reach the
-    best value supplies the endpoint, sweep count and convergence flag.
-    A best value or endpoint that is not finite raises ``ValueError``.
+    scheduling or how many starts run.  Every start ascends as ``ascend``
+    does with its defaults: until a sweep improves it by less than
+    ``ASCENT_TOL``, or for ``ASCENT_MAX_SWEEPS`` sweeps.  The starts
+    ascend in blocks of at most ``ASCENT_BLOCK_ELEMENTS`` factor-table
+    entries, so the tables do not grow with ``starts``.  The first start
+    to reach the best value supplies the endpoint, sweep count and
+    convergence flag.  A best value or endpoint that is not finite raises
+    ``ValueError``.
     """
     require_identity_free(op)
     if starts < 1:
@@ -276,7 +273,7 @@ def alpha_max(
     for lo in range(0, starts, block):
         hi = min(starts, lo + block)
         draws = np.stack([_start_blochs(seed, s, n) for s in range(lo, hi)])
-        runs = _ascend(axes, coeffs, draws, tol, max_iters)
+        runs = _ascend(axes, coeffs, draws, ASCENT_TOL, ASCENT_MAX_SWEEPS)
         values[lo:hi] = runs.values
         i = int(np.argmax(runs.values))
         if best is None or runs.values[i] > best[0].values[best[1]]:
@@ -288,7 +285,7 @@ def alpha_max(
     if not (np.isfinite(alpha) and np.isfinite(blochs).all()):
         raise ValueError("the ascent overflows the float range; scale the coefficients down")
     argmax = ProductState.from_bloch_vectors(blochs)
-    at_best = int(np.count_nonzero(alpha - values <= tol))
+    at_best = int(np.count_nonzero(alpha - values <= ASCENT_TOL))
     return AlphaResult(alpha, argmax, starts, int(runs.sweeps[i]), bool(runs.converged[i]), at_best)
 
 
@@ -310,8 +307,16 @@ def alpha_grid_oracle(op: HSOperator, divisions: int) -> float:
     included) and phi takes divisions uniform samples of [0, 2 pi), per
     qubit.  All ((divisions + 1) divisions)^n joint choices are
     evaluated; the call refuses to start when that count exceeds
-    DEFAULT_GRID_BUDGET.  The result is a certified lower bound on the true
-    product-state maximum that converges to it as divisions grows.
+    DEFAULT_GRID_BUDGET.  The result is a lower bound on the true
+    product-state maximum up to rounding of order eps * sum|c|, and
+    converges to it as divisions grows.
+
+    Trailing qubits are folded into one row-wise (Khatri-Rao) table of at
+    most GRID_SUFFIX_ELEMENTS entries; the grid points of the other
+    qubits are walked in blocks of grid points.  A block's prefix rows
+    (grid points x terms) and its values (grid points x table rows, one
+    matrix product against the table) each stay within GRID_BLOCK_ELEMENTS
+    entries, except that a block holds at least one grid point.
     """
     require_identity_free(op)
     if divisions < 4:
@@ -345,27 +350,17 @@ def alpha_grid_oracle(op: HSOperator, divisions: int) -> float:
         split -= 1
         suffix = _khatri_rao(per_qubit[split], suffix)
 
-    if split == 1 and suffix.shape[0] * points * n_terms <= GRID_SUFFIX_ELEMENTS:
-        # qubit 0 folds in too, a few of its rows at a time to bound memory; blocks of
-        # 4k rows keep every grid point's dot product the one a single fold would take
-        rows = 4 * max(1, GRID_FOLD_ELEMENTS // (4 * suffix.size))
-        return max(
-            float(np.max(_khatri_rao(per_qubit[0][lo : lo + rows], suffix) @ coeffs))
-            for lo in range(0, points, rows)
-        )
-    # innermost prefix qubit is vectorized in row blocks; the rest walk an odometer
-    inner = per_qubit[split - 1]
-    outer_qubits = per_qubit[: split - 1]
+    # walk the grid points of qubits 0..split-1 in blocks of flat indices, qubit 0 most significant;
+    # a block's rows (one per point, one entry per term) and its values both stay within GRID_BLOCK_ELEMENTS
     suffix_t = np.ascontiguousarray(suffix.T)
-    block_rows = max(1, GRID_BLOCK_ELEMENTS // suffix.shape[0])
+    count = points**split
+    block = max(1, GRID_BLOCK_ELEMENTS // max(suffix.shape[0], n_terms))
     best = -np.inf
-    for combo in itertools.product(*(range(points) for _ in outer_qubits)):
-        row = coeffs.copy()
-        for b, i in zip(outer_qubits, combo):
-            row *= b[i]
-        for lo in range(0, points, block_rows):
-            block_vals = (inner[lo : lo + block_rows] * row) @ suffix_t
-            value = float(np.max(block_vals))
-            if value > best:
-                best = value
+    for lo in range(0, count, block):
+        index = np.unravel_index(np.arange(lo, min(count, lo + block)), (points,) * split)
+        rows = per_qubit[0][index[0]]
+        rows *= coeffs
+        for b, i in zip(per_qubit[1:], index[1:]):
+            rows *= b[i]  # (coefficients * qubit 0) * qubit 1 * ...: the order fixes the rounding
+        best = max(best, float(np.max(rows @ suffix_t)))
     return best

@@ -1,5 +1,7 @@
 """Alternating ascent over product states and the exhaustive grid oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -218,13 +220,62 @@ def test_ascent_meets_or_beats_the_grid(cat, name, divisions):
     assert abs(best - grid) < 1e-9
 
 
-@pytest.mark.parametrize("name", ["ghz3", "w3", "mds"])
-def test_grid_oracle_folds_in_blocks_without_changing_a_bit(cat, monkeypatch, name):
-    op = cat[name].g_witness
-    monkeypatch.setattr(product_max, "GRID_FOLD_ELEMENTS", 1 << 40)  # one block: a single fold
-    whole = alpha_grid_oracle(op, 8)
-    monkeypatch.setattr(product_max, "GRID_FOLD_ELEMENTS", 1)  # four rows of qubit 0 at a time
-    assert alpha_grid_oracle(op, 8) == whole
+def _grid_by_enumeration(op, divisions):
+    """Every grid point's value: per-term products over the qubits, then one dot with the coefficients."""
+    thetas = np.linspace(0.0, np.pi, divisions + 1)
+    phis = np.linspace(0.0, 2.0 * np.pi, divisions, endpoint=False)
+    theta, phi = (a.ravel() for a in np.meshgrid(thetas, phis, indexing="ij"))
+    components = np.column_stack(
+        (np.ones(theta.size), np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta))
+    )
+    terms = np.ones((1, len(op)))
+    for k in range(op.n):
+        terms = (terms[:, None, :] * components[:, op.axes[:, k]][None]).reshape(-1, len(op))
+    return float(np.max(terms @ op.coeffs))
+
+
+# (trailing qubits folded, capped at n - 1; grid points per block, None for the default);
+# up to 30 terms, so a block is bounded by the term count when it exceeds the suffix rows
+@pytest.mark.parametrize("folds,block", [
+    (0, None),  # no fold: the suffix is one row of ones
+    (9, None),  # every qubit but qubit 0 folded
+    (1, None),  # one qubit folded, a prefix of two or more qubits from n = 3
+    (1, 1),  # one-row blocks
+    (1, 12),  # a partial last block for every n
+    (9, 12),  # qubit 0 alone in two blocks, the last of 8 rows
+])
+def test_grid_oracle_matches_an_enumeration_of_every_point(monkeypatch, folds, block):
+    rng = np.random.default_rng(41)
+    divisions, points = 4, 20
+    for n in (1, 2, 3, 4):
+        for _ in range(3):
+            op = _random_operator(rng, n, int(rng.integers(1, min(4**n - 1, 30) + 1)))
+            monkeypatch.setattr(product_max, "GRID_SUFFIX_ELEMENTS", points**folds * len(op))
+            if block is not None:
+                suffix_rows = points ** min(folds, n - 1)
+                monkeypatch.setattr(product_max, "GRID_BLOCK_ELEMENTS", block * max(suffix_rows, len(op)))
+            want = _grid_by_enumeration(op, divisions)
+            scale = 1.0 + np.abs(op.coeffs).sum()
+            assert abs(alpha_grid_oracle(op, divisions) - want) <= 1e-12 * scale, (n, op.labels())
+
+
+@pytest.mark.parametrize("folds", [0, 1])
+def test_grid_oracle_blocks_stay_within_the_block_bound_for_many_terms(monkeypatch, folds):
+    # 255 terms against a suffix of 1 or 20 rows: the terms, not the suffix, must bound a block
+    op = _random_operator(np.random.default_rng(8), 4, 255)
+    points, block_elements = 20, 100 * len(op)
+    monkeypatch.setattr(product_max, "GRID_SUFFIX_ELEMENTS", points**folds * len(op))
+    monkeypatch.setattr(product_max, "GRID_BLOCK_ELEMENTS", block_elements)
+    tables = (op.n * points + 2 * points**folds) * len(op) * 8  # per-qubit factors, suffix and its transpose
+    tracemalloc.start()
+    try:
+        alpha_grid_oracle(op, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # two arrays of at most block_elements live at once (the prefix rows beside a gathered factor
+    # or beside the values); the third is slack for the small arrays
+    assert peak <= tables + 3 * 8 * block_elements, peak
 
 
 def test_grid_oracle_validates_divisions(cat):
