@@ -10,7 +10,7 @@ Tr(O rho) = sum_s O_s R_s, with no dimension factor.
 from __future__ import annotations
 
 from numbers import Real
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -277,8 +277,16 @@ def _walsh_hadamard(rows: Array) -> Array:
     return buffers[half.bit_length() & 1]
 
 
-def _trace_on_support(op: HSOperator, rho: DensityMatrix) -> float:
-    """Tr(O rho), read from the entries of rho on O's support without the 4^n transform.
+class _TraceBlock(NamedTuple):
+    """One block of a support plan: its rows' flip masks, its terms' signed weights and their picks."""
+
+    rows: Array
+    weights: Array
+    picks: Array
+
+
+def _trace_plan(op: HSOperator) -> tuple[_TraceBlock, ...]:
+    """The part of Tr(O rho) on O's support that depends on O alone, in blocks of rows.
 
     A string with flip mask x (its X and Y qubits), sign mask z (its Y and
     Z qubits) and k letters Y has
@@ -286,11 +294,13 @@ def _trace_on_support(op: HSOperator, rho: DensityMatrix) -> float:
     the real part of the sum for even k, the imaginary part for odd k.
     The sums of all strings that share a flip mask x are the
     Walsh-Hadamard transform of the row rho[j, j ^ x], so only the rows
-    of O's u distinct flip masks are transformed: O(u n 2^n), at most
-    O(n 4^n) like ``hs_decompose``.  At most TRACE_BLOCK_ELEMENTS entries
-    of rho (one row when 2^n is larger) are gathered at a time.
+    of O's u distinct flip masks are read, in blocks of at most
+    TRACE_BLOCK_ELEMENTS entries of rho (one row when 2^n is larger; the
+    constant is read when the plan is built).  Each block holds its rows,
+    its terms' weights and the place of each term's sum among the block's
+    sums, so the plan is O(terms + u).
     """
-    n, dim = op.n, rho.dim
+    n, dim = op.n, 1 << op.n
     flips, signs = _flip_sign_masks(op.codes, n)
     y_count = np.bitwise_count(flips & signs)
     # Re(i^k w) is Re w (even k) or Im w (odd k), negated when k % 4 is 1 or 2
@@ -302,10 +312,23 @@ def _trace_on_support(op: HSOperator, rho: DensityMatrix) -> float:
     block = max(1, TRACE_BLOCK_ELEMENTS // dim)
     # place of each term's sum in its block of sums, viewed as floats (real, imaginary in turn)
     picks = ((((row_of % block) << n) | signs) << 1) | (y_count & 1)
-    entries, diag = rho.matrix.ravel(), np.arange(dim) * (dim + 1)  # diag ^ x: flat index of rho[j, j ^ x]
-    total = 0.0
+    blocks = []
     for start in range(0, len(rows), block):
-        sums = _walsh_hadamard(entries[diag ^ rows[start : start + block, None]])
         terms = row_of // block == start // block
-        total += weights[terms] @ sums.view(float).ravel()[picks[terms]]
+        blocks.append(_TraceBlock(rows[start : start + block], weights[terms], picks[terms]))
+    return tuple(blocks)
+
+
+def _trace_on_support(plan: tuple[_TraceBlock, ...], rho: DensityMatrix) -> float:
+    """Tr(O rho) from O's ``_trace_plan``, without the 4^n transform.
+
+    Each block is one gather of its rows rho[j, j ^ x], one Walsh-Hadamard
+    transform and one dot product: O(u n 2^n) for O's u distinct flip
+    masks, at most O(n 4^n) like ``hs_decompose``.
+    """
+    entries, diag = rho.matrix.ravel(), np.arange(rho.dim) * (rho.dim + 1)  # diag ^ x: flat index of rho[j, j ^ x]
+    total = 0.0
+    for rows, weights, picks in plan:
+        sums = _walsh_hadamard(entries[diag ^ rows[:, None]])
+        total += weights @ sums.view(float).ravel()[picks]
     return float(total)

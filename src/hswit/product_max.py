@@ -54,11 +54,8 @@ def _factors(axes: Array, components: Array) -> Array:
     table stays C-ordered, so every start's products form one contiguous
     row, as a lone start's do.
     """
-    starts, n = components.shape[:2]
-    factors = np.empty((n, starts, len(axes)))
-    for k in range(n):
-        factors[k] = components[:, k, axes[:, k]]
-    return factors
+    n = components.shape[1]
+    return np.ascontiguousarray(components[:, np.arange(n), axes].transpose(2, 0, 1))
 
 
 def _lengths(rows: Array) -> Array:

@@ -20,9 +20,10 @@ that as a domain fact and does not decide separability itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
-from .hs import HSOperator, _trace_on_support, overlap, require_identity_free
+from .hs import HSOperator, _trace_on_support, _trace_plan, _TraceBlock, overlap, require_identity_free
 from .lhv_bound import BoundResult, classical_bound
 from .pauli_core import DensityMatrix, identity_string
 from .product_max import AlphaResult, alpha_max
@@ -64,6 +65,15 @@ class Witness:
         """The witness as a Pauli-basis operator, identity term included."""
         return HSOperator(self.n, {identity_string(self.n): self.alpha}) - self.g
 
+    @cached_property
+    def _support_plan(self) -> tuple[_TraceBlock, ...]:
+        """G's support plan for Tr(G rho) (``hs._trace_plan``), built on the first evaluation.
+
+        It reads ``hs.TRACE_BLOCK_ELEMENTS`` when it is built: a witness
+        evaluated before that constant changes keeps its plan.
+        """
+        return _trace_plan(self.g)
+
 
 def build_witness(g: HSOperator, alpha_result: AlphaResult | None = None) -> Witness:
     """Witness for an identity-free operator G via the product-state maximum.
@@ -82,10 +92,13 @@ def eval_witness(witness: Witness, rho: DensityMatrix) -> float:
     Tr(G rho) is read from the entries of rho on G's support, without
     decomposing rho: O(u n 2^n) for the u distinct flip masks (X and Y
     qubits) of G's strings, at most O(n 4^n), the cost of ``hs_decompose``.
+    What depends on G alone (masks, signed weights, rows and read
+    positions) is planned once per witness, on its first evaluation; each
+    call is then one gather, one transform and one dot per block of rows.
     """
     if rho.n != witness.n:
         raise ValueError(f"state has {rho.n} qubits, witness expects {witness.n}")
-    return witness.alpha - _trace_on_support(witness.g, rho)
+    return witness.alpha - _trace_on_support(witness._support_plan, rho)
 
 
 def pcrit_bell(beta_cl: float, beta_qu: float) -> float:

@@ -422,6 +422,19 @@ def test_block_respects_the_iteration_budget(cat, tol, max_iters):
     assert not runs.converged.any()
 
 
+def test_factor_table_equals_a_per_qubit_gather(cat):
+    rng = np.random.default_rng(12)
+    for name, op in _operators(cat):
+        for starts in (1, 64):
+            components = product_max._components(rng.normal(size=(starts, op.n, 3)))
+            want = np.empty((op.n, starts, len(op)))
+            for k in range(op.n):
+                want[k] = components[:, k, op.axes[:, k]]
+            got = product_max._factors(op.axes, components)
+            np.testing.assert_array_equal(got, want)
+            assert got.flags.c_contiguous, name
+
+
 def test_start_draws_skip_short_triples(monkeypatch):
     # with a floor of 1 about a fifth of all triples are redrawn, shifting later qubits
     monkeypatch.setattr(product_max, "MIN_DRAW_NORM", 1.0)

@@ -105,10 +105,11 @@ def _kernel(rng: np.random.Generator, n: int, terms: int) -> HSOperator:
     return HSOperator.from_dense(table.reshape((4,) * n))
 
 
-def _assert_matches_the_decomposition(g: HSOperator, rho: DensityMatrix) -> None:
+def _assert_matches_the_decomposition(g: HSOperator, rho: DensityMatrix) -> witness.Witness:
     w = _witness_at(g)
     want = w.alpha - overlap(g, hs_decompose(rho))
     assert abs(eval_witness(w, rho) - want) <= 1e-12 * (1 + np.abs(g.coeffs).sum())
+    return w
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -140,7 +141,43 @@ def test_eval_witness_over_several_gathered_blocks(monkeypatch, terms, elements)
     rng = np.random.default_rng(9)
     g = _kernel(rng, 3, terms)
     assert len(np.unique(hs._flip_sign_masks(g.codes, 3)[0])) > 2
-    _assert_matches_the_decomposition(g, _full_rank_state(rng, 3))
+    w = _assert_matches_the_decomposition(g, _full_rank_state(rng, 3))
+    assert len(w._support_plan) > 1
+
+
+def test_a_witness_keeps_its_plan_when_the_block_bound_changes(monkeypatch):
+    """A witness evaluated before TRACE_BLOCK_ELEMENTS changes keeps its plan; a later witness reads the new bound."""
+    rng = np.random.default_rng(10)
+    g, rho = _kernel(rng, 3, 63), _full_rank_state(rng, 3)
+    w = _witness_at(g)
+    before = eval_witness(w, rho)
+    plan = w._support_plan
+    assert len(plan) == 1
+    monkeypatch.setattr(hs, "TRACE_BLOCK_ELEMENTS", 4)
+    assert eval_witness(w, rho) == before
+    assert w._support_plan is plan
+    assert len(_witness_at(g)._support_plan) == 8  # one row of rho a block
+
+
+def test_a_witness_plans_once_and_evaluates_as_a_fresh_one(monkeypatch):
+    rng = np.random.default_rng(11)
+    g, target = _kernel(rng, 4, 40), _full_rank_state(rng, 4)
+    states = []
+    for i in range(50):
+        if i % 3 == 0:
+            angles = tuple((rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi)) for _ in range(4))
+            states.append(product_state(ProductState(angles)))
+        elif i % 3 == 1:
+            states.append(mix_white_noise(target, rng.uniform()))
+        else:
+            states.append(_full_rank_state(rng, 4))
+    masks, calls = hs._flip_sign_masks, []
+    monkeypatch.setattr(hs, "_flip_sign_masks", lambda codes, n: calls.append(n) or masks(codes, n))
+    w = _witness_at(g)
+    values = [eval_witness(w, rho) for rho in states]
+    assert len(calls) == 1
+    assert values == [eval_witness(_witness_at(g), rho) for rho in states]
+    assert len(calls) == 1 + len(states)
 
 
 def test_eval_witness_does_not_decompose_the_state(cat, witnesses, monkeypatch):
