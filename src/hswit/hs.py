@@ -25,7 +25,7 @@ from .pauli_core import (
 )
 
 PRUNE_TOL = 1e-12
-TRACE_BLOCK_ELEMENTS = 1 << 15  # rho entries gathered at once by _trace_on_support (512 KiB, and as much scratch)
+TRACE_BLOCK_ELEMENTS = 1 << 15  # rho entries one block of a trace plan reads: 768 KiB of plan, a 512 KiB gather a call
 
 TermKey = PauliString | str | tuple[int, ...]
 _DIGITS = str.maketrans(AXIS_LABELS, "0123")
@@ -277,58 +277,59 @@ def _walsh_hadamard(rows: Array) -> Array:
     return buffers[half.bit_length() & 1]
 
 
-class _TraceBlock(NamedTuple):
-    """One block of a support plan: its rows' flip masks, its terms' signed weights and their picks."""
+_I_POWERS = np.array([1, 1j, -1, -1j])  # i^k for k % 4
 
-    rows: Array
-    weights: Array
+
+class _TraceBlock(NamedTuple):
+    """One block of a support plan: its flat read positions in rho and their weights, (real, -imaginary) in turn."""
+
     picks: Array
+    weights: Array
 
 
 def _trace_plan(op: HSOperator) -> tuple[_TraceBlock, ...]:
     """The part of Tr(O rho) on O's support that depends on O alone, in blocks of rows.
 
     A string with flip mask x (its X and Y qubits), sign mask z (its Y and
-    Z qubits) and k letters Y has
-    Tr(sigma rho) = Re[i^k sum_j (-1)^popcount(j & z) rho[j, j ^ x]]:
-    the real part of the sum for even k, the imaginary part for odd k.
-    The sums of all strings that share a flip mask x are the
-    Walsh-Hadamard transform of the row rho[j, j ^ x], so only the rows
-    of O's u distinct flip masks are read, in blocks of at most
-    TRACE_BLOCK_ELEMENTS entries of rho (one row when 2^n is larger; the
-    constant is read when the plan is built).  Each block holds its rows,
-    its terms' weights and the place of each term's sum among the block's
-    sums, so the plan is O(terms + u).
+    Z qubits), k letters Y and coefficient c contributes
+    Re[c i^k sum_j (-1)^popcount(j & z) rho[j, j ^ x]].  Summed over the
+    strings that share a flip mask x, the weight of rho[j, j ^ x] is
+    h_x[j], the Walsh-Hadamard transform over z of their values c i^k, so
+    Tr(O rho) = Re sum_x sum_j h_x[j] rho[j, j ^ x].  The plan scatters
+    those values into one table of O's u distinct flip masks by 2^n sign
+    masks and transforms it once, O(u n 2^n).  It is cut into blocks of at
+    most TRACE_BLOCK_ELEMENTS entries of rho (one row when 2^n is larger;
+    the constant is read when the plan is built); each block holds the
+    flat positions of its rows' entries in rho and their weights conj(h_x)
+    viewed as floats, so the plan is O(u 2^n), at most 24 bytes an entry
+    of rho.
     """
     n, dim = op.n, 1 << op.n
     flips, signs = _flip_sign_masks(op.codes, n)
-    y_count = np.bitwise_count(flips & signs)
-    # Re(i^k w) is Re w (even k) or Im w (odd k), negated when k % 4 is 1 or 2
-    weights = op.coeffs * (1.0 - ((y_count + 1) & 2))
     used = np.zeros(dim, dtype=bool)
     used[flips] = True
     rows = np.flatnonzero(used)
-    row_of = (np.cumsum(used) - 1)[flips]  # each term's place among the transformed rows
+    row_of = (np.cumsum(used) - 1)[flips]  # each term's row in the table
+    table = np.zeros((len(rows), dim), dtype=complex)
+    table[row_of, signs] = op.coeffs * _I_POWERS[np.bitwise_count(flips & signs) & 3]
+    weights = np.conjugate(_walsh_hadamard(table)).view(float)  # Re h_x[j], -Im h_x[j] in turn
+    picks = (np.arange(dim) * (dim + 1)) ^ rows[:, None]  # flat index of rho[j, j ^ x]
     block = max(1, TRACE_BLOCK_ELEMENTS // dim)
-    # place of each term's sum in its block of sums, viewed as floats (real, imaginary in turn)
-    picks = ((((row_of % block) << n) | signs) << 1) | (y_count & 1)
-    blocks = []
-    for start in range(0, len(rows), block):
-        terms = row_of // block == start // block
-        blocks.append(_TraceBlock(rows[start : start + block], weights[terms], picks[terms]))
-    return tuple(blocks)
+    return tuple(
+        _TraceBlock(picks[start : start + block].ravel(), weights[start : start + block].ravel())
+        for start in range(0, len(rows), block)
+    )
 
 
 def _trace_on_support(plan: tuple[_TraceBlock, ...], rho: DensityMatrix) -> float:
     """Tr(O rho) from O's ``_trace_plan``, without the 4^n transform.
 
-    Each block is one gather of its rows rho[j, j ^ x], one Walsh-Hadamard
-    transform and one dot product: O(u n 2^n) for O's u distinct flip
-    masks, at most O(n 4^n) like ``hs_decompose``.
+    Each block is one gather of rho's entries at its read positions and
+    one dot product with its weights: O(u 2^n) for O's u distinct flip
+    masks, at most O(4^n).
     """
-    entries, diag = rho.matrix.ravel(), np.arange(rho.dim) * (rho.dim + 1)  # diag ^ x: flat index of rho[j, j ^ x]
+    entries = rho.matrix.ravel()
     total = 0.0
-    for rows, weights, picks in plan:
-        sums = _walsh_hadamard(entries[diag ^ rows[:, None]])
-        total += weights @ sums.view(float).ravel()[picks]
+    for picks, weights in plan:
+        total += weights @ entries[picks].view(float)
     return float(total)

@@ -69,8 +69,11 @@ class Witness:
     def _support_plan(self) -> tuple[_TraceBlock, ...]:
         """G's support plan for Tr(G rho) (``hs._trace_plan``), built on the first evaluation.
 
-        It reads ``hs.TRACE_BLOCK_ELEMENTS`` when it is built: a witness
-        evaluated before that constant changes keeps its plan.
+        Building it runs the one Walsh-Hadamard transform of G's signed
+        weights; it holds the read positions in rho and their weights,
+        O(u 2^n) for G's u distinct flip masks.  It reads
+        ``hs.TRACE_BLOCK_ELEMENTS`` when it is built: a witness evaluated
+        before that constant changes keeps its plan.
         """
         return _trace_plan(self.g)
 
@@ -90,11 +93,12 @@ def eval_witness(witness: Witness, rho: DensityMatrix) -> float:
     """Tr(E_W rho) = alpha - Tr(G rho); negative values certify entanglement.
 
     Tr(G rho) is read from the entries of rho on G's support, without
-    decomposing rho: O(u n 2^n) for the u distinct flip masks (X and Y
-    qubits) of G's strings, at most O(n 4^n), the cost of ``hs_decompose``.
-    What depends on G alone (masks, signed weights, rows and read
-    positions) is planned once per witness, on its first evaluation; each
-    call is then one gather, one transform and one dot per block of rows.
+    decomposing rho.  What depends on G alone is planned once per witness,
+    on its first evaluation: the read positions rho[j, j ^ x] for the u
+    distinct flip masks x (X and Y qubits) of G's strings, and their
+    weights, one Walsh-Hadamard transform of G's signed coefficients,
+    O(u n 2^n).  Each call is then one gather and one dot product per
+    block, O(u 2^n), at most O(4^n).
     """
     if rho.n != witness.n:
         raise ValueError(f"state has {rho.n} qubits, witness expects {witness.n}")

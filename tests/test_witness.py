@@ -112,17 +112,19 @@ def _assert_matches_the_decomposition(g: HSOperator, rho: DensityMatrix) -> witn
     return w
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
 def test_eval_witness_equals_alpha_minus_the_decomposed_overlap(n):
     rng = np.random.default_rng(100 + n)
-    for terms in (1, 3, 12, 60):
-        _assert_matches_the_decomposition(_kernel(rng, n, terms), _full_rank_state(rng, n))
+    for terms in (1, 3, 12, 60, 4**n - 1):
+        w = _assert_matches_the_decomposition(_kernel(rng, n, terms), _full_rank_state(rng, n))
+    # the full-support kernel reads all of rho: two blocks at n = 8 under the default bound
+    assert len(w._support_plan) == max(1, 4**n // hs.TRACE_BLOCK_ELEMENTS)
 
 
 def test_eval_witness_on_all_y_strings():
-    # Tr(Y...Y rho) carries the phase i^n; n = 1..4 covers every power of i, n = 5 wraps around
+    # Tr(Y...Y rho) carries the phase i^n; n = 1..4 covers every power of i, n = 5..8 wrap around
     rng = np.random.default_rng(7)
-    for n in (1, 2, 3, 4, 5):
+    for n in (1, 2, 3, 4, 5, 6, 7, 8):
         _assert_matches_the_decomposition(HSOperator(n, {"Y" * n: 1.3}), _full_rank_state(rng, n))
 
 
@@ -159,7 +161,27 @@ def test_a_witness_keeps_its_plan_when_the_block_bound_changes(monkeypatch):
     assert len(_witness_at(g)._support_plan) == 8  # one row of rho a block
 
 
+@pytest.mark.parametrize("elements", [hs.TRACE_BLOCK_ELEMENTS, 40])
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+def test_a_plan_reads_each_entry_of_its_rows_once_within_the_block_bound(monkeypatch, n, elements):
+    """The plan reads rho[j, j ^ x] for every j and each of G's u distinct flip masks x, once: u 2^n entries."""
+    monkeypatch.setattr(hs, "TRACE_BLOCK_ELEMENTS", elements)
+    rng, dim = np.random.default_rng(200 + n), 2**n
+    for terms in (1, 3 * n, 300):
+        g = _kernel(rng, n, terms)
+        flips = np.unique(hs._flip_sign_masks(g.codes, n)[0])
+        plan = hs._trace_plan(g)
+        for block in plan:
+            assert len(block.picks) <= elements or len(block.picks) == dim
+            assert len(block.weights) == 2 * len(block.picks)
+        picks = np.concatenate([block.picks for block in plan])
+        rows, columns = np.divmod(picks, dim)
+        assert len(picks) == len(flips) * dim == len(np.unique(picks))
+        assert np.isin(rows ^ columns, flips).all()
+
+
 def test_a_witness_plans_once_and_evaluates_as_a_fresh_one(monkeypatch):
+    """The masks and the Walsh-Hadamard transform run when a witness plans, never per state."""
     rng = np.random.default_rng(11)
     g, target = _kernel(rng, 4, 40), _full_rank_state(rng, 4)
     states = []
@@ -171,13 +193,14 @@ def test_a_witness_plans_once_and_evaluates_as_a_fresh_one(monkeypatch):
             states.append(mix_white_noise(target, rng.uniform()))
         else:
             states.append(_full_rank_state(rng, 4))
-    masks, calls = hs._flip_sign_masks, []
-    monkeypatch.setattr(hs, "_flip_sign_masks", lambda codes, n: calls.append(n) or masks(codes, n))
+    masks, transform, calls = hs._flip_sign_masks, hs._walsh_hadamard, []
+    monkeypatch.setattr(hs, "_flip_sign_masks", lambda codes, n: calls.append("masks") or masks(codes, n))
+    monkeypatch.setattr(hs, "_walsh_hadamard", lambda rows: calls.append("transform") or transform(rows))
     w = _witness_at(g)
     values = [eval_witness(w, rho) for rho in states]
-    assert len(calls) == 1
+    assert calls == ["masks", "transform"]
     assert values == [eval_witness(_witness_at(g), rho) for rho in states]
-    assert len(calls) == 1 + len(states)
+    assert calls == ["masks", "transform"] * (1 + len(states))
 
 
 def test_eval_witness_does_not_decompose_the_state(cat, witnesses, monkeypatch):
