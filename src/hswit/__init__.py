@@ -14,19 +14,14 @@ from .lhv_bound import (
     BoundResult,
     LHVAssignment,
     classical_bound,
-    evaluate_assignment,
     sampled_lower_bound,
 )
 from .pauli_core import (
     CapacityError,
     DensityMatrix,
     InvalidStateError,
-    PauliString,
     hermitian_eigenvalues,
-    identity_string,
-    pauli_matrix,
     qubit_cap,
-    string_matrix,
 )
 from .product_max import (
     AlphaResult,
@@ -34,7 +29,6 @@ from .product_max import (
     alpha_grid_oracle,
     alpha_max,
     ascend,
-    effective_field,
     objective,
 )
 from .states import (
@@ -46,10 +40,8 @@ from .states import (
     mds,
     mds_g_operator,
     mix_white_noise,
-    partial_trace,
     partial_transpose,
     product_state,
-    product_state_coeffs,
     w_state,
 )
 from .witness import (
@@ -76,7 +68,6 @@ __all__ = [
     "HSOperator",
     "InvalidStateError",
     "LHVAssignment",
-    "PauliString",
     "ProductState",
     "Witness",
     "WitnessIneffectiveError",
@@ -89,29 +80,22 @@ __all__ = [
     "catalog",
     "classical_bound",
     "cluster4",
-    "effective_field",
     "eval_witness",
-    "evaluate_assignment",
     "ghz",
     "hermitian_eigenvalues",
     "hs_decompose",
     "hs_reconstruct",
-    "identity_string",
     "mds",
     "mds_entanglement_threshold",
     "mds_g_operator",
     "mix_white_noise",
     "objective",
     "overlap",
-    "partial_trace",
     "partial_transpose",
-    "pauli_matrix",
     "pcrit_bell",
     "pcrit_witness",
     "product_state",
-    "product_state_coeffs",
     "qubit_cap",
     "sampled_lower_bound",
-    "string_matrix",
     "w_state",
 ]

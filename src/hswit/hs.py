@@ -10,7 +10,7 @@ Tr(O rho) = sum_s O_s R_s, with no dimension factor.
 from __future__ import annotations
 
 from numbers import Real
-from typing import Iterator, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -20,25 +20,24 @@ from .pauli_core import (
     Array,
     CapacityError,
     DensityMatrix,
-    PauliString,
     check_qubit_count,
 )
 
 PRUNE_TOL = 1e-12
 TRACE_BLOCK_ELEMENTS = 1 << 15  # rho entries one block of a trace plan reads: 768 KiB of plan, a 512 KiB gather a call
 
-TermKey = PauliString | str | tuple[int, ...]
 _DIGITS = str.maketrans(AXIS_LABELS, "0123")
 
 
-def _code(key: TermKey, n: int) -> int:
-    """Base-4 code of one term key, qubit 0 the most significant digit."""
-    if isinstance(key, str):
-        label = key.upper()
-        if not set(label) <= set(AXIS_LABELS):
-            raise ValueError(f"labels may only contain I, X, Y, Z, got {key!r}")
-    else:
-        label = str(key if isinstance(key, PauliString) else PauliString(tuple(key)))
+def _code(key: str | tuple[int, ...], n: int) -> int:
+    """Base-4 code of one term, a label or its axis indices ("XZI" or (1, 3, 0)); qubit 0 the most significant digit."""
+    if not isinstance(key, str):
+        if not all(a in range(4) for a in key):
+            raise ValueError(f"axis indices must lie in 0..3, got {key!r}")
+        key = "".join(AXIS_LABELS[a] for a in key)
+    label = key.upper()
+    if not set(label) <= set(AXIS_LABELS):
+        raise ValueError(f"labels may only contain I, X, Y, Z, got {key!r}")
     if len(label) != n:
         raise ValueError(f"term {label} has {len(label)} qubits, expected {n}")
     return int(label.translate(_DIGITS), 4)
@@ -59,17 +58,20 @@ class HSOperator:
     The terms form one table: ``codes`` holds sorted, unique base-4 codes
     with qubit 0 as the most significant digit, so code order is label
     order and a code is also the flat index into the 4^n coefficient
-    tensor; ``coeffs`` holds the matching float64 coefficients.  Terms
-    with |coefficient| < PRUNE_TOL are dropped at construction, and
-    non-finite coefficients are rejected.
+    tensor; ``coeffs`` holds the matching float64 coefficients.  The
+    constructor takes terms keyed by label or by axis indices, such as
+    ``{"XZI": 0.5}`` or ``{(1, 3, 0): 0.5}``.
+    Terms with |coefficient| < PRUNE_TOL are dropped at construction, and
+    non-finite or boolean coefficients are rejected.
     """
 
     __slots__ = ("n", "codes", "coeffs")
 
-    def __init__(self, n: int, terms: Mapping[TermKey, float] | None = None) -> None:
+    def __init__(self, n: int, terms: Mapping[str | tuple[int, ...], float] | None = None) -> None:
+        check_qubit_count(n)  # before any label is measured against n
         codes, coeffs = [], []
         for key, value in (terms or {}).items():
-            if not isinstance(value, Real):
+            if isinstance(value, bool) or not isinstance(value, Real):
                 raise ValueError(f"coefficient for {key} must be real, got {value!r}")
             codes.append(_code(key, n))
             coeffs.append(float(value))
@@ -121,7 +123,7 @@ class HSOperator:
         """(terms, n) table of axis indices, one row per term, qubit 0 first."""
         return _axes(self.codes, self.n)
 
-    def coefficient(self, key: TermKey) -> float:
+    def coefficient(self, key: str | tuple[int, ...]) -> float:
         """Coefficient of one Pauli string, 0.0 when absent."""
         return float(self._values_at(np.array([_code(key, self.n)]))[0])
 
@@ -130,19 +132,11 @@ class HSOperator:
         # the all-identity string has code 0, the first in sorted order
         return float(self.coeffs[0]) if len(self.codes) and self.codes[0] == 0 else 0.0
 
-    @property
-    def support(self) -> frozenset[PauliString]:
-        return frozenset(s for s, _ in self)
-
     def labels(self) -> list[str]:
         return _labels(self.codes, self.n)
 
     def __len__(self) -> int:
         return len(self.codes)
-
-    def __iter__(self) -> Iterator[tuple[PauliString, float]]:
-        for axes, c in zip(self.axes.tolist(), self.coeffs.tolist()):
-            yield PauliString(tuple(axes)), c
 
     def __add__(self, other: HSOperator) -> HSOperator:
         if not isinstance(other, HSOperator):

@@ -51,12 +51,6 @@ class LHVAssignment:
     def n(self) -> int:
         return len(self.values)
 
-    def value(self, qubit: int, axis: int) -> int:
-        """Outcome for one qubit and one non-identity axis (1=x, 2=y, 3=z)."""
-        if axis not in (1, 2, 3):
-            raise ValueError(f"axis must be 1, 2 or 3, got {axis}")
-        return self.values[qubit][axis - 1]
-
     def lines(self, used: frozenset[tuple[int, int]] | None = None) -> list[str]:
         """One 'qubit k: X=+1 ...' line per qubit, restricted to used axes."""
         out = []
@@ -100,15 +94,6 @@ def _sign_row_values(op: HSOperator, incidence: Array, signs: Array) -> Array:
     for row, c in zip(incidence, op.coeffs):
         values += c * signs[:, row].prod(axis=1)
     return values
-
-
-def evaluate_assignment(op: HSOperator, assignment: LHVAssignment) -> float:
-    """Operator value under one definite-outcome assignment."""
-    if assignment.n != op.n:
-        raise ValueError(f"assignment has {assignment.n} qubits, operator {op.n}")
-    pairs, incidence = _incidence(op)
-    signs = np.array([[assignment.value(k, a) for k, a in pairs]], dtype=np.int8)
-    return float(_sign_row_values(op, incidence, signs)[0])
 
 
 def _full_table(op: HSOperator, signs: dict[tuple[int, int], int]) -> LHVAssignment:

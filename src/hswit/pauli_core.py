@@ -1,11 +1,13 @@
-"""Pauli strings, their matrices, and dense n-qubit density matrices.
+"""Pauli conventions, the qubit cap, and dense n-qubit density matrices.
 
 Conventions used across the package:
 
 * qubit A is the leftmost tensor factor (most significant bit),
-* axis indices are 0=I, 1=X, 2=Y, 3=Z,
-* a Pauli string is the Kronecker product of one single-qubit matrix
-  per qubit, qubit A first.
+* axis indices are 0=I, 1=X, 2=Y, 3=Z; ``SIGMA[a]`` is the 2x2 matrix of axis a,
+* a Pauli string is a word over ``AXIS_LABELS``, one letter per qubit,
+  qubit A first, standing for the tensor product of its letters' matrices.
+  Strings exist only as such labels and as base-4 codes (``hs``); no
+  string's dense matrix is ever formed.
 """
 
 from __future__ import annotations
@@ -72,64 +74,6 @@ def check_qubit_count(n: int) -> int:
     if n > cap:
         raise CapacityError(f"{n} qubits exceeds the cap of {cap} (set WITNESS_QUBIT_CAP to raise it)")
     return n
-
-
-@dataclass(frozen=True)
-class PauliString:
-    """A word over {I, X, Y, Z}, one letter per qubit, qubit A first."""
-
-    axes: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.axes) == 0:
-            raise ValueError("a Pauli string needs at least one qubit")
-        for a in self.axes:
-            if a not in (0, 1, 2, 3):
-                raise ValueError(f"axis index must be 0..3, got {a}")
-
-    @classmethod
-    def from_label(cls, label: str) -> PauliString:
-        """Build from a word such as 'XYZ' or 'IZZ'."""
-        try:
-            axes = tuple(AXIS_LABELS.index(ch) for ch in label.upper())
-        except ValueError as exc:
-            raise ValueError(f"labels may only contain I, X, Y, Z, got {label!r}") from exc
-        return cls(axes)
-
-    @property
-    def n(self) -> int:
-        return len(self.axes)
-
-    @property
-    def weight(self) -> int:
-        """Number of non-identity letters."""
-        return sum(1 for a in self.axes if a != 0)
-
-    def label(self) -> str:
-        return "".join(AXIS_LABELS[a] for a in self.axes)
-
-    def __str__(self) -> str:
-        return self.label()
-
-
-def identity_string(n: int) -> PauliString:
-    return PauliString((0,) * n)
-
-
-def pauli_matrix(axis: int) -> Array:
-    """The 2x2 matrix for one axis symbol (0=I, 1=X, 2=Y, 3=Z)."""
-    if axis not in (0, 1, 2, 3):
-        raise ValueError(f"axis index must be 0..3, got {axis}")
-    return SIGMA[axis].copy()
-
-
-def string_matrix(s: PauliString) -> Array:
-    """Dense 2^n x 2^n matrix of a Pauli string (kron chain, qubit A first)."""
-    check_qubit_count(s.n)
-    mat = SIGMA[s.axes[0]]
-    for a in s.axes[1:]:
-        mat = np.kron(mat, SIGMA[a])
-    return mat
 
 
 def hermitian_eigenvalues(matrix: Array) -> Array:
@@ -252,7 +196,3 @@ class DensityMatrix:
     @property
     def dim(self) -> int:
         return 2**self.n
-
-    def purity(self) -> float:
-        """Tr(rho^2); equals 1 for pure states."""
-        return float(np.real(np.trace(self.matrix @ self.matrix)))

@@ -157,15 +157,6 @@ def objective(op: HSOperator, blochs: Array) -> float:
     return float(_values(_factors(op.axes, _components(_one_start(op, blochs))), op.coeffs)[0])
 
 
-def effective_field(op: HSOperator, blochs: Array, qubit: int) -> tuple[float, Array]:
-    """Split the objective as c0 + c . v_qubit with all other qubits fixed."""
-    factors = _factors(op.axes, _components(_one_start(op, blochs)))
-    if not 0 <= qubit < op.n:
-        raise ValueError(f"qubit index must lie in [0, {op.n}), got {qubit}")
-    sums = _fields(factors, op.coeffs, op.axes, qubit)[0]
-    return float(sums[0]), sums[1:4].copy()
-
-
 @dataclass(frozen=True)
 class Ascent:
     """One alternating-ascent trajectory.
@@ -216,24 +207,19 @@ def _start_blochs(seed: int, start: int, n: int) -> Array:
     return draws[keep] / lengths[keep, None]
 
 
-def ascend(
-    op: HSOperator,
-    blochs: Array,
-    tol: float = ASCENT_TOL,
-    max_iters: int = ASCENT_MAX_SWEEPS,
-) -> Ascent:
+def ascend(op: HSOperator, blochs: Array, *, max_iters: int = ASCENT_MAX_SWEEPS) -> Ascent:
     """Run one alternating-ascent trajectory from given unit Bloch vectors.
 
     Each sweep visits every qubit once, replacing its vector by the
     normalized effective field (kept unchanged when the field is
     degenerate).  The trajectory stops once a sweep improves the value
-    by less than ``tol``, or after ``max_iters`` sweeps.
+    by less than ``ASCENT_TOL``, or after ``max_iters`` sweeps.
     """
     require_identity_free(op)
     start = _one_start(op, blochs)
     if not len(op):
         return Ascent(0.0, start[0], 0, True, (0.0,))
-    runs = _ascend(op.axes, op.coeffs, start, tol, max_iters, keep_history=True)
+    runs = _ascend(op.axes, op.coeffs, start, ASCENT_TOL, max_iters, keep_history=True)
     sweeps = int(runs.sweeps[0])
     history = tuple(runs.history[0, : sweeps + 1].tolist())
     return Ascent(float(runs.values[0]), runs.blochs[0], sweeps, bool(runs.converged[0]), history)
@@ -245,7 +231,7 @@ def alpha_max(op: HSOperator, starts: int = 64, seed: int = 0) -> AlphaResult:
     Each start draws its own counter-based RNG stream keyed on
     (seed, start index), so results are reproducible and independent of
     scheduling or how many starts run.  Every start ascends as ``ascend``
-    does with its defaults: until a sweep improves it by less than
+    does with its default budget: until a sweep improves it by less than
     ``ASCENT_TOL``, or for ``ASCENT_MAX_SWEEPS`` sweeps.  The starts
     ascend in blocks of at most ``ASCENT_BLOCK_ELEMENTS`` factor-table
     entries, so the tables do not grow with ``starts``.  The first start

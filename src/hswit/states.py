@@ -131,19 +131,6 @@ def product_state(ps: ProductState) -> DensityMatrix:
     return DensityMatrix.from_statevector(ps.statevector())
 
 
-def product_state_coeffs(ps: ProductState) -> HSOperator:
-    """Hilbert-Schmidt coefficients of a product state without any trace.
-
-    For product states R_s factors into per-qubit Bloch components,
-    R_s = prod_k v_k[s_k] with v_k[0] = 1, so the full table follows from
-    an outer product over qubits.
-    """
-    table = np.ones(())
-    for bloch in ps.bloch_vectors():
-        table = np.multiply.outer(table, np.concatenate(([1.0], bloch)))
-    return HSOperator.from_dense(table)
-
-
 def mix_white_noise(rho: DensityMatrix, p: float) -> DensityMatrix:
     """(1 - p)/2^n * identity + p * rho.
 
@@ -163,19 +150,6 @@ def partial_transpose(rho: DensityMatrix, qubit: int) -> Array:
     tensor = rho.matrix.reshape((2,) * (2 * n))
     tensor = np.swapaxes(tensor, qubit, n + qubit)
     return tensor.reshape(rho.dim, rho.dim).copy()
-
-
-def partial_trace(rho: DensityMatrix, qubit: int) -> Array:
-    """Trace out qubit ``qubit``, returning the (2^{n-1})-dim matrix."""
-    n = rho.n
-    if n < 2:
-        raise ValueError("cannot trace out the only qubit")
-    if not 0 <= qubit < n:
-        raise ValueError(f"qubit index must lie in [0, {n}), got {qubit}")
-    tensor = rho.matrix.reshape((2,) * (2 * n))
-    reduced = np.trace(tensor, axis1=qubit, axis2=n + qubit)
-    half = 2 ** (n - 1)
-    return reduced.reshape(half, half).copy()
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from typing import Mapping
 
 from .hs import HSOperator, _trace_on_support, _trace_plan, _TraceBlock, overlap, require_identity_free
 from .lhv_bound import BoundResult, classical_bound
-from .pauli_core import DensityMatrix, identity_string
+from .pauli_core import DensityMatrix
 from .product_max import AlphaResult, alpha_max
 from .states import MDS_R_LIMIT, CatalogEntry, mds, mds_g_operator
 
@@ -63,7 +63,7 @@ class Witness:
 
     def operator(self) -> HSOperator:
         """The witness as a Pauli-basis operator, identity term included."""
-        return HSOperator(self.n, {identity_string(self.n): self.alpha}) - self.g
+        return HSOperator(self.n, {"I" * self.n: self.alpha}) - self.g
 
     @cached_property
     def _support_plan(self) -> tuple[_TraceBlock, ...]:

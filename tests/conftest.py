@@ -1,4 +1,4 @@
-"""Shared fixtures: the reference catalog and random-state helpers."""
+"""Shared fixtures: the reference catalog, random-state helpers and a dense string oracle."""
 
 import numpy as np
 import pytest
@@ -24,3 +24,19 @@ def random_density(rng: np.random.Generator, n: int) -> DensityMatrix:
 @pytest.fixture
 def make_density():
     return random_density
+
+
+PAULI = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
+
+
+def string_matrix(label: str) -> np.ndarray:
+    """Dense matrix of one Pauli string: the Kronecker chain of its letters, qubit 0 first."""
+    mat = np.ones((1, 1), dtype=complex)
+    for letter in label:
+        mat = np.kron(mat, PAULI[letter])
+    return mat

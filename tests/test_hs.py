@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 
 from hswit.hs import HSOperator, hs_decompose, hs_reconstruct, overlap
-from hswit.pauli_core import SIGMA, PauliString, string_matrix
-from hswit.states import ProductState, ghz, product_state, product_state_coeffs, w_state
+from hswit.pauli_core import AXIS_LABELS, SIGMA
+from hswit.states import ProductState, ghz, product_state, w_state
 
-from conftest import random_density
+from conftest import random_density, string_matrix
 
 # Every nonzero coefficient of the three-qubit single-excitation state,
 # derived by hand from the amplitudes and frozen here.  The diagonal
@@ -41,8 +41,12 @@ GHZ3_TABLE = {
 }
 
 
-def _trace_coefficient(rho, s: PauliString) -> float:
-    value = np.trace(rho.matrix @ string_matrix(s))
+def _words(n: int) -> list[str]:
+    return ["".join(w) for w in itertools.product(AXIS_LABELS, repeat=n)]
+
+
+def _trace_coefficient(rho, label: str) -> float:
+    value = np.trace(rho.matrix @ string_matrix(label))
     assert abs(value.imag) < 1e-12
     return value.real
 
@@ -57,7 +61,7 @@ def test_w3_coefficients_match_frozen_table():
 def test_w3_frozen_table_matches_direct_traces():
     rho = w_state(3)
     for label, want in W3_TABLE.items():
-        got = _trace_coefficient(rho, PauliString.from_label(label))
+        got = _trace_coefficient(rho, label)
         assert abs(got - want) < 1e-12, label
 
 
@@ -82,10 +86,9 @@ def test_decompose_equals_direct_traces_on_random_states(n):
     for _ in range(5):
         rho = random_density(rng, n)
         coeffs = hs_decompose(rho)
-        for axes in itertools.product(range(4), repeat=n):
-            s = PauliString(axes)
-            want = _trace_coefficient(rho, s)
-            assert abs(coeffs.coefficient(s) - want) < 1e-10
+        for label in _words(n):
+            want = _trace_coefficient(rho, label)
+            assert abs(coeffs.coefficient(label) - want) < 1e-10
 
 
 def _einsum_decompose(rho) -> np.ndarray:
@@ -123,7 +126,7 @@ def test_overlap_equals_direct_trace():
     for n in (1, 2, 3):
         for _ in range(10):
             rho = random_density(rng, n)
-            labels = list(itertools.product(range(4), repeat=n))
+            labels = _words(n)
             picks = rng.choice(len(labels), size=min(6, len(labels)), replace=False)
             terms = {labels[i]: float(rng.normal()) for i in picks}
             op = HSOperator(n, terms)
@@ -140,13 +143,10 @@ def test_product_state_coefficients_factorize():
     coeffs = hs_decompose(product_state(ps))
     blochs = ps.bloch_vectors()
     factors = [np.concatenate(([1.0], b)) for b in blochs]
-    for axes in itertools.product(range(4), repeat=3):
+    for label in _words(3):
+        axes = [AXIS_LABELS.index(letter) for letter in label]
         want = factors[0][axes[0]] * factors[1][axes[1]] * factors[2][axes[2]]
-        assert abs(coeffs.coefficient(axes) - want) < 1e-10
-    # and the dedicated trace-free route agrees
-    table = product_state_coeffs(ps)
-    for s, c in table:
-        assert abs(coeffs.coefficient(s) - c) < 1e-10
+        assert abs(coeffs.coefficient(label) - want) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -154,12 +154,16 @@ def test_product_state_coefficients_factorize():
 
 
 def test_operator_accepts_mixed_key_styles():
-    op = HSOperator(2, {"XX": 1.0, (3, 3): 2.0, PauliString((0, 3)): 0.5})
+    op = HSOperator(2, {"XX": 1.0, (3, 3): 2.0, "iz": 0.5})
     assert op.coefficient("XX") == 1.0
     assert op.coefficient((3, 3)) == 2.0
     assert op.coefficient("IZ") == 0.5
     assert op.coefficient("YY") == 0.0
     assert len(op) == 3
+    with pytest.raises(ValueError, match="axis indices"):
+        HSOperator(2, {(1, 4): 1.0})
+    with pytest.raises(ValueError, match="labels may only contain"):
+        HSOperator(2, {"XQ": 1.0})
 
 
 def test_operator_rejects_duplicates_and_bad_terms():
@@ -169,6 +173,19 @@ def test_operator_rejects_duplicates_and_bad_terms():
         HSOperator(2, {"XXX": 1.0})
     with pytest.raises(ValueError, match="real"):
         HSOperator(2, {"XX": 1.0 + 2.0j})
+
+
+def test_operator_rejects_bool_coefficients():
+    # bool is a numbers.Real, but True is no coefficient; the CLI rejects it too
+    for flag in (True, False):
+        with pytest.raises(ValueError, match="must be real"):
+            HSOperator(2, {"XZ": flag})
+
+
+def test_operator_checks_the_qubit_count_before_the_labels():
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="qubit count must be at least 1"):
+            HSOperator(n, {"": 1.0})
 
 
 def test_operator_prunes_negligible_coefficients():
@@ -185,7 +202,8 @@ def test_terms_iterate_in_word_order():
 def test_identity_coefficient_and_support():
     op = HSOperator(2, {"II": 0.25, "ZZ": -1.0})
     assert op.identity_coefficient == 0.25
-    assert op.support == frozenset({PauliString((0, 0)), PauliString((3, 3))})
+    assert op.labels() == ["II", "ZZ"]
+    assert HSOperator(2, {"ZZ": -1.0}).identity_coefficient == 0.0
 
 
 def test_operator_algebra():

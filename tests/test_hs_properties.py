@@ -1,6 +1,6 @@
 """Property tests: the HSOperator term table against a plain-dict model.
 
-The model keeps {axes tuple: coefficient} with the same pruning rule;
+The model keeps {label: coefficient} with the same pruning rule;
 every property is checked on operators of up to four qubits.  Examples
 are derandomized so the suite stays deterministic.
 """
@@ -12,9 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hswit.hs import PRUNE_TOL, HSOperator, hs_decompose, hs_reconstruct, overlap
-from hswit.pauli_core import AXIS_LABELS, PauliString, string_matrix
+from hswit.pauli_core import AXIS_LABELS
 
-from conftest import random_density
+from conftest import random_density, string_matrix
 
 SETTINGS = settings(derandomize=True, max_examples=25, deadline=None)
 
@@ -24,11 +24,15 @@ coefficients = st.one_of(
 )
 
 
+def label(axes):
+    return "".join(AXIS_LABELS[a] for a in axes)
+
+
 @st.composite
 def term_dicts(draw, n=None):
     if n is None:
         n = draw(st.integers(1, 4))
-    keys = st.tuples(*[st.integers(0, 3)] * n)
+    keys = st.tuples(*[st.integers(0, 3)] * n).map(label)
     return n, draw(st.dictionaries(keys, coefficients, max_size=12))
 
 
@@ -40,23 +44,19 @@ def operator_pairs(draw):
 
 
 def model(terms):
-    return {axes: float(c) for axes, c in terms.items() if abs(c) >= PRUNE_TOL}
+    return {word: float(c) for word, c in terms.items() if abs(c) >= PRUNE_TOL}
 
 
 def all_strings(n):
-    return itertools.product(range(4), repeat=n)
-
-
-def label(axes):
-    return "".join(AXIS_LABELS[a] for a in axes)
+    return map(label, itertools.product(range(4), repeat=n))
 
 
 def assert_matches(op, expected):
     want = model(expected)
-    assert op.labels() == [label(k) for k in sorted(want)]
+    assert op.labels() == sorted(want)  # I < X < Y < Z, so label order is code order
     assert len(op) == len(want)
-    for axes in all_strings(op.n):
-        assert op.coefficient(axes) == want.get(axes, 0.0)
+    for word in all_strings(op.n):
+        assert op.coefficient(word) == want.get(word, 0.0)
 
 
 @SETTINGS
@@ -65,9 +65,8 @@ def test_lookup_order_and_pruning(case):
     n, terms = case
     op = HSOperator(n, terms)
     assert_matches(op, terms)
-    assert op.identity_coefficient == model(terms).get((0,) * n, 0.0)
-    assert [(s.axes, c) for s, c in op] == sorted(model(terms).items())
-    assert op.support == frozenset(PauliString(k) for k in model(terms))
+    assert op.identity_coefficient == model(terms).get("I" * n, 0.0)
+    assert list(zip(op.labels(), op.coeffs.tolist())) == sorted(model(terms).items())
 
 
 @SETTINGS
@@ -92,8 +91,8 @@ def test_relabel_then_inverse_is_the_identity(case, image):
     forward = dict(zip((1, 2, 3), image))
     inverse = {v: k for k, v in forward.items()}
     mapped = op.relabel(forward)
-    full = {0: 0, **forward}
-    assert_matches(mapped, {tuple(full[a] for a in k): c for k, c in model(terms).items()})
+    letters = str.maketrans("XYZ", "".join(AXIS_LABELS[a] for a in image))
+    assert_matches(mapped, {k.translate(letters): c for k, c in model(terms).items()})
     back = mapped.relabel(inverse)
     assert back.labels() == op.labels()
     assert np.array_equal(back.coeffs, op.coeffs)
@@ -113,5 +112,5 @@ def test_overlap_equals_the_direct_trace(case, seed):
     n, terms = case
     op = HSOperator(n, terms)
     rho = random_density(np.random.default_rng(seed), n)
-    want = sum(c * np.trace(string_matrix(PauliString(k)) @ rho.matrix).real for k, c in model(terms).items())
+    want = sum(c * np.trace(string_matrix(k) @ rho.matrix).real for k, c in model(terms).items())
     assert abs(overlap(op, hs_decompose(rho)) - want) < 1e-9

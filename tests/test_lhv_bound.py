@@ -20,10 +20,22 @@ from hswit.lhv_bound import (
     LHVAssignment,
     _full_table,
     _incidence,
+    _sign_row_values,
     classical_bound,
-    evaluate_assignment,
     sampled_lower_bound,
 )
+
+
+def _naive_value(op: HSOperator, table: dict[tuple[int, int], int]) -> float:
+    """Operator value under one {(qubit, axis): +/-1} table, one term at a time."""
+    value = 0.0
+    for axes, coeff in zip(op.axes.tolist(), op.coeffs.tolist()):
+        factor = 1.0
+        for qubit, axis in enumerate(axes):
+            if axis != 0:
+                factor *= table[(qubit, axis)]
+        value += coeff * factor
+    return value
 
 
 def _naive_extrema(op: HSOperator) -> tuple[float, float]:
@@ -31,14 +43,7 @@ def _naive_extrema(op: HSOperator) -> tuple[float, float]:
     pairs = _incidence(op)[0]
     best_lo, best_hi = np.inf, -np.inf
     for signs in itertools.product((1, -1), repeat=len(pairs)):
-        table = dict(zip(pairs, signs))
-        value = 0.0
-        for s, coeff in op:
-            factor = 1.0
-            for qubit, axis in enumerate(s.axes):
-                if axis != 0:
-                    factor *= table[(qubit, axis)]
-            value += coeff * factor
+        value = _naive_value(op, dict(zip(pairs, signs)))
         best_lo = min(best_lo, value)
         best_hi = max(best_hi, value)
     return best_lo, best_hi
@@ -85,7 +90,7 @@ def _per_term_enumeration(
 
 
 def _identity_free_labels(n):
-    return [axes for axes in itertools.product(range(4), repeat=n) if any(axes)]
+    return ["".join(w) for w in itertools.product("IXYZ", repeat=n) if set(w) != {"I"}]
 
 
 def _random_identity_free_op(rng, n, n_terms):
@@ -118,7 +123,8 @@ def test_bound_matches_naive_enumeration_on_random_ops():
             _, want = _naive_extrema(op)
             got = classical_bound(op)
             assert abs(got.beta_cl - want) < 1e-12
-            achieved = evaluate_assignment(op, got.maximizer)
+            table = {(k, a): signs[a - 1] for k, signs in enumerate(got.maximizer.values) for a in (1, 2, 3)}
+            achieved = _naive_value(op, table)
             assert abs(achieved - got.beta_cl) < 1e-12
 
 
@@ -190,7 +196,7 @@ def _tenths_op(rng, n, n_terms, swap_symmetric):
         coeff = float(rng.choice([0.1, 0.3]) * rng.choice([-1, 1]))
         terms.setdefault(labels[i], coeff)
         if swap_symmetric:
-            terms.setdefault((labels[i][1], labels[i][0]) + labels[i][2:], coeff)
+            terms.setdefault(labels[i][1] + labels[i][0] + labels[i][2:], coeff)
     return HSOperator(n, terms)
 
 
@@ -243,8 +249,8 @@ def test_maximizer_ties_resolve_to_all_plus_one():
     # first in the fixed enumeration order, which starts all-plus.
     op = HSOperator(2, {"XX": 1.0})
     result = classical_bound(op)
-    assert result.maximizer.value(0, 1) == 1
-    assert result.maximizer.value(1, 1) == 1
+    assert result.maximizer.values[0][0] == 1  # qubit 0, axis x
+    assert result.maximizer.values[1][0] == 1
     # unused axes are carried as +1 placeholders
     assert result.maximizer.values == ((1, 1, 1), (1, 1, 1))
 
@@ -289,20 +295,15 @@ def test_assignment_budget_is_enforced(cat, monkeypatch):
         classical_bound(cat["ghz3"].bell)
 
 
-def test_evaluate_assignment_validates_width(cat):
-    wrong = LHVAssignment(((1, 1, 1),))
-    with pytest.raises(ValueError):
-        evaluate_assignment(cat["ghz3"].bell, wrong)
-
-
 def test_assignment_values_must_be_signs():
     with pytest.raises(ValueError):
         LHVAssignment(((1, 0, 1),))
+    with pytest.raises(ValueError):
+        LHVAssignment(((1, 1),))
+    with pytest.raises(ValueError):
+        LHVAssignment(())
     assign = LHVAssignment(((1, -1, 1), (-1, -1, 1)))
     assert assign.n == 2
-    assert assign.value(1, 2) == -1
-    with pytest.raises(ValueError):
-        assign.value(0, 0)
 
 
 def test_assignment_lines_cover_used_axes_only():
@@ -335,17 +336,15 @@ def test_sampled_bound_is_deterministic_per_seed(cat):
 
 
 def test_sampled_bound_is_the_best_evaluated_draw(cat):
-    # the sampled bound and evaluate_assignment share one evaluator: the bound
-    # equals, bit for bit, the best single-assignment value over the same draws
+    # the sampled bound is, bit for bit, the best of the evaluator's values
+    # over the same draws, each summed in term order
     rng = np.random.default_rng(31)
     ops = [cat[name].bell for name in ("ghz3", "w4", "cl4")]
     ops += [_random_identity_free_op(rng, n, k) for n, k in ((2, 5), (3, 9), (4, 12))]
     for op in ops:
-        pairs = _incidence(op)[0]
+        pairs, incidence = _incidence(op)
         draws = 1 - 2 * np.random.default_rng(5).integers(0, 2, size=(40, len(pairs)), dtype=np.int8)
-        values = []
-        for row in draws.tolist():
-            signs = dict(zip(pairs, row))
-            table = tuple(tuple(signs.get((k, a), 1) for a in (1, 2, 3)) for k in range(op.n))
-            values.append(evaluate_assignment(op, LHVAssignment(table)))
+        values = [_sign_row_values(op, incidence, row[None])[0] for row in draws]
         assert sampled_lower_bound(op, 40, seed=5) == max(values)
+        for row, value in zip(draws.tolist(), values):
+            assert value == pytest.approx(_naive_value(op, dict(zip(pairs, row))), abs=1e-12)

@@ -1,62 +1,61 @@
-"""Pauli basics, the Jacobi eigensolver, and density-matrix validation."""
+"""Pauli basics, the Jacobi eigensolver, and density-matrix validation.
+
+Single strings are built as one-term operators and made dense by
+``hs_reconstruct``, the package's only route to a string's matrix, and
+checked against the Kronecker chain of the textbook matrices.
+"""
 
 import itertools
 
 import numpy as np
 import pytest
 
+from hswit.hs import HSOperator, hs_reconstruct
 from hswit.pauli_core import (
     AXIS_LABELS,
+    SIGMA,
     CapacityError,
     DensityMatrix,
     InvalidStateError,
-    PauliString,
     hermitian_eigenvalues,
-    identity_string,
-    pauli_matrix,
     qubit_cap,
-    string_matrix,
 )
 
-from conftest import random_density
+from conftest import PAULI, random_density, string_matrix
 
-I2 = np.eye(2)
-X = np.array([[0, 1], [1, 0]], dtype=complex)
-Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-Z = np.array([[1, 0], [0, -1]], dtype=complex)
+
+def _dense(label: str) -> np.ndarray:
+    """The reconstructed matrix of one Pauli string."""
+    return hs_reconstruct(HSOperator(len(label), {label: 1.0}))
+
+
+def _words(n: int) -> list[str]:
+    return ["".join(w) for w in itertools.product(AXIS_LABELS, repeat=n)]
 
 
 def test_pauli_matrices_are_the_textbook_ones():
-    np.testing.assert_array_equal(pauli_matrix(0), I2)
-    np.testing.assert_array_equal(pauli_matrix(1), X)
-    np.testing.assert_array_equal(pauli_matrix(2), Y)
-    np.testing.assert_array_equal(pauli_matrix(3), Z)
-    with pytest.raises(ValueError):
-        pauli_matrix(4)
+    for a, letter in enumerate(AXIS_LABELS):
+        np.testing.assert_array_equal(SIGMA[a], PAULI[letter])
 
 
-def test_string_matrix_matches_explicit_kron():
-    np.testing.assert_array_equal(
-        string_matrix(PauliString.from_label("XZ")), np.kron(X, Z)
-    )
-    np.testing.assert_array_equal(
-        string_matrix(PauliString.from_label("ZYI")), np.kron(Z, np.kron(Y, I2))
-    )
+def test_reconstructed_string_matches_explicit_kron():
+    X, Y, Z = PAULI["X"], PAULI["Y"], PAULI["Z"]
+    np.testing.assert_array_equal(_dense("XZ"), np.kron(X, Z))
+    np.testing.assert_array_equal(_dense("ZYI"), np.kron(Z, np.kron(Y, np.eye(2))))
+    for n in (1, 2, 3):
+        for word in _words(n):
+            np.testing.assert_array_equal(_dense(word), string_matrix(word))
 
 
 def test_first_letter_acts_on_the_most_significant_bit():
     # ZI is diagonal (+1, +1, -1, -1): the first letter flips sign on the
     # high-order bit, i.e. the leftmost tensor factor.
-    zi = string_matrix(PauliString.from_label("ZI"))
-    np.testing.assert_array_equal(np.diag(zi), [1, 1, -1, -1])
+    np.testing.assert_array_equal(np.diag(_dense("ZI")), [1, 1, -1, -1])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_basis_orthogonality_exhaustive(n):
-    strings = [
-        PauliString(axes) for axes in itertools.product(range(4), repeat=n)
-    ]
-    mats = [string_matrix(s) for s in strings]
+    mats = [_dense(w) for w in _words(n)]
     for i, a in enumerate(mats):
         for j, b in enumerate(mats):
             want = 2**n if i == j else 0.0
@@ -66,35 +65,22 @@ def test_basis_orthogonality_exhaustive(n):
 @pytest.mark.parametrize("n", [4, 5])
 def test_basis_orthogonality_sampled(n):
     rng = np.random.default_rng(2 * n)
+    def draw():
+        return "".join(AXIS_LABELS[a] for a in rng.integers(0, 4, n))
+
     for _ in range(50):
-        s = PauliString(tuple(rng.integers(0, 4, n)))
-        t = PauliString(tuple(rng.integers(0, 4, n)))
-        product = np.trace(string_matrix(s) @ string_matrix(t))
+        s, t = draw(), draw()
+        product = np.trace(_dense(s) @ _dense(t))
         want = 2**n if s == t else 0.0
         assert abs(product - want) < 1e-12
-    s = PauliString(tuple(rng.integers(0, 4, n)))
-    assert abs(np.trace(string_matrix(s) @ string_matrix(s)) - 2**n) < 1e-12
+    s = draw()
+    assert abs(np.trace(_dense(s) @ _dense(s)) - 2**n) < 1e-12
 
 
 def test_string_matrices_hermitian_exhaustive_n3():
-    for axes in itertools.product(range(4), repeat=3):
-        m = string_matrix(PauliString(axes))
+    for word in _words(3):
+        m = _dense(word)
         np.testing.assert_array_equal(m, m.conj().T)
-
-
-def test_pauli_string_labels_round_trip():
-    s = PauliString.from_label("XIZY")
-    assert s.axes == (1, 0, 3, 2)
-    assert s.label() == "XIZY"
-    assert str(s) == "XIZY"
-    assert s.n == 4
-    assert s.weight == 3
-    assert identity_string(3).label() == "III"
-    assert identity_string(3).weight == 0
-    with pytest.raises(ValueError):
-        PauliString.from_label("XQ")
-    with pytest.raises(ValueError):
-        PauliString((1, 4))
 
 
 def test_axis_labels_order():
@@ -164,7 +150,7 @@ def test_density_matrix_accepts_valid_mixed_state():
     rho = random_density(rng, 2)
     assert rho.n == 2
     assert rho.dim == 4
-    assert 0.25 <= rho.purity() <= 1.0
+    assert 0.25 <= np.trace(rho.matrix @ rho.matrix).real <= 1.0
 
 
 def test_density_matrix_rejects_bad_inputs():
@@ -190,7 +176,7 @@ def test_from_statevector():
     vec = np.array([1, 0, 0, 1j]) / np.sqrt(2)
     rho = DensityMatrix.from_statevector(vec)
     assert rho.n == 2
-    assert abs(rho.purity() - 1.0) < 1e-12
+    assert abs(np.trace(rho.matrix @ rho.matrix) - 1.0) < 1e-12
     with pytest.raises(InvalidStateError, match="norm"):
         DensityMatrix.from_statevector(np.array([1.0, 1.0]))
 

@@ -1,5 +1,7 @@
 """Reference states, the operator catalog, and state transformations."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -14,10 +16,7 @@ from hswit.states import (
     mds,
     mds_g_operator,
     mix_white_noise,
-    partial_trace,
     partial_transpose,
-    product_state,
-    product_state_coeffs,
     w_state,
 )
 
@@ -81,10 +80,13 @@ def test_mds_rejects_out_of_range_scale():
 
 
 def test_mds_single_qubit_reductions_are_maximally_mixed():
-    rho = mds(0.5)
-    for qubit in range(3):
-        reduced = partial_trace(rho, qubit)
-        np.testing.assert_allclose(reduced, np.eye(4) / 4, atol=1e-12)
+    # every reduction to one or two qubits is maximally mixed exactly when
+    # every string of weight 1 or 2 has coefficient 0
+    coeffs = hs_decompose(mds(0.5))
+    assert coeffs.coefficient("III") == 1.0
+    for word in map("".join, itertools.product("IXYZ", repeat=3)):
+        if 1 <= 3 - word.count("I") <= 2:
+            assert coeffs.coefficient(word) == 0.0, word
 
 
 @pytest.mark.parametrize("r", [0.2, 1 / 3, 0.5, MDS_R_LIMIT])
@@ -109,7 +111,7 @@ def test_partial_helpers_validate_qubit_index():
     with pytest.raises(ValueError):
         partial_transpose(rho, 2)
     with pytest.raises(ValueError):
-        partial_trace(rho, -1)
+        partial_transpose(rho, -1)
 
 
 def test_mix_white_noise_endpoints_and_exactness():
@@ -168,18 +170,6 @@ def test_statevector_is_the_kronecker_chain_bit_for_bit(n):
     assert np.array_equal(ProductState(angles).statevector(), want)
 
 
-def test_product_state_coeffs_agree_with_decomposition():
-    rng = np.random.default_rng(9)
-    for n in (2, 3):
-        angles = tuple(
-            (rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi)) for _ in range(n)
-        )
-        ps = ProductState(angles)
-        direct = product_state_coeffs(ps)
-        via_matrix = hs_decompose(product_state(ps))
-        assert direct.is_close(via_matrix, atol=1e-10)
-
-
 # ---------------------------------------------------------------------------
 # catalog
 
@@ -208,20 +198,20 @@ def test_bell_support_relations(cat):
     """Each Bell operator's coefficients against the state's own."""
     for name in ("ghz3", "ghz4", "cl4"):
         entry = cat[name]
-        for s, b in entry.bell:
+        for s, b in zip(entry.bell.labels(), entry.bell.coeffs):
             assert abs(b - entry.state_coeffs.coefficient(s)) < 1e-12, (name, s)
     w3 = cat["w3"]
-    for s, b in w3.bell:
+    for s, b in zip(w3.bell.labels(), w3.bell.coeffs):
         r = w3.state_coeffs.coefficient(s)
         assert abs(b - np.sign(r)) < 1e-12, s
-        assert abs(abs(r) - (1.0 if s.label() == "ZZZ" else 2 / 3)) < 1e-12
+        assert abs(abs(r) - (1.0 if s == "ZZZ" else 2 / 3)) < 1e-12
     w4 = cat["w4"]
-    for s, b in w4.bell:
+    for s, b in zip(w4.bell.labels(), w4.bell.coeffs):
         r = w4.state_coeffs.coefficient(s)
-        factor = 3.0 if s.label() == "ZZZZ" else 1.0
+        factor = 3.0 if s == "ZZZZ" else 1.0
         assert abs(b - factor * r) < 1e-12, s
     g = cat["mds"].g_witness
-    for s, c in g:
+    for s, c in zip(g.labels(), g.coeffs):
         assert abs(c - cat["mds"].state_coeffs.coefficient(s)) < 1e-12, s
 
 

@@ -17,7 +17,6 @@ from hswit.states import (
     mds_g_operator,
     mix_white_noise,
     product_state,
-    product_state_coeffs,
 )
 from hswit.witness import (
     WitnessIneffectiveError,
