@@ -188,11 +188,8 @@ def classical_bound(op: HSOperator) -> BoundResult:
     best_code = 0
     exact_checks = 0
     for start in range(0, total_rows, chunk_rows):
-        if low < m:
-            rows = np.arange(start, min(start + chunk_rows, total_rows), dtype=np.uint64)
-            high = coeffs * _parity_signs(rows[:, None] & high_masks)
-        else:  # one row and no high bits: every high sign is +1
-            high = coeffs[None, :]
+        rows = np.arange(start, min(start + chunk_rows, total_rows), dtype=np.uint64)
+        high = coeffs * _parity_signs(rows[:, None] & high_masks)
         value, row, low_code, checked = _chunk_best(high, low_signs, margin)
         exact_checks += checked
         if value > best_value:

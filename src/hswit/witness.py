@@ -21,18 +21,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping
 
-from .hs import HSOperator, _trace_on_support, _trace_plan, _TraceBlock, overlap, require_identity_free
+from .hs import HSOperator, _trace_on_support, _trace_plan, overlap, require_identity_free
 from .lhv_bound import BoundResult, classical_bound
-from .pauli_core import DensityMatrix
+from .pauli_core import Array, DensityMatrix
 from .product_max import AlphaResult, alpha_max
 from .states import MDS_R_LIMIT, CatalogEntry, mds, mds_g_operator
 
 MDS_THRESHOLD_R_LO = 1e-6
 MDS_THRESHOLD_TOL = 1e-9  # bracket width at which the bisection stops
 MDS_THRESHOLD_STARTS = 16  # ascent starts per probe's witness
-REPORT_ATOL = 1e-9
 
 
 class WitnessIneffectiveError(Exception):
@@ -61,32 +59,23 @@ class Witness:
     def n(self) -> int:
         return self.g.n
 
-    def operator(self) -> HSOperator:
-        """The witness as a Pauli-basis operator, identity term included."""
-        return HSOperator(self.n, {"I" * self.n: self.alpha}) - self.g
-
     @cached_property
-    def _support_plan(self) -> tuple[_TraceBlock, ...]:
+    def _support_plan(self) -> tuple[Array, Array]:
         """G's support plan for Tr(G rho) (``hs._trace_plan``), built on the first evaluation.
 
         Building it runs the one Walsh-Hadamard transform of G's signed
-        weights; it holds the read positions in rho and their weights,
-        O(u 2^n) for G's u distinct flip masks.  It reads
-        ``hs.TRACE_BLOCK_ELEMENTS`` when it is built: a witness evaluated
-        before that constant changes keeps its plan.
+        weights; it holds the flat read positions in rho and their
+        weights, O(u 2^n) for G's u distinct flip masks.
         """
         return _trace_plan(self.g)
 
 
-def build_witness(g: HSOperator, alpha_result: AlphaResult | None = None) -> Witness:
-    """Witness for an identity-free operator G via the product-state maximum.
+def build_witness(g: HSOperator) -> Witness:
+    """Witness for an identity-free operator G, with alpha from ``alpha_max`` at its defaults.
 
-    Pass a precomputed ``alpha_result`` (it must come from the same G) to
-    skip the optimization; otherwise ``alpha_max`` runs with its defaults.
+    A precomputed search on the same G goes straight to ``Witness(g, result)``.
     """
-    if alpha_result is None:
-        alpha_result = alpha_max(g)
-    return Witness(g, alpha_result)
+    return Witness(g, alpha_max(g))
 
 
 def eval_witness(witness: Witness, rho: DensityMatrix) -> float:
@@ -97,8 +86,8 @@ def eval_witness(witness: Witness, rho: DensityMatrix) -> float:
     on its first evaluation: the read positions rho[j, j ^ x] for the u
     distinct flip masks x (X and Y qubits) of G's strings, and their
     weights, one Walsh-Hadamard transform of G's signed coefficients,
-    O(u n 2^n).  Each call is then one gather and one dot product per
-    block, O(u 2^n), at most O(4^n).
+    O(u n 2^n).  Each call is then one gather and one dot product,
+    O(u 2^n), at most O(4^n).
     """
     if rho.n != witness.n:
         raise ValueError(f"state has {rho.n} qubits, witness expects {witness.n}")
@@ -140,7 +129,7 @@ def mds_entanglement_threshold() -> float:
 
     def witness_value(r: float) -> float:
         g = mds_g_operator(r)
-        return eval_witness(build_witness(g, alpha_max(g, starts=MDS_THRESHOLD_STARTS)), mds(r))
+        return eval_witness(Witness(g, alpha_max(g, starts=MDS_THRESHOLD_STARTS)), mds(r))
 
     lo_val = witness_value(r_lo)
     hi_val = witness_value(r_hi)
@@ -158,18 +147,13 @@ def mds_entanglement_threshold() -> float:
     return 0.5 * (lo + hi)
 
 
-def grade(computed: Mapping[str, float], expected: Mapping[str, object]) -> dict[str, bool]:
-    """Field -> |computed - expected| <= REPORT_ATOL, for every expected field that was computed."""
-    return {k: bool(abs(computed[k] - float(v)) <= REPORT_ATOL) for k, v in expected.items() if k in computed}
-
-
 @dataclass(frozen=True)
 class WitnessReport:
     """All benchmark numbers for one catalog entry.
 
     Bell-side fields are None when the entry carries no Bell operator.
-    ``expected`` echoes the entry's reference values so the report can
-    grade itself; values may be exact rationals.
+    The report holds computed values only; ``cli.entry_rows`` grades them
+    against the entry's reference values.
     """
 
     name: str
@@ -181,7 +165,6 @@ class WitnessReport:
     beta_cl: float | None
     beta_qu: float | None
     pcrit_bell: float | None
-    expected: Mapping[str, object]
     alpha_result: AlphaResult
     bound_result: BoundResult | None
 
@@ -200,14 +183,6 @@ class WitnessReport:
         if self.pcrit_bell is not None:
             out["pcrit_bell"] = self.pcrit_bell
         return out
-
-    def checks(self) -> dict[str, bool]:
-        """Per-field comparison against the expected values, where both exist."""
-        return grade(self.computed(), self.expected)
-
-    def all_ok(self) -> bool:
-        checks = self.checks()
-        return bool(checks) and all(checks.values())
 
 
 def analyze(entry: CatalogEntry) -> WitnessReport:
@@ -235,7 +210,6 @@ def analyze(entry: CatalogEntry) -> WitnessReport:
         beta_cl=beta_cl,
         beta_qu=beta_qu,
         pcrit_bell=pc_b,
-        expected=dict(entry.expected),
         alpha_result=witness.alpha_result,
         bound_result=bound,
     )
