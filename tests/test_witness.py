@@ -130,10 +130,18 @@ def test_eval_witness_with_a_full_support_kernel():
     _assert_matches_the_decomposition(g, _full_rank_state(rng, 3))
 
 
+@pytest.mark.parametrize("elements", [1 << 15, 40])
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
-def test_a_plan_reads_each_entry_of_its_rows_once(n):
-    """The plan reads rho[j, j ^ x] for every j and each of G's u distinct flip masks x, once: u 2^n entries."""
+def test_a_plan_reads_each_entry_of_its_rows_once_within_the_block_bound(n, elements):
+    """The plan reads rho[j, j ^ x] for every j and each of G's u distinct flip masks x, once: u 2^n entries.
+
+    It lays them out one flip mask's row after another, so any block of whole
+    rows, at most ``elements`` entries (one row when 2^n is larger), is a slice
+    of the flat plan, and the blocks' traces add up to the one-gather trace.
+    """
     rng, dim = np.random.default_rng(200 + n), 2**n
+    rho = _full_rank_state(rng, n)
+    entries = rho.matrix.ravel()
     for terms in (1, 3 * n, 300):
         g = _kernel(rng, n, terms)
         flips = np.unique(hs._flip_sign_masks(g.codes, n)[0])
@@ -141,7 +149,15 @@ def test_a_plan_reads_each_entry_of_its_rows_once(n):
         assert len(weights) == 2 * len(picks)
         rows, columns = np.divmod(picks, dim)
         assert len(picks) == len(flips) * dim == len(np.unique(picks))
-        assert np.isin(rows ^ columns, flips).all()
+        assert ((rows ^ columns).reshape(-1, dim) == flips[:, None]).all()
+        step = max(1, elements // dim) * dim
+        assert step <= elements or step == dim
+        blocks = [
+            weights[2 * start : 2 * (start + step)] @ entries[picks[start : start + step]].view(float)
+            for start in range(0, len(picks), step)
+        ]
+        whole = hs._trace_on_support((picks, weights), rho)
+        assert abs(sum(blocks) - whole) <= 1e-12 * (1 + np.abs(g.coeffs).sum())
 
 
 def test_a_witness_plans_once_and_evaluates_as_a_fresh_one(monkeypatch):
