@@ -28,10 +28,12 @@ printed with 12 significant digits.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
 from collections.abc import Iterable, Mapping
+from itertools import chain, compress
 from typing import Any
 
 import numpy as np
@@ -40,6 +42,7 @@ from .hs import HSOperator, hs_decompose
 from .lhv_bound import classical_bound
 from .pauli_core import (
     AXIS_LABELS,
+    Array,
     CapacityError,
     DensityMatrix,
     InvalidStateError,
@@ -140,6 +143,29 @@ def operator_document(op: HSOperator) -> dict[str, Any]:
     }
 
 
+def _entries_matrix(entries: list[Any]) -> Array:
+    """The ``[re, im]`` pairs of a matrix state file as one complex row, each pair checked.
+
+    When every entry is a two-item list of ints and floats, one numpy
+    conversion reads them all.  Otherwise, or when an integer is past the
+    float range, the per-entry loop runs and names the first offender in
+    file order.
+    """
+    if set(map(type, entries)) == {list} and set(map(len, entries)) == {2}:
+        values = list(chain.from_iterable(entries))
+        if set(map(type, values)) <= {int, float}:
+            try:
+                return np.array(values, dtype=float).view(complex)
+            except OverflowError:
+                pass
+    flat = []
+    for pair in entries:
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise UsageError(f"each entry must be an [re, im] pair, got {pair!r}")
+        flat.append(complex(_real_number(pair[0], "re"), _real_number(pair[1], "im")))
+    return np.array(flat, dtype=complex)
+
+
 def load_state(doc: Any) -> DensityMatrix:
     """Parse a state document into a validated DensityMatrix."""
     doc = _require_mapping(doc, "state file")
@@ -178,15 +204,7 @@ def load_state(doc: Any) -> DensityMatrix:
             raise UsageError(
                 f"'entries' must list {dim * dim} [re, im] pairs (row-major)"
             )
-        flat = []
-        for pair in entries:
-            if not isinstance(pair, list) or len(pair) != 2:
-                raise UsageError(f"each entry must be an [re, im] pair, got {pair!r}")
-            flat.append(
-                complex(_real_number(pair[0], "re"), _real_number(pair[1], "im"))
-            )
-        matrix = np.array(flat, dtype=complex).reshape(dim, dim)
-        return DensityMatrix.from_matrix(matrix)
+        return DensityMatrix.from_matrix(_entries_matrix(entries).reshape(dim, dim))
     raise UsageError("state file needs either a 'catalog' or a 'matrix' key")
 
 
@@ -199,16 +217,15 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         raise UsageError(f"--threshold must be a finite number, got {args.threshold}")
     state = load_state(_load_json(args.state))
     coeffs = hs_decompose(state)
-    keep = np.abs(coeffs.coeffs) >= args.threshold
-    doc = operator_document(coeffs)
-    doc["terms"] = [term for term, k in zip(doc["terms"], keep) if k]
+    keep = (np.abs(coeffs.coeffs) >= args.threshold).tolist()
+    words = list(compress(coeffs.labels(), keep))
+    values = list(compress(coeffs.coeffs.tolist(), keep))
     if args.json:
-        print(json.dumps(doc))
+        # json.dumps(operator_document(...)) with the kept terms: a finite float's JSON text is its repr
+        terms = ", ".join(map('{{"string": "{}", "coeff": {!r}}}'.format, words, values))
+        print(f'{{"n": {coeffs.n}, "terms": [{terms}]}}')
         return 0
-    print(f"n {doc['n']}")
-    print(f"terms {len(doc['terms'])}")
-    for term in doc["terms"]:
-        print(f"{term['string']} {_fmt(term['coeff'])}")
+    print("\n".join([f"n {coeffs.n}", f"terms {len(words)}", *map("{} {:.12g}".format, words, values)]))
     return 0
 
 
@@ -332,7 +349,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # parser and entry point
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; ``parse_args`` keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="hswit",
         description="Entanglement witnesses and Bell operators via Pauli coefficients.",

@@ -110,6 +110,8 @@ class HSOperator:
 
     def _values_at(self, codes: Array) -> Array:
         """Coefficients at the given codes, 0.0 where a code is absent."""
+        if len(self.codes) == 4**self.n:  # a dense table: codes are arange(4**n)
+            return self.coeffs[codes]
         out = np.zeros(len(codes), dtype=float)
         if len(self.codes):
             idx = np.minimum(np.searchsorted(self.codes, codes), len(self.codes) - 1)

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from hswit.cli import load_operator, main, operator_document, verify_entries
+from hswit.cli import build_parser, load_operator, main, operator_document, verify_entries
 from hswit.hs import hs_reconstruct
 from hswit.states import catalog, ghz, mix_white_noise, w_state
 
@@ -357,3 +357,23 @@ def test_argparse_usage_exits_two(capsys):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert "decompose" in capsys.readouterr().out
+
+
+def _run(capsys, argv):
+    rc = main(argv)
+    out, err = capsys.readouterr()
+    return rc, out, err
+
+
+def test_a_reused_parser_carries_nothing_between_calls(capsys):
+    again = (["report", "mds"], ["verify"])
+    first = []
+    for argv in again:
+        build_parser.cache_clear()
+        first.append(_run(capsys, argv))
+    built = build_parser.cache_info().misses
+    assert _run(capsys, ["report", "mds", "--mds-r", "0.4", "--json"])[0] == 0
+    assert _run(capsys, ["bound"])[0] == 2
+    assert _run(capsys, ["--help"])[0] == 0
+    assert [_run(capsys, argv) for argv in again] == first
+    assert build_parser.cache_info().misses == built  # one parser served every call

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from hswit.hs import HSOperator, hs_decompose, hs_reconstruct, overlap
-from hswit.pauli_core import AXIS_LABELS, SIGMA
+from hswit.pauli_core import AXIS_LABELS, SIGMA, DensityMatrix
 from hswit.states import ProductState, ghz, product_state, w_state
 
 from conftest import random_density, string_matrix
@@ -133,6 +133,29 @@ def test_overlap_equals_direct_trace():
             got = overlap(op, hs_decompose(rho))
             want = np.trace(hs_reconstruct(op) @ rho.matrix).real
             assert abs(got - want) < 1e-9
+
+
+def _searched_values(table: HSOperator, codes: np.ndarray) -> np.ndarray:
+    """Coefficients of ``table`` at ``codes`` by binary search, 0.0 where absent: the reference for a dense table's read."""
+    out = np.zeros(len(codes))
+    idx = np.minimum(np.searchsorted(table.codes, codes), len(table.codes) - 1)
+    hit = table.codes[idx] == codes
+    out[hit] = table.coeffs[idx[hit]]
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_overlap_reads_dense_and_sparse_tables_as_the_search_does(n):
+    rng = np.random.default_rng(n)
+    dense = hs_decompose(random_density(rng, n))  # full rank: every code present
+    sparse = hs_decompose(DensityMatrix.from_statevector(np.eye(2**n)[0]))  # |0...0>: the 2^n I/Z strings
+    assert len(dense) == 4**n and len(sparse) < 4**n
+    for terms in (1, 7, 4**n):
+        table = np.zeros(4**n)
+        table[rng.choice(4**n, size=min(terms, 4**n), replace=False)] = rng.normal(size=min(terms, 4**n))
+        op = HSOperator.from_dense(table.reshape((4,) * n))
+        for state_coeffs in (dense, sparse):
+            assert overlap(op, state_coeffs) == float(op.coeffs @ _searched_values(state_coeffs, op.codes))
 
 
 def test_product_state_coefficients_factorize():

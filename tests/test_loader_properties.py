@@ -4,7 +4,10 @@ Whatever the document, ``load_operator`` and ``load_state`` either
 return or raise one of the errors the CLI turns into exit 1 or 2; they
 never crash with anything else.  Documents are drawn both at random and
 close to the two file formats, so most of them reach the deeper checks.
-Examples are derandomized so the suite stays deterministic.
+Examples are derandomized so the suite stays deterministic.  The
+matrix branch of ``load_state`` reads clean entries in one numpy
+conversion; the per-entry loop it falls back to is kept here as the
+reference it must match.
 """
 
 import numpy as np
@@ -13,8 +16,10 @@ from hypothesis import strategies as st
 
 from hswit.cli import UsageError, load_operator, load_state, operator_document
 from hswit.hs import HSOperator
-from hswit.pauli_core import AXIS_LABELS, CapacityError, InvalidStateError
+from hswit.pauli_core import AXIS_LABELS, CapacityError, DensityMatrix, InvalidStateError
 from hswit.states import ENTRY_NAMES
+
+from conftest import random_density
 
 SETTINGS = settings(derandomize=True, max_examples=100, deadline=None)
 
@@ -121,3 +126,81 @@ def test_operator_document_round_trips_exactly(op):
     assert back.n == op.n
     np.testing.assert_array_equal(back.codes, op.codes)
     np.testing.assert_array_equal(back.coeffs, op.coeffs)
+
+
+def _reference_real(value, what: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise UsageError(f"{what} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise ValueError(f"{what} must be finite, got an integer too large for a float") from exc
+
+
+def _per_entry_load_state(doc) -> DensityMatrix:
+    """``load_state`` on a matrix file, reading one [re, im] pair at a time.
+
+    Only for documents whose 'matrix' key and entry count are valid.
+    """
+    dim = 2 ** doc["matrix"]
+    flat = []
+    for pair in doc["entries"]:
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise UsageError(f"each entry must be an [re, im] pair, got {pair!r}")
+        flat.append(complex(_reference_real(pair[0], "re"), _reference_real(pair[1], "im")))
+    return DensityMatrix.from_matrix(np.array(flat, dtype=complex).reshape(dim, dim))
+
+
+odd_values = st.one_of(
+    st.sampled_from(
+        [True, False, "0.5", None, [0.5], (0.5,), {}, 10**400, -(10**400), 2**70, float("nan"), float("inf"), -float("inf")]
+    ),
+    st.floats(),
+    st.integers(),
+    st.floats(-1.0, 1.0).map(np.float64),
+)
+odd_pairs = st.one_of(
+    st.lists(st.floats(-1.0, 1.0) | odd_values, max_size=3),
+    st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+    st.lists(st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=2), min_size=2, max_size=2),
+    odd_values,
+)
+
+
+@st.composite
+def _near_matrix_docs(draw):
+    """A valid matrix state file, with floats or ints, now and then with a few pairs or values swapped out."""
+    n = draw(st.integers(1, 2))
+    if draw(st.booleans()):
+        rho = random_density(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n).matrix
+        entries = [[z.real, z.imag] for z in rho.ravel().tolist()]
+    else:  # |0...0><0...0| written with integers
+        entries = [[int(k == 0), 0] for k in range(4**n)]
+    for _ in range(draw(st.integers(0, 3))):
+        k = draw(st.integers(0, 4**n - 1))
+        swap = draw(st.integers(0, 2))
+        if swap == 0:
+            entries[k] = draw(odd_pairs)
+        elif isinstance(entries[k], list) and len(entries[k]) == 2:
+            part = draw(st.integers(0, 1))
+            entries[k][part] = draw(odd_values) if swap == 1 else np.float64(entries[k][part])
+    return {"matrix": n, "entries": entries}
+
+
+def _outcome(load, doc):
+    try:
+        matrix = load(doc).matrix
+    except Exception as exc:  # the two readers must fail alike, whatever the error
+        return type(exc), str(exc)
+    return matrix.dtype, matrix.shape, matrix.tobytes()
+
+
+@SETTINGS
+@given(_near_matrix_docs())
+@example({"matrix": 1, "entries": [[0.5, True], [0.5], [0.0, 0.0], [0.5, 0.0]]})
+@example({"matrix": 1, "entries": [[0.5, 0.0], [0.5, 0.0, 0.0], [0.0, None], [0.5, 0.0]]})
+@example({"matrix": 1, "entries": [[0.5, 0.0], [0.0, 0.0], [0.0, 10**400], [0.5, 0.0]]})
+@example({"matrix": 1, "entries": [[1, 0], [0, 0], [0, 0], [0, 2**70]]})
+@example({"matrix": 1, "entries": [[0.5, 0.0], [0.5, -0.0], [0.5, 0.0], [0.5, 0.0]]})
+def test_load_state_reads_entries_as_the_per_entry_loop_does(doc):
+    assert _outcome(load_state, doc) == _outcome(_per_entry_load_state, doc)
