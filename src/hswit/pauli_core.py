@@ -155,11 +155,11 @@ class DensityMatrix:
         dim = 2**self.n
         if mat.shape != (dim, dim):
             raise InvalidStateError(f"expected shape {(dim, dim)} for {self.n} qubits, got {mat.shape}")
-        if not np.all(np.isfinite(mat)):
+        if not np.isfinite(mat).all():
             raise InvalidStateError("matrix has non-finite entries")
-        if np.max(np.abs(mat - mat.conj().T)) > HERMITIAN_ATOL:
+        if np.abs(mat - mat.conj().T).max() > HERMITIAN_ATOL:
             raise InvalidStateError("matrix is not Hermitian")
-        trace = np.trace(mat)
+        trace = mat.trace()
         if abs(trace - 1.0) > TRACE_ATOL:
             raise InvalidStateError(f"trace must be 1, got {trace}")
         object.__setattr__(self, "matrix", mat)
@@ -188,10 +188,11 @@ class DensityMatrix:
         n = dim.bit_length() - 1
         if dim < 2 or 2**n != dim:
             raise InvalidStateError(f"vector length must be a power of two >= 2, got {dim}")
-        norm = np.linalg.norm(vec)
+        real, imag = vec.real, vec.imag
+        norm = np.sqrt(real.dot(real) + imag.dot(imag))  # np.linalg.norm's own expression for a complex vector
         if abs(norm - 1.0) > TRACE_ATOL:
             raise InvalidStateError(f"vector norm must be 1, got {norm}")
-        return cls(np.outer(vec, vec.conj()), n)
+        return cls(vec[:, None] * vec.conj(), n)  # np.outer's own product
 
     @property
     def dim(self) -> int:

@@ -10,6 +10,7 @@ general.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
@@ -120,11 +121,27 @@ class ProductState:
         return out
 
     def statevector(self) -> Array:
-        vec = np.ones(1, dtype=complex)
-        for theta, phi in self.angles:
-            qubit = np.array([np.cos(theta / 2.0), np.exp(1j * phi) * np.sin(theta / 2.0)])
-            vec = (vec[:, None] * qubit).ravel()
-        return vec
+        """The 2^n amplitudes, qubit A most significant.
+
+        Each amplitude multiplies its qubits' amplitudes in qubit order,
+        the order of the Kronecker chain, so the vector is that chain's
+        bit for bit.
+        """
+        theta, phi = np.array(self.angles).T
+        half = theta / 2.0
+        amps = np.empty((self.n, 2), dtype=complex)
+        amps[:, 0] = np.cos(half)
+        amps[:, 1] = np.exp(1j * phi) * np.sin(half)
+        return amps.ravel()[_amplitude_picks(self.n)].prod(axis=0)
+
+
+@functools.cache
+def _amplitude_picks(n: int) -> Array:
+    """(n, 2^n) indices into the flat (n, 2) amplitude table: row k picks qubit k's bit of each basis index."""
+    bits = (np.arange(2**n) >> np.arange(n - 1, -1, -1)[:, None]) & 1
+    picks = 2 * np.arange(n)[:, None] + bits
+    picks.flags.writeable = False
+    return picks
 
 
 def product_state(ps: ProductState) -> DensityMatrix:
@@ -138,8 +155,9 @@ def mix_white_noise(rho: DensityMatrix, p: float) -> DensityMatrix:
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"mixing weight must lie in [0, 1], got {p}")
-    eye = np.eye(rho.dim, dtype=complex)
-    return DensityMatrix((1.0 - p) / rho.dim * eye + p * rho.matrix, rho.n)
+    mat = np.multiply(p, rho.matrix, order="C")  # C order: ravel() is a view, the diagonal every (dim + 1)th entry
+    mat.ravel()[:: rho.dim + 1] += (1.0 - p) / rho.dim
+    return DensityMatrix(mat, rho.n)
 
 
 def partial_transpose(rho: DensityMatrix, qubit: int) -> Array:

@@ -6,6 +6,7 @@ checked against the Kronecker chain of the textbook matrices.
 """
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -179,6 +180,69 @@ def test_from_statevector():
     assert abs(np.trace(rho.matrix @ rho.matrix) - 1.0) < 1e-12
     with pytest.raises(InvalidStateError, match="norm"):
         DensityMatrix.from_statevector(np.array([1.0, 1.0]))
+
+
+def _raises_exactly(exc, message):
+    return pytest.raises(exc, match=f"^{re.escape(message)}$")
+
+
+def test_density_matrix_checks_fire_in_order(monkeypatch):
+    # cap, shape, finiteness, Hermiticity, trace: each bad matrix also fails every later check
+    bad = np.full((3, 3), np.nan)
+    monkeypatch.setenv("WITNESS_QUBIT_CAP", "1")
+    with _raises_exactly(CapacityError, "2 qubits exceeds the cap of 1 (set WITNESS_QUBIT_CAP to raise it)"):
+        DensityMatrix(bad, 2)
+    monkeypatch.delenv("WITNESS_QUBIT_CAP")
+    with _raises_exactly(InvalidStateError, "expected shape (4, 4) for 2 qubits, got (3, 3)"):
+        DensityMatrix(bad, 2)
+    mat = np.eye(4, dtype=complex)  # trace 4
+    mat[0, 1] = 0.5  # not Hermitian
+    for value in (np.nan, np.inf, complex(0.0, -np.inf)):  # an infinity also fails the Hermiticity check
+        mat[2, 3] = value
+        with _raises_exactly(InvalidStateError, "matrix has non-finite entries"):
+            DensityMatrix(mat, 2)
+    mat[2, 3] = 0.0
+    with _raises_exactly(InvalidStateError, "matrix is not Hermitian"):
+        DensityMatrix(mat, 2)
+    mat[0, 1] = 0.0
+    with _raises_exactly(InvalidStateError, f"trace must be 1, got {np.trace(mat)}"):
+        DensityMatrix(mat, 2)
+
+
+@pytest.mark.parametrize("offset", [2e-10, -2e-10])
+def test_density_matrix_tolerances_reject_2e_10(offset):
+    base = np.full((4, 4), 0.1, dtype=complex) + np.diag(np.full(4, 0.15))
+    DensityMatrix(base, 2)
+    skew = base.copy()
+    skew[1, 2] += offset * 1j
+    with _raises_exactly(InvalidStateError, "matrix is not Hermitian"):
+        DensityMatrix(skew, 2)
+    skew[1, 2] = base[1, 2] + offset / 4 * 1j  # within HERMITIAN_ATOL
+    DensityMatrix(skew, 2)
+    heavy = base.copy()
+    heavy[3, 3] += offset
+    with _raises_exactly(InvalidStateError, f"trace must be 1, got {np.trace(heavy)}"):
+        DensityMatrix(heavy, 2)
+    heavy[3, 3] = base[3, 3] + offset / 4  # within TRACE_ATOL
+    DensityMatrix(heavy, 2)
+
+
+@pytest.mark.parametrize("scale", [1 + 2e-10, 1 - 2e-10])
+def test_from_statevector_rejects_a_norm_off_by_2e_10_and_prints_it(scale):
+    for vec in (np.array([1.0, 0.0]), np.array([0.6, 0.0, 0.0, 0.8j]), np.full(8, (1 + 1j) / 4)):
+        vec = vec * scale
+        with _raises_exactly(InvalidStateError, f"vector norm must be 1, got {np.linalg.norm(vec)}"):
+            DensityMatrix.from_statevector(vec)
+    with _raises_exactly(InvalidStateError, "vector length must be a power of two >= 2, got 3"):
+        DensityMatrix.from_statevector(np.ones(3) / np.sqrt(3))
+
+
+def test_from_statevector_is_the_outer_product():
+    rng = np.random.default_rng(3)
+    for n in range(1, 7):
+        vec = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+        vec /= np.linalg.norm(vec)
+        assert np.array_equal(DensityMatrix.from_statevector(vec).matrix, np.outer(vec, vec.conj()))
 
 
 def test_qubit_cap_env_override(monkeypatch):

@@ -131,6 +131,18 @@ def test_mix_white_noise_endpoints_and_exactness():
         mix_white_noise(rho, -0.1)
 
 
+@pytest.mark.parametrize("p", [0.0, 0.25, 0.7, 1.0])
+def test_mix_white_noise_is_the_identity_formula(cat, p):
+    for name, entry in cat.items():
+        for rho in (entry.state, DensityMatrix(np.asfortranarray(entry.state.matrix), entry.n)):
+            before = rho.matrix.copy()
+            noisy = mix_white_noise(rho, p)
+            want = (1.0 - p) / rho.dim * np.eye(rho.dim, dtype=complex) + p * rho.matrix
+            assert np.array_equal(noisy.matrix, want), name
+            assert np.array_equal(rho.matrix, before), name
+            assert not np.shares_memory(noisy.matrix, rho.matrix), name
+
+
 # ---------------------------------------------------------------------------
 # product states
 
@@ -160,14 +172,21 @@ def test_single_qubit_statevector():
     np.testing.assert_allclose(ps.statevector(), want, atol=1e-12)
 
 
-@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("n", range(1, 11))
 def test_statevector_is_the_kronecker_chain_bit_for_bit(n):
     rng = np.random.default_rng(40 + n)
-    angles = tuple((rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi)) for _ in range(n))
-    want = np.ones(1, dtype=complex)
-    for theta, phi in angles:
-        want = np.kron(want, np.array([np.cos(theta / 2.0), np.exp(1j * phi) * np.sin(theta / 2.0)]))
-    assert np.array_equal(ProductState(angles).statevector(), want)
+    random = [tuple((rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi)) for _ in range(n)) for _ in range(3)]
+    # the poles theta = 0 and pi and the azimuth phi = 0, alone and among random qubits
+    poles = [((0.0, 0.0),) * n, ((np.pi, 0.0),) * n, tuple((rng.choice([0.0, np.pi]), 0.0) for _ in range(n))]
+    mixed = [
+        tuple(q if k % 2 else (rng.choice([0.0, np.pi]), rng.choice([0.0, q[1]])) for k, q in enumerate(angles))
+        for angles in random
+    ]
+    for angles in random + poles + mixed:
+        want = np.ones(1, dtype=complex)
+        for theta, phi in angles:
+            want = np.kron(want, np.array([np.cos(theta / 2.0), np.exp(1j * phi) * np.sin(theta / 2.0)]))
+        assert np.array_equal(ProductState(angles).statevector(), want), angles
 
 
 # ---------------------------------------------------------------------------
