@@ -340,14 +340,10 @@ def alpha_grid_oracle(op: HSOperator, divisions: int) -> float:
     block = max(1, GRID_BLOCK_ELEMENTS // max(suffix.shape[0], n_terms))
     best = -np.inf
     for lo in range(0, count, block):
-        hi = min(count, lo + block)
-        if split == 1:  # the block's points are rows lo..hi-1 of qubit 0's table
-            rows = per_qubit[0][lo:hi] * coeffs
-        else:
-            index = np.unravel_index(np.arange(lo, hi), (points,) * split)
-            rows = per_qubit[0][index[0]]
-            rows *= coeffs
-            for b, i in zip(per_qubit[1:], index[1:]):
-                rows *= b[i]  # (coefficients * qubit 0) * qubit 1 * ...: the order fixes the rounding
+        index = np.unravel_index(np.arange(lo, min(count, lo + block)), (points,) * split)
+        rows = per_qubit[0][index[0]]
+        rows *= coeffs
+        for b, i in zip(per_qubit[1:], index[1:]):
+            rows *= b[i]  # (coefficients * qubit 0) * qubit 1 * ...: the order fixes the rounding
         best = max(best, float(np.max(rows @ suffix_t)))
     return best

@@ -272,52 +272,6 @@ def test_grid_oracle_matches_an_enumeration_of_every_point(monkeypatch, folds, b
             assert abs(alpha_grid_oracle(op, divisions) - want) <= 1e-12 * scale, (n, op.labels())
 
 
-def _grid_by_gather(op, divisions):
-    """The grid oracle with every block gathered through np.unravel_index, as before one-qubit prefixes were sliced."""
-    thetas = np.linspace(0.0, np.pi, divisions + 1)
-    phis = np.linspace(0.0, 2.0 * np.pi, divisions, endpoint=False)
-    theta_grid, phi_grid = np.meshgrid(thetas, phis, indexing="ij")
-    sin_t = np.sin(theta_grid.ravel())
-    vectors = np.column_stack(
-        (sin_t * np.cos(phi_grid.ravel()), sin_t * np.sin(phi_grid.ravel()), np.cos(theta_grid.ravel()))
-    )
-    points = vectors.shape[0]
-    components = np.column_stack((np.ones(points), vectors))
-    per_qubit = [components[:, op.axes[:, k]] for k in range(op.n)]
-    suffix = np.ones((1, len(op)))
-    split = op.n
-    while split > 1 and suffix.shape[0] * points * len(op) <= product_max.GRID_SUFFIX_ELEMENTS:
-        split -= 1
-        suffix = product_max._khatri_rao(per_qubit[split], suffix)
-    suffix_t = np.ascontiguousarray(suffix.T)
-    count = points**split
-    block = max(1, product_max.GRID_BLOCK_ELEMENTS // max(suffix.shape[0], len(op)))
-    best = -np.inf
-    for lo in range(0, count, block):
-        index = np.unravel_index(np.arange(lo, min(count, lo + block)), (points,) * split)
-        rows = per_qubit[0][index[0]]
-        rows *= op.coeffs
-        for b, i in zip(per_qubit[1:], index[1:]):
-            rows *= b[i]
-        best = max(best, float(np.max(rows @ suffix_t)))
-    return best
-
-
-# a one-qubit prefix (every qubit but qubit 0 folded, as the default sizes fold n = 1..3) reads its block as a
-# slice of qubit 0's table; None keeps the default block, 7 points per block forces several blocks and a partial last
-@pytest.mark.parametrize("block", [None, 7])
-def test_grid_oracle_on_a_one_qubit_prefix_equals_the_gathered_blocks(monkeypatch, block):
-    rng = np.random.default_rng(23)
-    for n in (1, 2, 3):
-        for divisions in range(4, 10):
-            op = _random_operator(rng, n, int(rng.integers(1, min(4**n - 1, 12) + 1)))
-            suffix_rows = (divisions * (divisions + 1)) ** (n - 1)
-            assert suffix_rows * len(op) <= product_max.GRID_SUFFIX_ELEMENTS  # qubits 1..n-1 all fold
-            if block is not None:
-                monkeypatch.setattr(product_max, "GRID_BLOCK_ELEMENTS", block * max(suffix_rows, len(op)))
-            assert alpha_grid_oracle(op, divisions) == _grid_by_gather(op, divisions), (n, divisions, op.labels())
-
-
 @pytest.mark.parametrize("folds", [0, 1])
 def test_grid_oracle_blocks_stay_within_the_block_bound_for_many_terms(monkeypatch, folds):
     # 255 terms against a suffix of 1 or 20 rows: the terms, not the suffix, must bound a block
