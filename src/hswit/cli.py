@@ -34,11 +34,12 @@ import math
 import sys
 from collections.abc import Iterable, Mapping
 from itertools import chain, compress
+from operator import itemgetter
 from typing import Any
 
 import numpy as np
 
-from .hs import HSOperator, hs_decompose
+from .hs import HSOperator, _label_codes, hs_decompose
 from .lhv_bound import classical_bound
 from .pauli_core import (
     AXIS_LABELS,
@@ -107,8 +108,43 @@ def _real_number(value: Any, what: str) -> float:
         raise ValueError(f"{what} must be finite, got an integer too large for a float") from exc
 
 
+_TERM_KEYS = frozenset(("string", "coeff"))
+
+
+def _clean_terms(items: list[Any], n: int) -> tuple[list[str], Array] | None:
+    """The words and coefficients of an operator file's terms, when every term is clean; else None.
+
+    Clean means what the per-term checks in ``load_operator`` require:
+    each term a mapping with exactly the keys 'string' and 'coeff', each
+    word a distinct length-n string over I/X/Y/Z, and each coefficient an
+    int or a float within the float range.  Each check is one C-level
+    pass over all terms.
+    """
+    if set(map(type, items)) != {dict} or set(map(frozenset, items)) != {_TERM_KEYS}:
+        return None
+    words = list(map(itemgetter("string"), items))
+    values = list(map(itemgetter("coeff"), items))
+    if (
+        set(map(type, words)) != {str}
+        or set(map(len, words)) != {n}
+        or not set("".join(words)) <= set(AXIS_LABELS)
+        or len(set(words)) != len(words)
+        or not set(map(type, values)) <= {int, float}
+    ):
+        return None
+    try:
+        return words, np.array(values, dtype=float)
+    except OverflowError:  # an integer literal beyond the float range
+        return None
+
+
 def load_operator(doc: Any) -> HSOperator:
-    """Parse an operator document into an HSOperator."""
+    """Parse an operator document into an HSOperator.
+
+    When every term is clean (``_clean_terms``), the codes are built in
+    one pass.  Otherwise the per-term loop runs and names the first
+    offender in file order.
+    """
     doc = _require_mapping(doc, "operator file")
     if set(doc) != {"n", "terms"}:
         raise UsageError("operator file must have exactly the keys 'n' and 'terms'")
@@ -117,6 +153,10 @@ def load_operator(doc: Any) -> HSOperator:
         raise UsageError(f"'n' must be a positive integer, got {n!r}")
     if not isinstance(doc["terms"], list):
         raise UsageError("'terms' must be a list")
+    clean = _clean_terms(doc["terms"], n)
+    if clean is not None:
+        words, coeffs = clean
+        return HSOperator._from_codes(check_qubit_count(n), _label_codes(words, n), coeffs)
     terms: dict[str, float] = {}
     for item in doc["terms"]:
         item = _require_mapping(item, "operator term")

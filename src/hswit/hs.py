@@ -42,6 +42,12 @@ def _code(key: str | tuple[int, ...], n: int) -> int:
     return int(label.translate(_DIGITS), 4)
 
 
+def _label_codes(labels: list[str], n: int) -> Array:
+    """Base-4 codes of labels already checked to be length-n words over I, X, Y, Z, as ``_code`` gives them."""
+    digits = np.frombuffer("".join(labels).translate(_DIGITS).encode(), dtype=np.uint8) - ord("0")
+    return digits.reshape(len(labels), n) @ 4 ** np.arange(n - 1, -1, -1)
+
+
 def _axes(codes: Array, n: int) -> Array:
     return (codes[:, None] >> np.arange(2 * n - 2, -1, -2)) & 3
 

@@ -143,7 +143,9 @@ class DensityMatrix:
 
     Construction checks finiteness, Hermiticity and unit trace;
     positivity is only checked by :meth:`from_matrix`, the entry point
-    for matrices of unknown origin.
+    for matrices of unknown origin.  The matrix is kept C-contiguous,
+    copied once here if it came in another memory order, so flat reads
+    of it never copy.
     """
 
     matrix: Array
@@ -151,7 +153,7 @@ class DensityMatrix:
 
     def __post_init__(self) -> None:
         check_qubit_count(self.n)
-        mat = np.asarray(self.matrix, dtype=complex)
+        mat = np.asarray(self.matrix, dtype=complex, order="C")
         dim = 2**self.n
         if mat.shape != (dim, dim):
             raise InvalidStateError(f"expected shape {(dim, dim)} for {self.n} qubits, got {mat.shape}")

@@ -348,3 +348,118 @@ def test_sampled_bound_is_the_best_evaluated_draw(cat):
         assert sampled_lower_bound(op, 40, seed=5) == max(values)
         for row, value in zip(draws.tolist(), values):
             assert value == pytest.approx(_naive_value(op, dict(zip(pairs, row))), abs=1e-12)
+
+
+# The busiest qubit q leaves the enumeration when the other m - k pairs
+# number more than LOW_BITS.  Each layout gives the axes each qubit
+# measures; q is the first qubit with the most of them.
+_LAYOUTS = {
+    "q first, 3 pairs": (0, ["XYZ"] + ["XZ", "YZ", "XY", "XZ", "YZ", "XY", "XZ"]),
+    "q in the middle, 3 pairs": (4, ["XZ", "YZ", "XY", "XZ", "XYZ", "YZ", "XY", "XZ"]),
+    "q last, 3 pairs": (7, ["XZ", "YZ", "XY", "XZ", "YZ", "XY", "XZ", "XYZ"]),
+    "q first, 2 pairs": (0, ["XY", "XZ", "YZ", "XY", "XZ", "YZ", "XY", "XZ"]),
+    "q in the middle, 2 pairs": (5, ["X", "Y", "Z", "X", "Y", "XZ", "XY", "YZ", "XZ", "XY"]),
+}
+
+
+def _layout_op(rng, layout, kind, identity_on_q, n_terms=28):
+    """An operator measuring exactly the layout's pairs; its terms have I on q only if ``identity_on_q``."""
+    q, axes = _LAYOUTS[layout]
+    n = len(axes)
+
+    def word(fixed=None):
+        letters = [str(rng.choice(list("I" + a))) if rng.random() < 0.6 else "I" for a in axes]
+        if fixed is not None:
+            letters[fixed[0]] = fixed[1]
+        if not identity_on_q and letters[q] == "I":
+            letters[q] = str(rng.choice(list(axes[q])))
+        return "".join(letters)
+
+    words = {word() for _ in range(n_terms)}
+    words |= {word((k, a)) for k, group in enumerate(axes) for a in group}  # every pair measured
+    if identity_on_q:
+        words.add(word((q, "I")))
+    words.discard("I" * n)
+    words = sorted(words)
+    if kind == "normal":
+        coeffs = rng.normal(size=len(words))
+    elif kind == "dyadic":  # few distinct magnitudes: many exact ties
+        coeffs = rng.choice([-2, -1, 1, 2], size=len(words)) / 8.0
+    else:  # "tenths": ties in exact arithmetic that differ in the last bits between summation orders
+        coeffs = rng.choice([0.1, 0.3], size=len(words)) * rng.choice([-1, 1], size=len(words))
+    op = HSOperator(n, dict(zip(words, coeffs.tolist())))
+
+    pairs = _incidence(op)[0]
+    counts = [sum(qubit == k for qubit, _ in pairs) for k in range(n)]
+    assert len(pairs) >= 15 and counts.index(max(counts)) == q and counts[q] == len(axes[q])
+    assert len(pairs) - counts[q] > lhv_bound.LOW_BITS  # so q leaves the enumeration
+    assert any(w[q] == "I" for w in words) == identity_on_q
+    return op
+
+
+@pytest.mark.parametrize("kind", ["normal", "dyadic", "tenths"])
+@pytest.mark.parametrize("layout", list(_LAYOUTS))
+def test_bound_with_the_busiest_qubit_in_closed_form_equals_the_per_term_enumerator(layout, kind, monkeypatch):
+    rng = np.random.default_rng([list(_LAYOUTS).index(layout), ["normal", "dyadic", "tenths"].index(kind)])
+    for identity_on_q in (False, True):
+        op = _layout_op(rng, layout, kind, identity_on_q)
+        want = _per_term_enumeration(op)
+        for chunk in (1, 2048, DEFAULT_CHUNK):
+            _assert_same_bound(_bound_in_chunks(monkeypatch, op, chunk), want)
+
+
+def _mermin(n: int) -> HSOperator:
+    """M_n = Re[(X + iY)^(x)n]: every X/Y word with an even number 2j of Y letters, coefficient (-1)^j."""
+    words = ("".join(w) for w in itertools.product("XY", repeat=n))
+    return HSOperator(n, {w: (-1.0) ** (w.count("Y") // 2) for w in words if w.count("Y") % 2 == 0})
+
+
+def test_tied_maximizers_keep_both_signs_where_a_letter_sum_vanishes(monkeypatch):
+    # On M_7 qubit 0 leaves the enumeration (m = 14, k = 2).  With the other six qubits fixed,
+    # S_X and S_Y are the real and imaginary parts of a product of six factors x + iy, whose phase
+    # is a multiple of pi/2, so at every maximizer one of them is 0 and both of its signs are best
+    op = _mermin(7)
+    pairs, incidence = _incidence(op)
+    assert len(pairs) - 2 > lhv_bound.LOW_BITS
+    want = _per_term_enumeration(op)
+    values = _sign_row_values(op, incidence, np.array(list(itertools.product((1, -1), repeat=len(pairs))))).tolist()
+    for chunk in (1, 2048, DEFAULT_CHUNK):
+        got = _bound_in_chunks(monkeypatch, op, chunk)
+        _assert_same_bound(got, want)
+        assert got.exact_checks == values.count(max(values)) == 2 * 2**12  # two under each reduced code
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_bound_with_the_busiest_qubit_in_closed_form_rejects_values_that_overflow():
+    op = _layout_op(np.random.default_rng(5), "q first, 3 pairs", "normal", identity_on_q=True)
+    op = op + HSOperator(8, {"XX" + "I" * 6: 1e308, "YX" + "I" * 6: 1e308, "ZX" + "I" * 6: 1e308})
+    assert len(_incidence(op)[0]) >= 15
+    assert _per_term_enumeration(op)[0] == np.inf
+    with pytest.raises(ValueError, match="overflows the float range"):
+        classical_bound(op)
+
+
+def test_the_exact_pass_adds_terms_in_order():
+    # 1e5 first in term order, then twenty terms of 1e-12, each below half an ulp of 1e5: added in
+    # order every one rounds away, while any grouping of the small ones first would move the sum
+    terms = {"I" * 7 + "X": 1.0e5}
+    for k in range(20):
+        terms["XYZ"[k % 3] + format(k, "07b").replace("0", "I").replace("1", "Z")] = 1e-12
+    op = HSOperator(8, terms)
+    want = _per_term_enumeration(op)
+    assert want[0] == 1.0e5
+    _assert_same_bound(classical_bound(op), want)
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_mermin_family_bound_is_the_closed_form(n, cat):
+    # beta_cl(M_n) = 2^floor(n/2) (Mermin 1990; Ardehali 1992; Belinskii and Klyshko 1993)
+    op = _mermin(n)
+    assert len(op) == 2 ** (n - 1)
+    result = classical_bound(op)
+    assert result.beta_cl == 2 ** (n // 2)
+    assert result.evaluations == 4**n
+    if f"ghz{n}" in cat:  # the catalog's GHZ Bell operators are M_3 and M_4
+        bell = cat[f"ghz{n}"].bell
+        assert np.array_equal(bell.codes, op.codes) and np.array_equal(bell.coeffs, op.coeffs)
+        assert classical_bound(bell) == result

@@ -204,3 +204,73 @@ def _outcome(load, doc):
 @example({"matrix": 1, "entries": [[0.5, 0.0], [0.5, -0.0], [0.5, 0.0], [0.5, 0.0]]})
 def test_load_state_reads_entries_as_the_per_entry_loop_does(doc):
     assert _outcome(load_state, doc) == _outcome(_per_entry_load_state, doc)
+
+
+def _per_term_load_operator(doc) -> HSOperator:
+    """``load_operator`` on the terms of an operator file, reading one term at a time.
+
+    Only for documents whose 'n' and 'terms' keys are valid.
+    """
+    n = doc["n"]
+    terms: dict[str, float] = {}
+    for item in doc["terms"]:
+        if not isinstance(item, dict):
+            raise UsageError(f"operator term must be a JSON object, got {type(item).__name__}")
+        if set(item) != {"string", "coeff"}:
+            raise UsageError("each term must have exactly the keys 'string' and 'coeff'")
+        word = item["string"]
+        if not isinstance(word, str) or len(word) != n:
+            raise UsageError(f"term string must be a length-{n} word, got {word!r}")
+        if any(ch not in AXIS_LABELS for ch in word):
+            raise UsageError(f"term string {word!r} has letters outside I/X/Y/Z")
+        if word in terms:
+            raise UsageError(f"duplicate term string {word!r}")
+        terms[word] = _reference_real(item["coeff"], f"coefficient of {word!r}")
+    return HSOperator(n, terms)
+
+
+odd_terms = st.sampled_from(
+    [None, 5, "XX", [], {"string": "XX"}, {"coeff": 1.0}, {"string": "XX", "coeff": 1.0, "extra": 1}]
+)
+odd_words = st.sampled_from(["", "XQ", "xx", "x", 5, None, ["X"], "XXXX", "IIII"]) | st.text(max_size=4)
+
+
+@st.composite
+def _near_operator_docs(draw):
+    """A valid operator file, now and then with a few terms, words or coefficients swapped out or repeated."""
+    n = draw(st.integers(1, 3))
+    words = draw(st.lists(st.text(AXIS_LABELS, min_size=n, max_size=n), max_size=8, unique=True))
+    terms = [{"string": w, "coeff": draw(st.floats(-2.0, 2.0) | st.integers(-3, 3))} for w in words]
+    for _ in range(draw(st.integers(0, 3)) if terms else 0):
+        k = draw(st.integers(0, len(terms) - 1))
+        swap = draw(st.integers(0, 3))
+        if swap == 0:
+            terms[k] = draw(odd_terms)
+        elif swap == 1 and isinstance(terms[k], dict):
+            terms[k]["string"] = draw(odd_words)
+        elif swap == 2 and isinstance(terms[k], dict):
+            terms[k]["coeff"] = draw(odd_values)
+        else:  # a repeated word, wherever it lands
+            terms.insert(draw(st.integers(0, len(terms))), {"string": draw(st.sampled_from(words)), "coeff": 0.5})
+    return {"n": n, "terms": terms}
+
+
+def _operator_outcome(load, doc):
+    try:
+        op = load(doc)
+    except Exception as exc:  # the two readers must fail alike, whatever the error
+        return type(exc), str(exc)
+    return op.n, op.codes.dtype, op.codes.tobytes(), op.coeffs.dtype, op.coeffs.tobytes()
+
+
+@SETTINGS
+@given(_near_operator_docs())
+@example({"n": 2, "terms": [{"string": "XX", "coeff": 2**70}, {"string": "ZZ", "coeff": float("nan")}]})
+@example({"n": 2, "terms": [{"string": "XX", "coeff": 1.0}, {"string": "YY", "coeff": 10**400}]})
+@example({"n": 2, "terms": [{"string": "XX", "coeff": True}, {"string": "XX", "coeff": 1.0}]})
+@example({"n": 2, "terms": [{"string": "ZZ", "coeff": 1e-13}, {"string": "XI", "coeff": -0.0}]})
+@example({"n": 11, "terms": [{"string": "X" * 11, "coeff": 1.0}]})
+@example({"n": 11, "terms": []})
+@example({"n": 1, "terms": []})
+def test_load_operator_reads_terms_as_the_per_term_loop_does(doc):
+    assert _operator_outcome(load_operator, doc) == _operator_outcome(_per_term_load_operator, doc)

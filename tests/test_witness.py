@@ -116,6 +116,24 @@ def test_eval_witness_equals_alpha_minus_the_decomposed_overlap(n):
     assert len(w._support_plan[0]) == 4**n
 
 
+@pytest.mark.parametrize("order", ["fortran", "transposed", "strided"])
+def test_a_state_from_any_memory_order_is_stored_row_major(order):
+    # eval_witness reads rho.matrix flat; a state kept in another order would copy it on every call
+    rng = np.random.default_rng(9)
+    rho = _full_rank_state(rng, 6).matrix
+    source = {
+        "fortran": np.asfortranarray(rho),
+        "transposed": np.ascontiguousarray(rho.T).T,
+        "strided": np.repeat(rho, 2, axis=1)[:, ::2],
+    }[order]
+    assert not source.flags.c_contiguous and np.array_equal(source, rho)
+    state = DensityMatrix(source, 6)
+    assert state.matrix.flags.c_contiguous
+    assert np.array_equal(state.matrix, rho)
+    w = _witness_at(_kernel(rng, 6, 12))
+    assert eval_witness(w, state) == eval_witness(w, DensityMatrix(rho, 6))
+
+
 def test_eval_witness_on_all_y_strings():
     # Tr(Y...Y rho) carries the phase i^n; n = 1..4 covers every power of i, n = 5..8 wrap around
     rng = np.random.default_rng(7)
