@@ -21,8 +21,8 @@ File formats (JSON):
 Exit status: 0 on success / all checks pass, 1 on a failed check or an
 invalid-but-well-formed input (bad density matrix, out-of-range
 parameter, exceeded capacity, ineffective witness), 2 on usage or parse
-errors.  All output is deterministic for fixed flags; numbers are
-printed with 12 significant digits.
+errors, 141 with nothing on stderr when stdout closes early.  Output is
+deterministic for fixed flags; numbers have 12 significant digits.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from collections.abc import Iterable, Mapping
 from itertools import chain, compress
@@ -39,7 +40,7 @@ from typing import Any
 
 import numpy as np
 
-from .hs import HSOperator, _label_codes, hs_decompose
+from .hs import PRUNE_TOL, HSOperator, hs_decompose
 from .lhv_bound import classical_bound
 from .pauli_core import (
     AXIS_LABELS,
@@ -111,8 +112,8 @@ def _real_number(value: Any, what: str) -> float:
 _TERM_KEYS = frozenset(("string", "coeff"))
 
 
-def _clean_terms(items: list[Any], n: int) -> tuple[list[str], Array] | None:
-    """The words and coefficients of an operator file's terms, when every term is clean; else None.
+def _clean_terms(items: list[Any], n: int) -> dict[str, float] | None:
+    """The terms of an operator file as {word: coefficient}, when every term is clean; else None.
 
     Clean means what the per-term checks in ``load_operator`` require:
     each term a mapping with exactly the keys 'string' and 'coeff', each
@@ -133,7 +134,7 @@ def _clean_terms(items: list[Any], n: int) -> tuple[list[str], Array] | None:
     ):
         return None
     try:
-        return words, np.array(values, dtype=float)
+        return dict(zip(words, np.array(values, dtype=float).tolist()))
     except OverflowError:  # an integer literal beyond the float range
         return None
 
@@ -141,9 +142,9 @@ def _clean_terms(items: list[Any], n: int) -> tuple[list[str], Array] | None:
 def load_operator(doc: Any) -> HSOperator:
     """Parse an operator document into an HSOperator.
 
-    When every term is clean (``_clean_terms``), the codes are built in
-    one pass.  Otherwise the per-term loop runs and names the first
-    offender in file order.
+    When every term is clean (``_clean_terms``), no per-term loop runs.
+    Otherwise the loop runs and names the first offender in file order.
+    Both paths end in the ``HSOperator`` constructor.
     """
     doc = _require_mapping(doc, "operator file")
     if set(doc) != {"n", "terms"}:
@@ -153,11 +154,10 @@ def load_operator(doc: Any) -> HSOperator:
         raise UsageError(f"'n' must be a positive integer, got {n!r}")
     if not isinstance(doc["terms"], list):
         raise UsageError("'terms' must be a list")
-    clean = _clean_terms(doc["terms"], n)
-    if clean is not None:
-        words, coeffs = clean
-        return HSOperator._from_codes(check_qubit_count(n), _label_codes(words, n), coeffs)
-    terms: dict[str, float] = {}
+    terms = _clean_terms(doc["terms"], n)
+    if terms is not None:
+        return HSOperator(n, terms)
+    terms = {}
     for item in doc["terms"]:
         item = _require_mapping(item, "operator term")
         if set(item) != {"string", "coeff"}:
@@ -175,12 +175,10 @@ def load_operator(doc: Any) -> HSOperator:
     return HSOperator(n, terms)
 
 
-def operator_document(op: HSOperator) -> dict[str, Any]:
-    """Render an HSOperator as an operator-file document (terms in word order)."""
-    return {
-        "n": op.n,
-        "terms": [{"string": w, "coeff": c} for w, c in zip(op.labels(), op.coeffs.tolist())],
-    }
+def operator_json(n: int, words: list[str], values: list[float]) -> str:
+    """Operator-file text, byte for byte what ``json.dumps`` writes: the values are finite floats, each its repr."""
+    terms = ", ".join(map('{{"string": "{}", "coeff": {!r}}}'.format, words, values))
+    return f'{{"n": {n}, "terms": [{terms}]}}'
 
 
 def _entries_matrix(entries: list[Any]) -> Array:
@@ -261,9 +259,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     words = list(compress(coeffs.labels(), keep))
     values = list(compress(coeffs.coeffs.tolist(), keep))
     if args.json:
-        # json.dumps(operator_document(...)) with the kept terms: a finite float's JSON text is its repr
-        terms = ", ".join(map('{{"string": "{}", "coeff": {!r}}}'.format, words, values))
-        print(f'{{"n": {coeffs.n}, "terms": [{terms}]}}')
+        print(operator_json(coeffs.n, words, values))
         return 0
     print("\n".join([f"n {coeffs.n}", f"terms {len(words)}", *map("{} {:.12g}".format, words, values)]))
     return 0
@@ -403,8 +399,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--threshold",
         type=float,
-        default=1e-12,
-        help="drop coefficients below this magnitude (default 1e-12)",
+        default=PRUNE_TOL,
+        help=f"drop coefficients below this magnitude (default {PRUNE_TOL:g})",
     )
     p.set_defaults(func=cmd_decompose)
 
@@ -444,13 +440,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command and return its exit status; a closed stdout ends it with 141 and no output."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        status = args.func(args)
+        sys.stdout.flush()  # a reader that closed stdout early fails this flush, not the one at exit
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -462,6 +459,11 @@ def main(argv: list[str] | None = None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:  # as under `hswit verify | head -1`
+        with open(os.devnull, "w") as devnull:  # the flush at exit writes nowhere
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE, the status a shell gives a command that SIGPIPE ended
+    return status
 
 
 if __name__ == "__main__":

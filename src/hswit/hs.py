@@ -9,6 +9,7 @@ Tr(O rho) = sum_s O_s R_s, with no dimension factor.
 
 from __future__ import annotations
 
+from itertools import zip_longest
 from numbers import Real
 from typing import Mapping
 
@@ -28,22 +29,25 @@ PRUNE_TOL = 1e-12
 _DIGITS = str.maketrans(AXIS_LABELS, "0123")
 
 
-def _code(key: str | tuple[int, ...], n: int) -> int:
-    """Base-4 code of one term, a label or its axis indices ("XZI" or (1, 3, 0)); qubit 0 the most significant digit."""
-    if not isinstance(key, str):
-        if not all(a in range(4) for a in key):
-            raise ValueError(f"axis indices must lie in 0..3, got {key!r}")
-        key = "".join(AXIS_LABELS[a] for a in key)
-    label = key.upper()
-    if not set(label) <= set(AXIS_LABELS):
-        raise ValueError(f"labels may only contain I, X, Y, Z, got {key!r}")
-    if len(label) != n:
-        raise ValueError(f"term {label} has {len(label)} qubits, expected {n}")
-    return int(label.translate(_DIGITS), 4)
+def _label_codes(labels: list[str], n: int, values: list = ()) -> Array:
+    """Base-4 codes of length-n words over I, X, Y, Z, qubit 0 the most significant digit.
 
-
-def _label_codes(labels: list[str], n: int) -> Array:
-    """Base-4 codes of labels already checked to be length-n words over I, X, Y, Z, as ``_code`` gives them."""
+    One pass checks the labels, and the values when given.  On a failure ValueError names the first
+    bad term in order: its letters, then its length, then whether its value is real (a bool is not).
+    """
+    if not (
+        set(map(type, labels)) <= {str}
+        and set(map(len, labels)) <= {n}
+        and set("".join(labels)) <= set(AXIS_LABELS)
+        and set(map(type, values)) <= {int, float}
+    ):
+        for key, value in zip_longest(labels, values, fillvalue=0.0):  # a label without a value is checked alone
+            if not isinstance(key, str) or not set(key) <= set(AXIS_LABELS):
+                raise ValueError(f"labels may only contain I, X, Y, Z, got {key!r}")
+            if len(key) != n:
+                raise ValueError(f"term {key} has {len(key)} qubits, expected {n}")
+            if isinstance(value, bool) or not isinstance(value, Real):
+                raise ValueError(f"coefficient for {key} must be real, got {value!r}")
     digits = np.frombuffer("".join(labels).translate(_DIGITS).encode(), dtype=np.uint8) - ord("0")
     return digits.reshape(len(labels), n) @ 4 ** np.arange(n - 1, -1, -1)
 
@@ -64,23 +68,20 @@ class HSOperator:
     with qubit 0 as the most significant digit, so code order is label
     order and a code is also the flat index into the 4^n coefficient
     tensor; ``coeffs`` holds the matching float64 coefficients.  The
-    constructor takes terms keyed by label or by axis indices, such as
-    ``{"XZI": 0.5}`` or ``{(1, 3, 0): 0.5}``.
-    Terms with |coefficient| < PRUNE_TOL are dropped at construction, and
-    non-finite or boolean coefficients are rejected.
+    constructor takes terms keyed by label, an uppercase length-n word
+    over I, X, Y, Z such as ``{"XZI": 0.5}``, and is the one way a label
+    becomes a term.  Terms with |coefficient| < PRUNE_TOL are dropped at
+    construction, and non-finite or boolean coefficients are rejected.
     """
 
     __slots__ = ("n", "codes", "coeffs")
 
-    def __init__(self, n: int, terms: Mapping[str | tuple[int, ...], float] | None = None) -> None:
-        check_qubit_count(n)  # before any label is measured against n
-        codes, coeffs = [], []
-        for key, value in (terms or {}).items():
-            if isinstance(value, bool) or not isinstance(value, Real):
-                raise ValueError(f"coefficient for {key} must be real, got {value!r}")
-            codes.append(_code(key, n))
-            coeffs.append(float(value))
-        self._fill(n, codes, coeffs)
+    def __init__(self, n: int, terms: Mapping[str, float] | None = None) -> None:
+        if check_qubit_count(n) > 31:  # before any label is measured against n; codes are int64
+            raise CapacityError(f"the term table holds at most 31 qubits, got {n}")
+        terms = terms or {}
+        values = list(terms.values())
+        self._fill(n, _label_codes(list(terms), n, values), values)
 
     @classmethod
     def from_dense(cls, table: Array) -> HSOperator:
@@ -88,16 +89,14 @@ class HSOperator:
         table = np.asarray(table, dtype=float)
         if table.ndim < 1 or table.shape != (4,) * table.ndim:
             raise ValueError(f"expected a (4,) * n table, got shape {table.shape}")
-        return cls._from_codes(table.ndim, np.arange(table.size), table.reshape(-1))
+        return cls._from_codes(check_qubit_count(table.ndim), np.arange(table.size), table.reshape(-1))
 
     @classmethod
     def _from_codes(cls, n: int, codes, coeffs) -> HSOperator:
         return cls.__new__(cls)._fill(n, codes, coeffs)
 
     def _fill(self, n: int, codes, coeffs) -> HSOperator:
-        """Check finiteness, sort, reject duplicates, prune; the one path into a table."""
-        if check_qubit_count(n) > 31:  # codes are int64
-            raise CapacityError(f"the term table holds at most 31 qubits, got {n}")
+        """Check finiteness, sort, prune; the one path into a table, for codes that every caller keeps unique."""
         codes = np.asarray(codes, dtype=np.int64)
         coeffs = np.asarray(coeffs, dtype=float)
         if not np.isfinite(coeffs).all():
@@ -106,9 +105,6 @@ class HSOperator:
         if not (codes[1:] > codes[:-1]).all():
             order = np.argsort(codes, kind="stable")
             codes, coeffs = codes[order], coeffs[order]
-            if (codes[1:] == codes[:-1]).any():
-                dup = np.flatnonzero(codes[1:] == codes[:-1])[0]
-                raise ValueError(f"duplicate term {_labels(codes[[dup]], n)[0]}")
         keep = np.abs(coeffs) >= PRUNE_TOL
         self.n, self.codes, self.coeffs = n, codes[keep], coeffs[keep]
         self.codes.flags.writeable = self.coeffs.flags.writeable = False
@@ -130,9 +126,9 @@ class HSOperator:
         """(terms, n) table of axis indices, one row per term, qubit 0 first."""
         return _axes(self.codes, self.n)
 
-    def coefficient(self, key: str | tuple[int, ...]) -> float:
+    def coefficient(self, label: str) -> float:
         """Coefficient of one Pauli string, 0.0 when absent."""
-        return float(self._values_at(np.array([_code(key, self.n)]))[0])
+        return float(self._values_at(_label_codes([label], self.n))[0])
 
     @property
     def identity_coefficient(self) -> float:
@@ -176,8 +172,8 @@ class HSOperator:
         perm = {0: 0, **{int(k): int(v) for k, v in mapping.items()}}
         if sorted(perm) != [0, 1, 2, 3] or sorted(perm.values()) != [0, 1, 2, 3]:
             raise ValueError(f"mapping must be a permutation of {{1, 2, 3}}, got {dict(mapping)}")
-        mapped = np.array([perm[a] for a in range(4)])[self.axes]
-        return HSOperator._from_codes(self.n, mapped @ 4 ** np.arange(self.n - 1, -1, -1), self.coeffs)
+        letters = str.maketrans(AXIS_LABELS, "".join(AXIS_LABELS[perm[a]] for a in range(4)))
+        return HSOperator(self.n, {s.translate(letters): c for s, c in zip(self.labels(), self.coeffs.tolist())})
 
     def is_close(self, other: HSOperator, atol: float = 1e-9) -> bool:
         """True when both operators have the same coefficients within atol."""

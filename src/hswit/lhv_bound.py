@@ -158,6 +158,7 @@ def _exact_best(codes: Array, masks: Array, coeffs: Array) -> tuple[float, int]:
     return float(values[j]), int(codes[j])
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow is checked for, so numpy warns of nothing
 def classical_bound(op: HSOperator) -> BoundResult:
     """Exact classical bound by exhaustive enumeration.
 

@@ -4,10 +4,10 @@ Conventions used across the package:
 
 * qubit A is the leftmost tensor factor (most significant bit),
 * axis indices are 0=I, 1=X, 2=Y, 3=Z; ``SIGMA[a]`` is the 2x2 matrix of axis a,
-* a Pauli string is a word over ``AXIS_LABELS``, one letter per qubit,
-  qubit A first, standing for the tensor product of its letters' matrices.
-  Strings exist only as such labels and as base-4 codes (``hs``); no
-  string's dense matrix is ever formed.
+* a Pauli string is an uppercase word over ``AXIS_LABELS``, one letter
+  per qubit, qubit A first, standing for the tensor product of its
+  letters' matrices.  Strings exist only as such labels and as base-4
+  codes, made by one encoder in ``hs``; no string's matrix is formed.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ import pytest
 from hswit.cli import main
 from hswit.hs import HSOperator, hs_decompose, hs_reconstruct, overlap
 from hswit.lhv_bound import classical_bound, sampled_lower_bound
-from hswit.pauli_core import hermitian_eigenvalues
+from hswit.pauli_core import AXIS_LABELS, hermitian_eigenvalues
 from hswit.product_max import alpha_grid_oracle, alpha_max, ascend
 from hswit.states import (
     MDS_R_LIMIT,
@@ -184,7 +184,7 @@ def test_criterion_9b_overlap_vs_trace():
     failures = []
     rng = np.random.default_rng(901)
     for n in (2, 3, 4):
-        labels = list(itertools.product(range(4), repeat=n))
+        labels = ["".join(w) for w in itertools.product(AXIS_LABELS, repeat=n)]
         for _ in range(10):
             rho = random_density(rng, n)
             picks = rng.choice(len(labels), size=8, replace=False)

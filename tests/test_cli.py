@@ -2,13 +2,20 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hswit.cli import build_parser, load_operator, main, operator_document, verify_entries
-from hswit.hs import hs_reconstruct
-from hswit.states import catalog, ghz, mix_white_noise, w_state
+import hswit
+from hswit.cli import build_parser, load_operator, load_state, main, operator_json, verify_entries
+from hswit.hs import hs_decompose, hs_reconstruct
+from hswit.states import ENTRY_NAMES, catalog, ghz, mix_white_noise, w_state
+
+from conftest import random_density
 
 
 def write_json(tmp_path, name, doc):
@@ -88,6 +95,23 @@ def test_decompose_matrix_state(tmp_path, capsys):
     assert main(["decompose", state_file, "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc == {"n": 1, "terms": [{"string": "I", "coeff": 1.0}]}
+
+
+def _state_docs():
+    yield from ({"catalog": name} for name in ENTRY_NAMES)
+    rng = np.random.default_rng(7)
+    for n in range(1, 7):
+        entries = [[z.real, z.imag] for z in random_density(rng, n).matrix.ravel().tolist()]
+        yield {"matrix": n, "entries": entries}
+
+
+def test_decompose_json_is_the_bytes_of_json_dumps(tmp_path, capsys):
+    # the writer joins repr()s; json.dumps writes a finite float as its repr too
+    for k, doc in enumerate(_state_docs()):
+        assert main(["decompose", write_json(tmp_path, f"state{k}.json", doc), "--json"]) == 0
+        op = hs_decompose(load_state(doc))
+        terms = [{"string": w, "coeff": c} for w, c in zip(op.labels(), op.coeffs.tolist())]
+        assert capsys.readouterr().out == json.dumps({"n": op.n, "terms": terms}) + "\n"
 
 
 def test_decompose_mds_r_zero_is_identity_only(tmp_path, capsys):
@@ -238,7 +262,8 @@ def test_verify_entries_reports_rows(cat):
 
 def test_operator_document_round_trip(cat):
     op = cat["w4"].bell
-    assert load_operator(operator_document(op)).is_close(op, atol=0.0)
+    doc = json.loads(operator_json(op.n, op.labels(), op.coeffs.tolist()))
+    assert load_operator(doc).is_close(op, atol=0.0)
 
 
 def test_usage_errors_exit_two(tmp_path, capsys):
@@ -327,6 +352,36 @@ def test_values_past_the_float_range_exit_one(tmp_path, capsys, command, terms, 
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:") and "overflow" in captured.err
+
+
+def _hswit(argv, stdout=subprocess.PIPE, unbuffered=True):
+    """``python -m hswit ARGV`` in a fresh process that imports this checkout's hswit."""
+    src = str(Path(hswit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run([sys.executable, "-m", "hswit", *argv], stdout=stdout, stderr=subprocess.PIPE, env=env, text=True)
+
+
+def test_bound_past_the_float_range_prints_one_error_line(tmp_path):
+    # a fresh process shows numpy's RuntimeWarnings, which pytest would turn into errors
+    path = write_json(tmp_path, "xyz.json", {"n": 1, "terms": [{"string": w, "coeff": 1e308} for w in "XYZ"]})
+    proc = _hswit(["bound", path])
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "error: an assignment's value overflows the float range; no finite classical bound\n"
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_a_closed_stdout_exits_141_and_writes_no_stderr(unbuffered):
+    # unbuffered, the first print meets the closed pipe; buffered, main's flush does
+    read, write = os.pipe()
+    os.close(read)  # no reader left: every write to the pipe fails with EPIPE
+    try:
+        proc = _hswit(["verify"], stdout=write, unbuffered=unbuffered)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (141, "")
 
 
 @pytest.mark.parametrize("n", [40, 10**7])

@@ -6,6 +6,7 @@ string matrices.
 """
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -176,24 +177,23 @@ def test_product_state_coefficients_factorize():
 # operator container behavior
 
 
-def test_operator_accepts_mixed_key_styles():
-    op = HSOperator(2, {"XX": 1.0, (3, 3): 2.0, "iz": 0.5})
-    assert op.coefficient("XX") == 1.0
-    assert op.coefficient((3, 3)) == 2.0
-    assert op.coefficient("IZ") == 0.5
-    assert op.coefficient("YY") == 0.0
+def test_operator_takes_uppercase_labels_only():
+    op = HSOperator(2, {"XX": 1.0, "ZZ": 2.0, "IZ": 0.5})
+    assert [op.coefficient(w) for w in ("XX", "ZZ", "IZ", "YY")] == [1.0, 2.0, 0.5, 0.0]
     assert len(op) == 3
-    with pytest.raises(ValueError, match="axis indices"):
-        HSOperator(2, {(1, 4): 1.0})
-    with pytest.raises(ValueError, match="labels may only contain"):
-        HSOperator(2, {"XQ": 1.0})
+    for key in [(3, 3), "iz", "XQ", 5, None]:  # keys are uppercase labels only
+        with pytest.raises(ValueError, match=re.escape(f"labels may only contain I, X, Y, Z, got {key!r}")):
+            HSOperator(2, {"XX": 1.0, key: 1.0})
+    for label in [(3, 3), "zz"]:
+        with pytest.raises(ValueError, match="labels may only contain"):
+            op.coefficient(label)
 
 
-def test_operator_rejects_duplicates_and_bad_terms():
-    with pytest.raises(ValueError, match="duplicate"):
-        HSOperator(2, {"XX": 1.0, (1, 1): 2.0})
+def test_operator_rejects_bad_terms():
     with pytest.raises(ValueError, match="expected 2"):
         HSOperator(2, {"XXX": 1.0})
+    with pytest.raises(ValueError, match="expected 2"):
+        HSOperator(2, {"XX": 1.0}).coefficient("X")
     with pytest.raises(ValueError, match="real"):
         HSOperator(2, {"XX": 1.0 + 2.0j})
 

@@ -10,11 +10,13 @@ conversion; the per-entry loop it falls back to is kept here as the
 reference it must match.
 """
 
+import json
+
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hswit.cli import UsageError, load_operator, load_state, operator_document
+from hswit.cli import UsageError, load_operator, load_state, operator_json
 from hswit.hs import HSOperator
 from hswit.pauli_core import AXIS_LABELS, CapacityError, DensityMatrix, InvalidStateError
 from hswit.states import ENTRY_NAMES
@@ -122,7 +124,7 @@ def operators(draw):
 @SETTINGS
 @given(operators())
 def test_operator_document_round_trips_exactly(op):
-    back = load_operator(operator_document(op))
+    back = load_operator(json.loads(operator_json(op.n, op.labels(), op.coeffs.tolist())))
     assert back.n == op.n
     np.testing.assert_array_equal(back.codes, op.codes)
     np.testing.assert_array_equal(back.coeffs, op.coeffs)

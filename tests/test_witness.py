@@ -95,7 +95,7 @@ def _kernel(rng: np.random.Generator, n: int, terms: int) -> HSOperator:
     codes = rng.choice(np.arange(1, 4**n), size=min(terms, 4**n - 1), replace=False)
     table[codes] = rng.normal(size=len(codes))
     for label in ("Y" * n, ("ZXY" * n)[:n]):
-        table[hs._code(label, n)] = rng.normal()
+        table[HSOperator(n, {label: 1.0}).codes[0]] = rng.normal()
     return HSOperator.from_dense(table.reshape((4,) * n))
 
 
