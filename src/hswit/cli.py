@@ -112,39 +112,15 @@ def _real_number(value: Any, what: str) -> float:
 _TERM_KEYS = frozenset(("string", "coeff"))
 
 
-def _clean_terms(items: list[Any], n: int) -> dict[str, float] | None:
-    """The terms of an operator file as {word: coefficient}, when every term is clean; else None.
-
-    Clean means what the per-term checks in ``load_operator`` require:
-    each term a mapping with exactly the keys 'string' and 'coeff', each
-    word a distinct length-n string over I/X/Y/Z, and each coefficient an
-    int or a float within the float range.  Each check is one C-level
-    pass over all terms.
-    """
-    if set(map(type, items)) != {dict} or set(map(frozenset, items)) != {_TERM_KEYS}:
-        return None
-    words = list(map(itemgetter("string"), items))
-    values = list(map(itemgetter("coeff"), items))
-    if (
-        set(map(type, words)) != {str}
-        or set(map(len, words)) != {n}
-        or not set("".join(words)) <= set(AXIS_LABELS)
-        or len(set(words)) != len(words)
-        or not set(map(type, values)) <= {int, float}
-    ):
-        return None
-    try:
-        return dict(zip(words, np.array(values, dtype=float).tolist()))
-    except OverflowError:  # an integer literal beyond the float range
-        return None
-
-
 def load_operator(doc: Any) -> HSOperator:
     """Parse an operator document into an HSOperator.
 
-    When every term is clean (``_clean_terms``), no per-term loop runs.
-    Otherwise the loop runs and names the first offender in file order.
-    Both paths end in the ``HSOperator`` constructor.
+    One pass checks the terms' structure: each an object with exactly the
+    keys 'string' and 'coeff', each word a string, no word twice.  The
+    terms then go to the ``HSOperator`` constructor, which checks the
+    words and coefficients.  Only when either refuses does the per-term
+    loop run: it names the first offender in file order, or ends in the
+    same constructor and raises its error.
     """
     doc = _require_mapping(doc, "operator file")
     if set(doc) != {"n", "terms"}:
@@ -152,18 +128,21 @@ def load_operator(doc: Any) -> HSOperator:
     n = doc["n"]
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise UsageError(f"'n' must be a positive integer, got {n!r}")
-    if not isinstance(doc["terms"], list):
+    items = doc["terms"]
+    if not isinstance(items, list):
         raise UsageError("'terms' must be a list")
-    terms = _clean_terms(doc["terms"], n)
-    if terms is not None:
-        return HSOperator(n, terms)
+    if set(map(type, items)) <= {dict} and set(map(frozenset, items)) <= {_TERM_KEYS}:
+        words = list(map(itemgetter("string"), items))
+        if set(map(type, words)) <= {str} and len(set(words)) == len(words):
+            try:
+                return HSOperator(n, dict(zip(words, map(itemgetter("coeff"), items))))
+            except (ValueError, OverflowError, CapacityError):  # OverflowError: an integer past the float range
+                pass
     terms = {}
-    for item in doc["terms"]:
+    for item in items:
         item = _require_mapping(item, "operator term")
-        if set(item) != {"string", "coeff"}:
-            raise UsageError(
-                "each term must have exactly the keys 'string' and 'coeff'"
-            )
+        if set(item) != _TERM_KEYS:
+            raise UsageError("each term must have exactly the keys 'string' and 'coeff'")
         word = item["string"]
         if not isinstance(word, str) or len(word) != n:
             raise UsageError(f"term string must be a length-{n} word, got {word!r}")

@@ -90,14 +90,6 @@ def _incidence(op: HSOperator) -> tuple[list[tuple[int, int]], Array]:
     return [(j // 3, j % 3 + 1) for j in cols.tolist()], full[:, cols]
 
 
-def _sign_row_values(op: HSOperator, incidence: Array, signs: Array) -> Array:
-    """Operator value for each row of +/-1 signs over the measured pairs, terms added in order."""
-    values = np.zeros(len(signs))
-    for row, c in zip(incidence, op.coeffs):
-        values += c * signs[:, row].prod(axis=1)
-    return values
-
-
 def _full_table(op: HSOperator, signs: dict[tuple[int, int], int]) -> LHVAssignment:
     table = tuple((signs.get((k, 1), 1), signs.get((k, 2), 1), signs.get((k, 3), 1)) for k in range(op.n))
     return LHVAssignment(table)
@@ -139,12 +131,10 @@ def _expand(reduced: Array, letter_values: list[Array], margin: float, below: in
     return np.sort((r >> below << (below + k)) | (r & ((1 << below) - 1)) | (sub << below))
 
 
-def _exact_best(codes: Array, masks: Array, coeffs: Array) -> tuple[float, int]:
-    """Best of the given ascending codes by exact sums: (value, first code attaining it).
+def _exact_values(codes: Array, masks: Array, coeffs: Array) -> Array:
+    """Each code's value, c_t * sign_t summed term by term in order.
 
-    Each code's value is summed c_t * sign_t term by term in order, in
-    batches of at most SIGN_TABLE_ELEMENTS terms by codes.  A sum that is
-    not finite raises ``ValueError``.
+    The codes go in batches of at most SIGN_TABLE_ELEMENTS terms by codes.
     """
     values = np.empty(len(codes))
     step = max(1, SIGN_TABLE_ELEMENTS // len(coeffs))
@@ -152,6 +142,15 @@ def _exact_best(codes: Array, masks: Array, coeffs: Array) -> tuple[float, int]:
         terms = np.where(_odd(codes[i : i + step, None] & masks), -coeffs, coeffs)
         # a cumulative sum is sequential: ((c0 s0 + c1 s1) + c2 s2) + ...
         values[i : i + step] = np.cumsum(terms, axis=1)[:, -1]
+    return values
+
+
+def _exact_best(codes: Array, masks: Array, coeffs: Array) -> tuple[float, int]:
+    """Best of the given ascending codes by exact sums: (value, first code attaining it).
+
+    A sum that is not finite raises ``ValueError``.
+    """
+    values = _exact_values(codes, masks, coeffs)
     if not np.isfinite(values).all():
         raise ValueError("an assignment's value overflows the float range; no finite classical bound")
     j = int(np.argmax(values))
@@ -278,13 +277,17 @@ def sampled_lower_bound(op: HSOperator, trials: int, seed: int = 0) -> float:
     require_identity_free(op)
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
+    if len(op) == 0:  # every assignment has value 0
+        return 0.0
     pairs, incidence = _incidence(op)
+    bits = 1 << np.arange(len(pairs) - 1, -1, -1)
+    masks = incidence @ bits
     rng = np.random.default_rng(seed)
     best_value = -np.inf
     done = 0
     while done < trials:
         count = min(DEFAULT_CHUNK, trials - done)
-        signs = (1 - 2 * rng.integers(0, 2, size=(count, len(pairs)), dtype=np.int8)).astype(np.int8)
-        best_value = max(best_value, float(_sign_row_values(op, incidence, signs).max()))
+        draws = rng.integers(0, 2, size=(count, len(pairs)), dtype=np.int8)  # 1 sets a pair to -1
+        best_value = max(best_value, float(_exact_values(draws @ bits, masks, op.coeffs).max()))
         done += count
     return best_value

@@ -225,6 +225,7 @@ def ascend(op: HSOperator, blochs: Array, *, max_iters: int = ASCENT_MAX_SWEEPS)
     return Ascent(float(runs.values[0]), runs.blochs[0], sweeps, bool(runs.converged[0]), history)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite best value or endpoint raises, so numpy warns of nothing
 def alpha_max(op: HSOperator, starts: int = 64, seed: int = 0) -> AlphaResult:
     """Maximum of the operator over pure product states, by ascent.
 

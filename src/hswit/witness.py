@@ -117,9 +117,10 @@ def pcrit_witness(alpha: float, trace_g_rho: float) -> float:
 def mds_entanglement_threshold() -> float:
     """Mixing coefficient where the mds witness starts detecting the family.
 
-    Runs the full pipeline at every probe: build the state, decompose it,
-    rebuild the witness for that r from MDS_THRESHOLD_STARTS ascent
-    starts, and bisect on the sign of the witness expectation.  The
+    Runs the full pipeline at every probe: build the state, rebuild the
+    witness for that r from MDS_THRESHOLD_STARTS ascent starts, read
+    Tr(E_W rho) through the witness's support plan (``eval_witness``,
+    which does not decompose the state), and bisect on its sign.  The
     bracket is [MDS_THRESHOLD_R_LO, MDS_R_LIMIT] and the bisection stops
     once it is MDS_THRESHOLD_TOL wide.  No closed form of the crossing is
     assumed.  Witness values that do not change sign across the bracket

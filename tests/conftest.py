@@ -1,8 +1,11 @@
-"""Shared fixtures: the reference catalog, random-state helpers and a dense string oracle."""
+"""Shared fixtures: the reference catalog, random-state helpers, a dense string oracle and the Mermin family."""
+
+import itertools
 
 import numpy as np
 import pytest
 
+from hswit.hs import HSOperator
 from hswit.pauli_core import DensityMatrix
 from hswit.states import catalog
 
@@ -40,3 +43,9 @@ def string_matrix(label: str) -> np.ndarray:
     for letter in label:
         mat = np.kron(mat, PAULI[letter])
     return mat
+
+
+def mermin(n: int) -> HSOperator:
+    """M_n = Re[(X + iY)^(x)n]: every X/Y word with an even number 2j of Y letters, coefficient (-1)^j."""
+    words = ("".join(w) for w in itertools.product("XY", repeat=n))
+    return HSOperator(n, {w: (-1.0) ** (w.count("Y") // 2) for w in words if w.count("Y") % 2 == 0})

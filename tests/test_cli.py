@@ -339,7 +339,6 @@ def test_non_finite_coefficients_exit_one(tmp_path, capsys, command, value):
     assert captured.err.startswith("error:") and "finite" in captured.err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize(
     "terms", [{"X": 1e308, "Y": 1e308, "Z": 1e308}, {"XX": 1e308, "ZZ": 1e308}], ids=["XYZ", "XX_ZZ"]
 )
@@ -364,12 +363,22 @@ def _hswit(argv, stdout=subprocess.PIPE, unbuffered=True):
     return subprocess.run([sys.executable, "-m", "hswit", *argv], stdout=stdout, stderr=subprocess.PIPE, env=env, text=True)
 
 
-def test_bound_past_the_float_range_prints_one_error_line(tmp_path):
+@pytest.mark.parametrize(
+    "command,message",
+    [
+        ("bound", "an assignment's value overflows the float range; no finite classical bound"),
+        ("alpha", "the ascent overflows the float range; scale the coefficients down"),
+    ],
+    ids=["bound", "alpha"],
+)
+@pytest.mark.parametrize(
+    "terms", [{"X": 1e308, "Y": 1e308, "Z": 1e308}, {"XX": 1e308, "ZZ": 1e308}], ids=["XYZ", "XX_ZZ"]
+)
+def test_bound_past_the_float_range_prints_one_error_line(tmp_path, command, message, terms):
     # a fresh process shows numpy's RuntimeWarnings, which pytest would turn into errors
-    path = write_json(tmp_path, "xyz.json", {"n": 1, "terms": [{"string": w, "coeff": 1e308} for w in "XYZ"]})
-    proc = _hswit(["bound", path])
-    assert (proc.returncode, proc.stdout) == (1, "")
-    assert proc.stderr == "error: an assignment's value overflows the float range; no finite classical bound\n"
+    doc = {"n": len(next(iter(terms))), "terms": [{"string": w, "coeff": c} for w, c in terms.items()]}
+    proc = _hswit([command, write_json(tmp_path, "overflow.json", doc)])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])

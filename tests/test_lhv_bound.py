@@ -1,17 +1,20 @@
-"""Exhaustive classical bounds, cross-checked by two enumerators.
+"""Exhaustive classical bounds, cross-checked by two enumerators and a closed form.
 
 The naive oracle re-enumerates definite-outcome assignments with
 itertools and per-term arithmetic, sharing no code with the vectorized
 implementation under test.  The per-term enumerator is the earlier
 implementation, kept here to pin the matrix-product screen to the same
-bits: the same bound, maximizer and tie-break.
+bits: the same bound, maximizer and tie-break.  The Walsh-Hadamard
+oracle reaches full-weight two-letter operators up to n = 10.
 """
 
 import itertools
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from conftest import mermin
 from hswit import lhv_bound
 from hswit.hs import HSOperator, require_identity_free
 from hswit.lhv_bound import (
@@ -20,7 +23,6 @@ from hswit.lhv_bound import (
     LHVAssignment,
     _full_table,
     _incidence,
-    _sign_row_values,
     classical_bound,
     sampled_lower_bound,
 )
@@ -47,6 +49,32 @@ def _naive_extrema(op: HSOperator) -> tuple[float, float]:
         best_lo = min(best_lo, value)
         best_hi = max(best_hi, value)
     return best_lo, best_hi
+
+
+def _sign_row_values(op: HSOperator, incidence: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """Operator value for each row of +/-1 signs over the measured pairs, terms added in order."""
+    values = np.zeros(len(signs))
+    for row, c in zip(incidence, op.coeffs):
+        values += c * signs[:, row].prod(axis=1)
+    return values
+
+
+def _walsh_hadamard_bound(op: HSOperator) -> float:
+    """beta_cl of a full-weight operator with at most two letters per qubit, as max |H c|.
+
+    With x_k and y_k the signs of qubit k's first and second letter and S
+    the set of qubits on their second letter, the value is
+    prod_k x_k * sum_S c_S prod_(k in S) x_k y_k.  The products z_k = x_k y_k
+    range over every sign pattern whatever prod_k x_k is, so the best value
+    is max_z |sum_S c_S (-1)^|S & z||, the largest entry of H c for the
+    Sylvester-Hadamard matrix H (Werner and Wolf, PRA 64, 032112, 2001).
+    """
+    axes = op.axes
+    second = axes.max(axis=0)
+    assert (axes > 0).all() and ((axes == axes.min(axis=0)) | (axes == second)).all()
+    table = np.zeros(2**op.n)
+    table[(axes == second) @ (1 << np.arange(op.n))] = op.coeffs
+    return float(np.abs(scipy.linalg.hadamard(2**op.n) @ table).max())
 
 
 def _per_term_enumeration(
@@ -408,17 +436,11 @@ def test_bound_with_the_busiest_qubit_in_closed_form_equals_the_per_term_enumera
             _assert_same_bound(_bound_in_chunks(monkeypatch, op, chunk), want)
 
 
-def _mermin(n: int) -> HSOperator:
-    """M_n = Re[(X + iY)^(x)n]: every X/Y word with an even number 2j of Y letters, coefficient (-1)^j."""
-    words = ("".join(w) for w in itertools.product("XY", repeat=n))
-    return HSOperator(n, {w: (-1.0) ** (w.count("Y") // 2) for w in words if w.count("Y") % 2 == 0})
-
-
 def test_tied_maximizers_keep_both_signs_where_a_letter_sum_vanishes(monkeypatch):
     # On M_7 qubit 0 leaves the enumeration (m = 14, k = 2).  With the other six qubits fixed,
     # S_X and S_Y are the real and imaginary parts of a product of six factors x + iy, whose phase
     # is a multiple of pi/2, so at every maximizer one of them is 0 and both of its signs are best
-    op = _mermin(7)
+    op = mermin(7)
     pairs, incidence = _incidence(op)
     assert len(pairs) - 2 > lhv_bound.LOW_BITS
     want = _per_term_enumeration(op)
@@ -454,12 +476,25 @@ def test_the_exact_pass_adds_terms_in_order():
 @pytest.mark.parametrize("n", range(3, 11))
 def test_mermin_family_bound_is_the_closed_form(n, cat):
     # beta_cl(M_n) = 2^floor(n/2) (Mermin 1990; Ardehali 1992; Belinskii and Klyshko 1993)
-    op = _mermin(n)
+    op = mermin(n)
     assert len(op) == 2 ** (n - 1)
     result = classical_bound(op)
-    assert result.beta_cl == 2 ** (n // 2)
+    assert result.beta_cl == 2 ** (n // 2) == _walsh_hadamard_bound(op)
     assert result.evaluations == 4**n
     if f"ghz{n}" in cat:  # the catalog's GHZ Bell operators are M_3 and M_4
         bell = cat[f"ghz{n}"].bell
         assert np.array_equal(bell.codes, op.codes) and np.array_equal(bell.coeffs, op.coeffs)
         assert classical_bound(bell) == result
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_bound_of_two_letter_operators_is_the_walsh_hadamard_maximum(n):
+    # full weight, two letters per qubit, half-integer coefficients: every sum is exact, so the two agree with ==
+    rng = np.random.default_rng([9, n])
+    for _ in range(8):
+        letters = [rng.choice(list("XYZ"), size=2, replace=False) for _ in range(n)]
+        subsets = np.flatnonzero(rng.random(2**n) < 0.7)
+        words = ["".join(letters[k][s >> k & 1] for k in range(n)) for s in subsets.tolist()]
+        op = HSOperator(n, dict(zip(words, (rng.integers(-4, 5, size=len(words)) / 2).tolist())))
+        assert (len(_incidence(op)[0]) - 2 > lhv_bound.LOW_BITS) == (n >= 7)  # the closed-form qubit from n = 7
+        assert classical_bound(op).beta_cl == _walsh_hadamard_bound(op)

@@ -274,5 +274,9 @@ def _operator_outcome(load, doc):
 @example({"n": 11, "terms": [{"string": "X" * 11, "coeff": 1.0}]})
 @example({"n": 11, "terms": []})
 @example({"n": 1, "terms": []})
+@example({"n": 2, "terms": [{"string": "XX", "coeff": 1.0}, {"string": ["X"], "coeff": 1.0}]})
+@example({"n": 11, "terms": [{"string": "XX", "coeff": 1.0}]})
+@example({"n": 2, "terms": [{"string": "XX", "coeff": 10**400}, {"string": "ZZ", "coeff": float("nan")}]})
+@example({"n": 2, "terms": [{"string": "XX", "coeff": float("nan")}, {"string": "ZZ", "coeff": 10**400}]})
 def test_load_operator_reads_terms_as_the_per_term_loop_does(doc):
     assert _operator_outcome(load_operator, doc) == _operator_outcome(_per_term_load_operator, doc)

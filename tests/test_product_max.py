@@ -193,7 +193,6 @@ def test_alpha_validates_arguments(cat):
         alpha_max(HSOperator(2, {"II": 1.0, "XX": 1.0}))
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("terms", [{"X": 1e308, "Y": 1e308, "Z": 1e308}, {"XX": 1e308, "ZZ": 1e308}])
 def test_alpha_names_an_overflow(terms):
     # the fields pass the float range, so the best value or the endpoint is not finite

@@ -3,21 +3,25 @@
 import numpy as np
 import pytest
 
+from conftest import mermin
 from hswit import hs, witness
 from hswit.cli import entry_rows
 from hswit.hs import HSOperator, hs_decompose, hs_reconstruct, overlap
+from hswit.lhv_bound import classical_bound
 from hswit.pauli_core import DensityMatrix
 from hswit.product_max import AlphaResult, alpha_max
 from hswit.states import (
     MDS_R_LIMIT,
     ProductState,
     catalog,
+    ghz,
     mds,
     mds_g_operator,
     mix_white_noise,
     product_state,
 )
 from hswit.witness import (
+    Witness,
     WitnessIneffectiveError,
     analyze,
     build_witness,
@@ -208,6 +212,25 @@ def test_eval_witness_does_not_decompose_the_state(cat, witnesses, monkeypatch):
     monkeypatch.setattr(hs, "hs_decompose", refuse)
     monkeypatch.setattr(witness, "hs_decompose", refuse, raising=False)
     assert abs(eval_witness(witnesses["ghz3"], cat["ghz3"].state) + 4.0) < 1e-9
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_mermin_family_on_ghz_takes_its_closed_forms(n):
+    # G = M_n on GHZ_n: alpha = 1, Tr(G rho) = 2^(n-1), so the witness value is 1 - 2^(n-1),
+    # pcrit_witness = 2^(1-n) and, with beta_cl = 2^floor(n/2), pcrit_bell = 2^(floor(n/2)-n+1)
+    g = mermin(n)
+    tol = 1e-12 * 2 ** (n - 1)
+    result = alpha_max(g)
+    assert abs(result.alpha - 1.0) <= tol
+    assert result.starts_at_best == result.starts_used
+    value = eval_witness(Witness(g, result), ghz(n))  # one flip mask, X on every qubit: a cheap read
+    trace = result.alpha - value
+    assert abs(trace - 2 ** (n - 1)) <= tol
+    assert abs(value - (1 - 2 ** (n - 1))) <= tol
+    assert abs(pcrit_witness(result.alpha, trace) - 2 ** (1 - n)) <= tol
+    # test_lhv_bound pins beta_cl == 2^floor(n/2) for n = 3..10; past n = 8 this test does not pay for it again
+    beta_cl = classical_bound(g).beta_cl if n <= 8 else 2 ** (n // 2)
+    assert abs(pcrit_bell(beta_cl, trace) - 2 ** (n // 2 - n + 1)) <= tol
 
 
 def test_witnesses_are_nonnegative_on_product_states(cat, witnesses):
