@@ -1,4 +1,4 @@
-"""Command-line surface: serialization formats and the benchmark harness.
+"""Command-line surface: serialization formats and the catalog report and grading.
 
 Commands
 --------

@@ -71,16 +71,20 @@ class LHVAssignment:
 class BoundResult:
     """An exact classical bound with the assignment attaining it.
 
-    ``evaluations`` counts the assignments covered (2^m); ``exact_checks``
-    counts those whose value was summed in term order after the screen;
-    ``pairs`` are the m measured (qubit, axis) pairs, sorted.
+    ``exact_checks`` counts the assignments whose value was summed in
+    term order after the screen; ``pairs`` are the m measured (qubit,
+    axis) pairs, sorted.
     """
 
     beta_cl: float
     maximizer: LHVAssignment
-    evaluations: int
     exact_checks: int
     pairs: tuple[tuple[int, int], ...]
+
+    @property
+    def evaluations(self) -> int:
+        """The assignments covered, 2^m; 1 for the empty operator."""
+        return 2 ** len(self.pairs)
 
 
 def _incidence(op: HSOperator) -> tuple[list[tuple[int, int]], Array]:
@@ -146,9 +150,11 @@ def _exact_values(codes: Array, masks: Array, coeffs: Array) -> Array:
 
 
 def _exact_best(codes: Array, masks: Array, coeffs: Array) -> tuple[float, int]:
-    """Best of the given ascending codes by exact sums: (value, first code attaining it).
+    """Best of the given codes by exact sums: (value, first code attaining it).
 
-    A sum that is not finite raises ``ValueError``.
+    The value does not depend on the codes' order; the code returned is
+    the smallest attaining it only when they are ascending.  A sum that
+    is not finite raises ``ValueError``.
     """
     values = _exact_values(codes, masks, coeffs)
     if not np.isfinite(values).all():
@@ -215,7 +221,7 @@ def classical_bound(op: HSOperator) -> BoundResult:
     if m > 63 or 2**m > DEFAULT_MAX_ASSIGNMENTS:
         raise ValueError(f"2^{m} assignments exceed the enumeration budget of {DEFAULT_MAX_ASSIGNMENTS}")
     if len(op) == 0:  # one assignment, of no pairs, with value 0
-        return BoundResult(0.0, _full_table(op, {}), 1, 1, ())
+        return BoundResult(0.0, _full_table(op, {}), 1, ())
     bits = 1 << np.arange(m - 1, -1, -1)
     masks = incidence @ bits  # integer product: each row ORs its distinct bits
     coeffs = op.coeffs
@@ -269,11 +275,15 @@ def classical_bound(op: HSOperator) -> BoundResult:
             best_value, best_code = value, code
 
     signs = {pair: 1 - 2 * ((best_code >> (m - 1 - j)) & 1) for j, pair in enumerate(pairs)}
-    return BoundResult(best_value, _full_table(op, signs), 2**m, exact_checks, tuple(pairs))
+    return BoundResult(best_value, _full_table(op, signs), exact_checks, tuple(pairs))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow is checked for, as in classical_bound
 def sampled_lower_bound(op: HSOperator, trials: int, seed: int = 0) -> float:
-    """Best value over uniformly random assignments; never above the bound."""
+    """Best value over uniformly random assignments; never above the bound.
+
+    Any exactly summed value that is not finite raises ``ValueError``.
+    """
     require_identity_free(op)
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
@@ -288,6 +298,6 @@ def sampled_lower_bound(op: HSOperator, trials: int, seed: int = 0) -> float:
     while done < trials:
         count = min(DEFAULT_CHUNK, trials - done)
         draws = rng.integers(0, 2, size=(count, len(pairs)), dtype=np.int8)  # 1 sets a pair to -1
-        best_value = max(best_value, float(_exact_values(draws @ bits, masks, op.coeffs).max()))
+        best_value = max(best_value, _exact_best(draws @ bits, masks, op.coeffs)[0])
         done += count
     return best_value

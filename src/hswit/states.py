@@ -174,18 +174,17 @@ def partial_transpose(rho: DensityMatrix, qubit: int) -> Array:
 class CatalogEntry:
     """One reference state with its operators and expected benchmarks.
 
-    ``state_coeffs`` is the state's decomposition, computed once at
-    construction.  ``bell`` is None when no Bell operator is part of the
-    benchmark (the mds family is treated through its witness only).
+    ``state_coeffs`` is the state's decomposition, computed on first read
+    and kept on the entry; a copy made by ``dataclasses.replace``
+    decomposes afresh.  ``bell`` is None when no Bell operator is part of
+    the benchmark (the mds family is treated through its witness only).
     ``expected`` maps report fields to exact values (Fraction where
     rational); a missing key means the benchmark does not pin that
     quantity for this entry.
     """
 
     name: str
-    description: str
     state: DensityMatrix
-    state_coeffs: HSOperator
     bell: HSOperator | None
     g_witness: HSOperator
     expected: Mapping[str, Fraction | float] = field(default_factory=dict)
@@ -194,24 +193,16 @@ class CatalogEntry:
     def n(self) -> int:
         return self.state.n
 
-
-def _entry(
-    name: str,
-    description: str,
-    state: DensityMatrix,
-    bell: HSOperator | None,
-    g_witness: HSOperator,
-    expected: Mapping[str, Fraction | float],
-) -> CatalogEntry:
-    return CatalogEntry(name, description, state, hs_decompose(state), bell, g_witness, expected)
+    @functools.cached_property
+    def state_coeffs(self) -> HSOperator:
+        return hs_decompose(self.state)
 
 
 def _ghz3_entry(name: str) -> CatalogEntry:
     bell = HSOperator(3, {"XXX": 1, "XYY": -1, "YXY": -1, "YYX": -1})
     g = bell + HSOperator(3, {"ZZI": 1})
-    return _entry(
+    return CatalogEntry(
         name,
-        "three-qubit GHZ state",
         ghz(3),
         bell,
         g,
@@ -230,9 +221,8 @@ def _ghz3_entry(name: str) -> CatalogEntry:
 def _w3_entry(name: str) -> CatalogEntry:
     bell = HSOperator(3, {"ZXX": 1, "XZX": 1, "XXZ": 1, "ZZZ": -1})
     g = bell + HSOperator(3, {"YYI": 1})
-    return _entry(
+    return CatalogEntry(
         name,
-        "three-qubit W state",
         w_state(3),
         bell,
         g,
@@ -263,9 +253,8 @@ def _ghz4_entry(name: str) -> CatalogEntry:
         },
     )
     g = bell + HSOperator(4, {"ZZZZ": 1})
-    return _entry(
+    return CatalogEntry(
         name,
-        "four-qubit GHZ state",
         ghz(4),
         bell,
         g,
@@ -301,9 +290,8 @@ def _w4_entry(name: str) -> CatalogEntry:
             "YYZZ": half,
         },
     )
-    return _entry(
+    return CatalogEntry(
         name,
-        "four-qubit W state",
         w_state(4),
         bell,
         bell,
@@ -333,9 +321,8 @@ def _cl4_entry(name: str) -> CatalogEntry:
             "YYIZ": -1,
         },
     )
-    return _entry(
+    return CatalogEntry(
         name,
-        "four-qubit linear cluster state",
         cluster4(),
         bell,
         bell,
@@ -352,9 +339,8 @@ def _cl4_entry(name: str) -> CatalogEntry:
 
 
 def _mds_entry(name: str, r: float) -> CatalogEntry:
-    return _entry(
+    return CatalogEntry(
         name,
-        f"three-qubit maximally disordered subsystems state, r = {r:g}",
         mds(r),
         None,
         mds_g_operator(r),

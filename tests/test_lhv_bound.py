@@ -8,6 +8,7 @@ bits: the same bound, maximizer and tie-break.  The Walsh-Hadamard
 oracle reaches full-weight two-letter operators up to n = 10.
 """
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -20,6 +21,7 @@ from hswit.hs import HSOperator, require_identity_free
 from hswit.lhv_bound import (
     DEFAULT_CHUNK,
     DEFAULT_MAX_ASSIGNMENTS,
+    BoundResult,
     LHVAssignment,
     _full_table,
     _incidence,
@@ -317,6 +319,14 @@ def test_empty_operator_bound_is_zero():
     assert result.evaluations == 1
 
 
+def test_evaluations_count_the_assignments_of_the_measured_pairs(cat):
+    assert [f.name for f in dataclasses.fields(BoundResult)] == ["beta_cl", "maximizer", "exact_checks", "pairs"]
+    bells = [entry.bell for entry in cat.values() if entry.bell is not None]
+    for op in bells + [HSOperator(3, {})]:
+        result = classical_bound(op)
+        assert result.evaluations == 2 ** len(result.pairs)
+
+
 def test_assignment_budget_is_enforced(cat, monkeypatch):
     monkeypatch.setattr(lhv_bound, "DEFAULT_MAX_ASSIGNMENTS", 4)
     with pytest.raises(ValueError, match="enumeration budget"):
@@ -449,6 +459,16 @@ def test_tied_maximizers_keep_both_signs_where_a_letter_sum_vanishes(monkeypatch
         got = _bound_in_chunks(monkeypatch, op, chunk)
         _assert_same_bound(got, want)
         assert got.exact_checks == values.count(max(values)) == 2 * 2**12  # two under each reduced code
+
+
+def test_sampled_bound_rejects_values_that_overflow_as_the_bound_does():
+    # every assignment's value is finite (at most 1e308), but at +1, +1 the
+    # term-order sum reaches inf before the -1e308 term; numpy must not warn
+    op = HSOperator(2, {"IX": 1e308, "XI": 1e308, "XX": -1e308})
+    with pytest.raises(ValueError, match="overflows the float range"):
+        classical_bound(op)
+    with pytest.raises(ValueError, match="overflows the float range"):
+        sampled_lower_bound(op, 50)
 
 
 def test_bound_with_the_busiest_qubit_in_closed_form_rejects_values_that_overflow():

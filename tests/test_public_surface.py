@@ -49,3 +49,18 @@ def test_every_name_the_benchmark_reads_is_listed_and_exported():
     for script in ("run.py", "ops.py"):
         read |= set(re.findall(r"\bh\.([A-Za-z_]\w*)", (BENCH / script).read_text()))
     assert read and read <= set(BENCH_NAMES) <= set(hswit.__all__)
+
+
+def test_the_result_and_entry_attributes_the_benchmark_reads_resolve():
+    entry = hswit.catalog()["w3"]
+    assert entry.name == "w3"
+    assert isinstance(entry.state, hswit.DensityMatrix)
+    assert len(entry.g_witness) > 0
+    bound = hswit.classical_bound(entry.bell)
+    assert (bound.beta_cl, bound.evaluations) == (2.0, 2 ** len(bound.pairs))
+    assert len(bound.maximizer.values) == entry.n
+    alpha = hswit.alpha_max(entry.g_witness, starts=4, seed=0)
+    assert alpha.alpha > 0 and isinstance(alpha.converged, bool)
+    assert alpha.iterations >= 1 and 1 <= alpha.starts_used <= 4
+    assert len(alpha.argmax.angles) == entry.n
+    assert set(hswit.analyze(entry).computed()) == set(entry.expected)

@@ -1,5 +1,6 @@
 """Reference states, the operator catalog, and state transformations."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -9,6 +10,7 @@ from hswit.hs import hs_decompose, hs_reconstruct
 from hswit.pauli_core import DensityMatrix, InvalidStateError, hermitian_eigenvalues
 from hswit.states import (
     MDS_R_LIMIT,
+    CatalogEntry,
     ProductState,
     catalog,
     cluster4,
@@ -204,7 +206,34 @@ def test_catalog_names_and_order():
 
 def test_catalog_state_coeffs_are_the_decomposition(cat):
     for entry in cat.values():
-        assert entry.state_coeffs.is_close(hs_decompose(entry.state), atol=1e-12)
+        want = hs_decompose(entry.state)
+        assert np.array_equal(entry.state_coeffs.codes, want.codes)
+        assert np.array_equal(entry.state_coeffs.coeffs, want.coeffs)
+
+
+def test_catalog_entries_store_no_decomposition():
+    assert [f.name for f in dataclasses.fields(CatalogEntry)] == ["name", "state", "bell", "g_witness", "expected"]
+
+
+def test_catalog_decomposes_each_state_on_first_read_only(monkeypatch):
+    calls = []
+
+    def counted(rho):
+        calls.append(rho)
+        return hs_decompose(rho)
+
+    monkeypatch.setattr("hswit.states.hs_decompose", counted)
+    entries = catalog()
+    assert calls == []
+    for entry in entries.values():
+        first = entry.state_coeffs
+        assert entry.state_coeffs is first
+    assert [id(rho) for rho in calls] == [id(entry.state) for entry in entries.values()]
+    # a replaced entry is a new object: it decomposes its state afresh
+    ghz3 = entries["ghz3"]
+    changed = dataclasses.replace(ghz3, expected={**ghz3.expected, "beta_cl": 3})
+    assert np.array_equal(changed.state_coeffs.coeffs, ghz3.state_coeffs.coeffs)
+    assert len(calls) == len(entries) + 1 and calls[-1] is ghz3.state
 
 
 def test_catalog_rejects_bad_mds_scale():
