@@ -154,6 +154,24 @@ def load_operator(doc: Any) -> HSOperator:
     return HSOperator(n, terms)
 
 
+def _operator_file(path: str) -> HSOperator:
+    """``load_operator`` on a file, refusing a nonzero coefficient below PRUNE_TOL.
+
+    The term table drops such a term, so ``bound`` and ``alpha`` would
+    print the number of another operator; the first one in file order is
+    named instead.
+    """
+    doc = _load_json(path)
+    op = load_operator(doc)
+    for item in doc["terms"]:
+        if 0 < abs(float(item["coeff"])) < PRUNE_TOL:
+            raise ValueError(
+                f"coefficient of {item['string']!r} is {item['coeff']!r}, below the tolerance {PRUNE_TOL:g}"
+                " under which terms are dropped; scale the operator up"
+            )
+    return op
+
+
 def operator_json(n: int, words: list[str], values: list[float]) -> str:
     """Operator-file text, byte for byte what ``json.dumps`` writes: the values are finite floats, each its repr."""
     terms = ", ".join(map('{{"string": "{}", "coeff": {!r}}}'.format, words, values))
@@ -232,6 +250,8 @@ def load_state(doc: Any) -> DensityMatrix:
 def cmd_decompose(args: argparse.Namespace) -> int:
     if not math.isfinite(args.threshold):
         raise UsageError(f"--threshold must be a finite number, got {args.threshold}")
+    if args.threshold < PRUNE_TOL:  # hs_decompose has already dropped everything below it
+        raise UsageError(f"--threshold must be at least {PRUNE_TOL:g}, got {args.threshold}")
     state = load_state(_load_json(args.state))
     coeffs = hs_decompose(state)
     keep = (np.abs(coeffs.coeffs) >= args.threshold).tolist()
@@ -245,7 +265,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
-    op = load_operator(_load_json(args.operator))
+    op = _operator_file(args.operator)
     result = classical_bound(op)
     if args.json:
         doc = {
@@ -269,7 +289,7 @@ def cmd_alpha(args: argparse.Namespace) -> int:
         raise UsageError("--starts needs at least 1 start")
     if not 0 <= args.seed < 2**64:
         raise UsageError("--seed must lie in [0, 2**64)")
-    op = load_operator(_load_json(args.operator))
+    op = _operator_file(args.operator)
     result = alpha_max(op, starts=args.starts, seed=args.seed)
     grid_value = alpha_grid_oracle(op, args.grid_check) if args.grid_check else None
     if args.json:

@@ -19,6 +19,7 @@ it ran in or how many starts ran beside it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -30,8 +31,7 @@ from .states import ProductState
 
 DEGENERATE_FIELD = 1e-14
 DEFAULT_GRID_BUDGET = 250_000_000
-GRID_SUFFIX_ELEMENTS = 8_000_000
-GRID_BLOCK_ELEMENTS = 4_000_000
+GRID_BLOCK_ELEMENTS = 262_144  # 2 MiB of float64: bounds the grid oracle's folded table, block rows and block values
 ASCENT_BLOCK_ELEMENTS = 65_536  # factor-table entries per block of ascent starts
 ASCENT_TOL = 1e-10  # a start stops once a sweep improves it by less than this
 ASCENT_MAX_SWEEPS = 500
@@ -274,14 +274,35 @@ def alpha_max(op: HSOperator, starts: int = 64, seed: int = 0) -> AlphaResult:
 
 
 def _khatri_rao(left: Array, right: Array) -> Array:
-    """Row-wise products of every row of ``left`` with every row of ``right``, left-major."""
-    return (left[:, None, :] * right[None, :, :]).reshape(-1, left.shape[1])
+    """Column-wise products of every column of ``left`` with every column of ``right``, left-major."""
+    return (left[:, :, None] * right[:, None, :]).reshape(left.shape[0], -1)
 
 
 def grid_point_count(n: int, divisions: int) -> int:
     """Number of product-state grid points visited at this resolution."""
     per_qubit = (divisions + 1) * divisions
     return per_qubit**n
+
+
+def _grid_layout(n: int, points: int, n_terms: int) -> tuple[int, int, int]:
+    """(split, width, block): how ``alpha_grid_oracle`` walks a grid within GRID_BLOCK_ELEMENTS.
+
+    Qubits split..n-1 fold into one table of terms x points**(n - split)
+    entries: as many trailing qubits as fit, and one whenever n >= 2 even
+    if it does not fit, so no matrix product runs against a one-column
+    table.  A block pairs ``block`` grid points of qubits 0..split-1 (a
+    row of terms each) with ``width`` columns of the table.  Its rows and
+    its values fit too, except that a block holds at least one grid point
+    and, where the table has them, one qubit's columns.  Blocks are near
+    square, since a product of a few rows against many columns repacks
+    the columns for every few rows.
+    """
+    folds = min(1, n - 1)
+    while folds < n - 1 and points ** (folds + 1) * n_terms <= GRID_BLOCK_ELEMENTS:
+        folds += 1
+    width = min(points**folds, max(points, math.isqrt(GRID_BLOCK_ELEMENTS)))
+    block = max(1, GRID_BLOCK_ELEMENTS // max(width, n_terms))
+    return n - folds, width, block
 
 
 def alpha_grid_oracle(op: HSOperator, divisions: int) -> float:
@@ -295,12 +316,15 @@ def alpha_grid_oracle(op: HSOperator, divisions: int) -> float:
     product-state maximum up to rounding of order eps * sum|c|, and
     converges to it as divisions grows.
 
-    Trailing qubits are folded into one row-wise (Khatri-Rao) table of at
-    most GRID_SUFFIX_ELEMENTS entries; the grid points of the other
-    qubits are walked in blocks of grid points.  A block's prefix rows
-    (grid points x terms) and its values (grid points x table rows, one
-    matrix product against the table) each stay within GRID_BLOCK_ELEMENTS
-    entries, except that a block holds at least one grid point.
+    Trailing qubits are folded once into a row-wise (Khatri-Rao) table,
+    stored terms x grid points as the matrix products read it; the grid
+    points of the other qubits are walked in blocks, one matrix product
+    per block and slice of table columns (see ``_grid_layout``).  Apart
+    from the n per-qubit factor tables (grid points x terms each), the
+    table, a block's rows and a block's values each stay within
+    GRID_BLOCK_ELEMENTS entries.  Where a point's term products are
+    split between the walked and the folded qubits depends on that
+    bound, so the value's last bits do too.
     """
     require_identity_free(op)
     if divisions < 4:
@@ -326,19 +350,16 @@ def alpha_grid_oracle(op: HSOperator, divisions: int) -> float:
     n_terms = len(op)
     # per-qubit matrices B_k[i, t] = component of grid point i along term t's axis
     per_qubit = [components[:, axes[:, k]] for k in range(n)]
+    split, width, block = _grid_layout(n, points, n_terms)
 
-    # fold as many trailing qubits as fit into one row-wise (Khatri-Rao) block
-    suffix = np.ones((1, n_terms))
-    split = n
-    while split > 1 and suffix.shape[0] * points * n_terms <= GRID_SUFFIX_ELEMENTS:
-        split -= 1
-        suffix = _khatri_rao(per_qubit[split], suffix)
+    # fold qubits split..n-1 into one table, terms x points: qubit k * (qubit k+1 * ...)
+    table = np.ones((n_terms, 1))
+    for k in range(n - 1, split - 1, -1):
+        table = _khatri_rao(per_qubit[k].T, table)
 
-    # walk the grid points of qubits 0..split-1 in blocks of flat indices, qubit 0 most significant;
-    # a block's rows (one per point, one entry per term) and its values both stay within GRID_BLOCK_ELEMENTS
-    suffix_t = np.ascontiguousarray(suffix.T)
+    # walk the grid points of qubits 0..split-1 in blocks of flat indices, qubit 0 most significant
+    columns = table.shape[1]
     count = points**split
-    block = max(1, GRID_BLOCK_ELEMENTS // max(suffix.shape[0], n_terms))
     best = -np.inf
     for lo in range(0, count, block):
         index = np.unravel_index(np.arange(lo, min(count, lo + block)), (points,) * split)
@@ -346,5 +367,6 @@ def alpha_grid_oracle(op: HSOperator, divisions: int) -> float:
         rows *= coeffs
         for b, i in zip(per_qubit[1:], index[1:]):
             rows *= b[i]  # (coefficients * qubit 0) * qubit 1 * ...: the order fixes the rounding
-        best = max(best, float(np.max(rows @ suffix_t)))
+        for c in range(0, columns, width):
+            best = max(best, float(np.max(rows @ table[:, c:c + width])))
     return best

@@ -89,6 +89,19 @@ def test_decompose_rejects_a_non_finite_threshold(ghz3_file, capsys, threshold):
     assert captured.err.startswith("error:") and "--threshold" in captured.err
 
 
+@pytest.mark.parametrize("threshold", ["1e-14", "0", "-1"])
+def test_decompose_refuses_a_threshold_below_the_pruning_tolerance(tmp_path, capsys, threshold):
+    # X = 5e-13 is already gone from the decomposition, so no threshold below 1e-12 could keep it
+    state = {"matrix": 1, "entries": [[0.5, 0.0], [2.5e-13, 0.0], [2.5e-13, 0.0], [0.5, 0.0]]}
+    state_file = write_json(tmp_path, "x.json", state)
+    assert main(["decompose", state_file, "--threshold", threshold]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --threshold must be at least 1e-12, got {float(threshold)}\n"
+    assert main(["decompose", state_file, "--threshold", "1e-12"]) == 0
+    assert capsys.readouterr().out == "n 1\nterms 1\nI 1\n"
+
+
 def test_decompose_matrix_state(tmp_path, capsys):
     entries = [[0.5, 0.0], [0.0, 0.0], [0.0, 0.0], [0.5, 0.0]]
     state_file = write_json(tmp_path, "diag.json", {"matrix": 1, "entries": entries})
@@ -143,6 +156,27 @@ def test_bound_empty_operator(tmp_path, capsys):
     op_file = write_json(tmp_path, "empty.json", {"n": 2, "terms": []})
     assert main(["bound", op_file]) == 0
     assert "beta_cl 0" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["bound", "alpha"])
+@pytest.mark.parametrize("terms,word,value", [
+    ({"XX": 1e-13, "ZZ": 1e-13}, "XX", "1e-13"),  # beta_cl 2e-13 and alpha 1e-13 would print as 0.0
+    ({"XX": 1.0, "ZZ": 4e-13}, "ZZ", "4e-13"),  # 1.0000000000004 would print as 1.0
+    ({"ZZ": 3e-13, "XX": 2e-13}, "ZZ", "3e-13"),  # the first in file order, not in label order
+])
+def test_bound_and_alpha_refuse_a_coefficient_below_the_pruning_tolerance(
+    tmp_path, capsys, command, terms, word, value
+):
+    doc = {"n": 2, "terms": [{"string": w, "coeff": c} for w, c in terms.items()]}
+    op_file = write_json(tmp_path, "tiny.json", doc)
+    for flags in ([], ["--json"]):
+        assert main([command, op_file, *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: coefficient of '{word}' is {value}, below the tolerance 1e-12 under which terms are dropped;"
+            " scale the operator up\n"
+        )
 
 
 def test_alpha_text_json_and_grid(bell_g3_file, capsys):

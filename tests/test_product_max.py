@@ -246,48 +246,101 @@ def _grid_by_enumeration(op, divisions):
     return float(np.max(terms @ op.coeffs))
 
 
-# (trailing qubits folded, capped at n - 1; grid points per block, None for the default);
-# up to 30 terms, so a block is bounded by the term count when it exceeds the suffix rows
-@pytest.mark.parametrize("folds,block", [
-    (0, None),  # no fold: the suffix is one row of ones
-    (9, None),  # every qubit but qubit 0 folded
-    (1, None),  # one qubit folded, a prefix of two or more qubits from n = 3
-    (1, 1),  # one-row blocks
-    (1, 12),  # a partial last block for every n
-    (9, 12),  # qubit 0 alone in two blocks, the last of 8 rows
+# GRID_BLOCK_ELEMENTS as a function of (n, terms), and the walk that bound must give, checked on its layout
+# (n, split, table columns, columns per product, grid points per block); divisions 4 give 20 points per
+# qubit and the operators have up to 30 terms
+@pytest.mark.parametrize("bound,walk", [
+    # every qubit but qubit 0 folded, one block and one product
+    pytest.param(lambda n, t: 20**9 * t,
+                 lambda n, split, columns, width, block: split == 1 and width == columns and block >= 20,
+                 id="all-but-qubit-0-folded"),
+    # one qubit folded, a prefix of two or more qubits from n = 3
+    pytest.param(lambda n, t: 20 * t, lambda n, split, columns, width, block: n - split == min(1, n - 1),
+                 id="one-fold"),
+    # one-row blocks; nothing folds at n = 1, one qubit from n = 2 although its table passes the bound
+    pytest.param(lambda n, t: t,
+                 lambda n, split, columns, width, block: n - split == min(1, n - 1) and block == 1,
+                 id="one-row-blocks"),
+    # blocks of 12 grid points, a partial last block for every n; at n <= 2 qubit 0 alone in blocks of 12 and 8
+    pytest.param(lambda n, t: 12 * max(min(20, 20 ** (n - 1)), t),
+                 lambda n, split, columns, width, block: block == 12,
+                 id="partial-last-block"),
+    # every qubit but qubit 0 folded, its columns in slices from n = 3, the last slice partial
+    pytest.param(lambda n, t: 3 * 20 ** (n - 1) * t,
+                 lambda n, split, columns, width, block: split == 1 and (n < 3 or columns % width != 0),
+                 id="partial-last-slice"),
 ])
-def test_grid_oracle_matches_an_enumeration_of_every_point(monkeypatch, folds, block):
+def test_grid_oracle_matches_an_enumeration_of_every_point(monkeypatch, bound, walk):
     rng = np.random.default_rng(41)
     divisions, points = 4, 20
     for n in (1, 2, 3, 4):
         for _ in range(3):
             op = _random_operator(rng, n, int(rng.integers(1, min(4**n - 1, 30) + 1)))
-            monkeypatch.setattr(product_max, "GRID_SUFFIX_ELEMENTS", points**folds * len(op))
-            if block is not None:
-                suffix_rows = points ** min(folds, n - 1)
-                monkeypatch.setattr(product_max, "GRID_BLOCK_ELEMENTS", block * max(suffix_rows, len(op)))
+            monkeypatch.setattr(product_max, "GRID_BLOCK_ELEMENTS", bound(n, len(op)))
+            split, width, block = product_max._grid_layout(n, points, len(op))
+            assert walk(n, split, points ** (n - split), width, block), (n, len(op), split, width, block)
             want = _grid_by_enumeration(op, divisions)
             scale = 1.0 + np.abs(op.coeffs).sum()
             assert abs(alpha_grid_oracle(op, divisions) - want) <= 1e-12 * scale, (n, op.labels())
 
 
-@pytest.mark.parametrize("folds", [0, 1])
-def test_grid_oracle_blocks_stay_within_the_block_bound_for_many_terms(monkeypatch, folds):
-    # 255 terms against a suffix of 1 or 20 rows: the terms, not the suffix, must bound a block
-    op = _random_operator(np.random.default_rng(8), 4, 255)
-    points, block_elements = 20, 100 * len(op)
-    monkeypatch.setattr(product_max, "GRID_SUFFIX_ELEMENTS", points**folds * len(op))
-    monkeypatch.setattr(product_max, "GRID_BLOCK_ELEMENTS", block_elements)
-    tables = (op.n * points + 2 * points**folds) * len(op) * 8  # per-qubit factors, suffix and its transpose
+def test_grid_oracle_matches_an_enumeration_on_one_qubit_at_many_divisions():
+    # 360,600 grid points of up to three terms: more rows than one block holds, the last block partial
+    rng = np.random.default_rng(12)
+    for terms in (1, 2, 3):
+        op = _random_operator(rng, 1, terms)
+        assert product_max._grid_layout(1, 360_600, terms)[2] < 360_600
+        want = _grid_by_enumeration(op, 600)
+        assert abs(alpha_grid_oracle(op, 600) - want) <= 1e-12 * (1.0 + np.abs(op.coeffs).sum()), op.labels()
+
+
+def _traced_peak(op, divisions):
     tracemalloc.start()
     try:
-        alpha_grid_oracle(op, 4)
-        peak = tracemalloc.get_traced_memory()[1]
+        alpha_grid_oracle(op, divisions)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # two arrays of at most block_elements live at once (the prefix rows beside a gathered factor
-    # or beside the values); the third is slack for the small arrays
-    assert peak <= tables + 3 * 8 * block_elements, peak
+
+
+@pytest.mark.parametrize("bound_per_term", [16, 100])
+def test_grid_oracle_blocks_stay_within_the_block_bound_for_many_terms(monkeypatch, bound_per_term):
+    # 255 terms against a table of one qubit's 20 columns, folded within the bound (100 per term) or past it
+    # (16 per term): the terms, not the table, must bound a block
+    op = _random_operator(np.random.default_rng(8), 4, 255)
+    points, bound = 20, bound_per_term * len(op)
+    monkeypatch.setattr(product_max, "GRID_BLOCK_ELEMENTS", bound)
+    assert product_max._grid_layout(4, points, len(op)) == (3, points, bound_per_term)
+    tables = (op.n + 1) * points * len(op) * 8  # the per-qubit factors and the one folded qubit
+    # two arrays of at most `bound` entries live at once (a block's rows beside a gathered factor
+    # or beside its values); the third is slack for the small arrays
+    assert _traced_peak(op, 4) <= tables + 3 * 8 * bound
+
+
+def test_grid_oracle_working_set_at_the_default_bound():
+    # four qubits, 24 terms, 6 divisions (42 points a qubit): the benchmark's operator shape
+    op = _random_operator(np.random.default_rng(19), 4, 24)
+    tables = op.n * 42 * len(op) * 8  # the per-qubit factors
+    assert _traced_peak(op, 6) <= tables + 3 * 8 * product_max.GRID_BLOCK_ELEMENTS
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_grid_oracle_folds_a_qubit_whatever_the_bound(monkeypatch, n):
+    # a one-column table would make every matrix product a thin one
+    folds, khatri_rao = [], product_max._khatri_rao
+
+    def counting(left, right):
+        folds.append(left.shape[1])
+        return khatri_rao(left, right)
+
+    monkeypatch.setattr(product_max, "_khatri_rao", counting)
+    monkeypatch.setattr(product_max, "GRID_BLOCK_ELEMENTS", 1)
+    op = _random_operator(np.random.default_rng(n), n, 3)
+    assert abs(alpha_grid_oracle(op, 4) - _grid_by_enumeration(op, 4)) <= 1e-12 * (1.0 + np.abs(op.coeffs).sum())
+    assert folds == [20]
+    # the shape that ran about 45 times slower with a one-column table: 2 qubits, 10 terms, 60 divisions
+    monkeypatch.setattr(product_max, "GRID_BLOCK_ELEMENTS", 32_768)
+    assert product_max._grid_layout(2, grid_point_count(1, 60), 10)[0] == 1
 
 
 def test_grid_oracle_validates_divisions(cat):
