@@ -290,8 +290,9 @@ def cmd_alpha(args: argparse.Namespace) -> int:
     if not 0 <= args.seed < 2**64:
         raise UsageError("--seed must lie in [0, 2**64)")
     op = _operator_file(args.operator)
-    result = alpha_max(op, starts=args.starts, seed=args.seed)
+    # the grid first, so one past its point budget is refused before the ascent runs
     grid_value = alpha_grid_oracle(op, args.grid_check) if args.grid_check else None
+    result = alpha_max(op, starts=args.starts, seed=args.seed)
     if args.json:
         doc: dict[str, Any] = {
             "alpha": result.alpha,

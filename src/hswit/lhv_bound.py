@@ -23,12 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hs import HSOperator, require_identity_free
-from .pauli_core import AXIS_LABELS, Array
+from .pauli_core import AXIS_LABELS, BLOCK_ELEMENTS, Array
 
-DEFAULT_CHUNK = 1 << 20
 DEFAULT_MAX_ASSIGNMENTS = 1 << 26
 LOW_BITS = 11  # at most 2^11 codes per row of the screen, the width of one matmul
-SIGN_TABLE_ELEMENTS = 1 << 18  # cap on the entries of one table of terms by rows or by codes
 _MEASURED_AXES = np.arange(1, 4)
 
 
@@ -110,11 +108,7 @@ def _signed_sums(rows: Array, coeffs: Array, high_masks: Array, low_signs: Array
     ``high_masks`` are the terms' masks over a code's high bits (its row),
     ``low_signs`` their (T, 2^low) signs over its low bits.
     """
-    high = np.where(_odd(rows[:, None] & high_masks), -coeffs, coeffs)
-    if len(coeffs) == 1:  # the outer product, which numpy's matmul computes slowly
-        np.multiply(high, low_signs, out=out)
-    else:
-        np.matmul(high, low_signs, out=out)
+    np.matmul(np.where(_odd(rows[:, None] & high_masks), -coeffs, coeffs), low_signs, out=out)
 
 
 def _expand(reduced: Array, letter_values: list[Array], margin: float, below: int) -> Array:
@@ -138,10 +132,10 @@ def _expand(reduced: Array, letter_values: list[Array], margin: float, below: in
 def _exact_values(codes: Array, masks: Array, coeffs: Array) -> Array:
     """Each code's value, c_t * sign_t summed term by term in order.
 
-    The codes go in batches of at most SIGN_TABLE_ELEMENTS terms by codes.
+    The codes go in batches whose table of codes by terms fits BLOCK_ELEMENTS.
     """
     values = np.empty(len(codes))
-    step = max(1, SIGN_TABLE_ELEMENTS // len(coeffs))
+    step = max(1, BLOCK_ELEMENTS // len(coeffs))
     for i in range(0, len(codes), step):
         terms = np.where(_odd(codes[i : i + step, None] & masks), -coeffs, coeffs)
         # a cumulative sum is sequential: ((c0 s0 + c1 s1) + c2 s2) + ...
@@ -191,9 +185,9 @@ def classical_bound(op: HSOperator) -> BoundResult:
     matrix product of a high and a low sign table: k + 1 products over
     2^(m - k) reduced codes, where the full enumeration has 2^m.  The low
     bits number ceil((m - k) / 2), at most LOW_BITS and fewer when the T
-    terms would make a sign table of more than SIGN_TABLE_ELEMENTS
-    entries.  A chunk holds DEFAULT_CHUNK full codes rounded up to whole
-    rows, and at most SIGN_TABLE_ELEMENTS // (2^k T) rows.
+    terms would make a sign table past BLOCK_ELEMENTS entries.  A chunk
+    takes as many rows as keep its k + 1 sums and its rows' sign tables
+    within BLOCK_ELEMENTS entries, and at least one.
 
     The products only screen: BLAS sums in an order of its own.  A value
     summed in any order is within (T - 1) eps/2 sum|c| of the true one
@@ -240,7 +234,7 @@ def classical_bound(op: HSOperator) -> BoundResult:
             reduced = (masks >> (below + k) << below) | (masks & ((1 << below) - 1))
             groups = [np.flatnonzero(letters == letter) for letter in [0] + [1 << i for i in range(k - 1, -1, -1)]]
 
-    table_rows = max(1, SIGN_TABLE_ELEMENTS // len(coeffs))
+    table_rows = max(1, BLOCK_ELEMENTS // len(coeffs))
     low = min((m - k + 1) // 2, LOW_BITS, table_rows.bit_length() - 1)
     low_codes = np.arange(1 << low)
     tables = [
@@ -248,7 +242,7 @@ def classical_bound(op: HSOperator) -> BoundResult:
         for terms in groups
     ]
     total_rows = 2 ** (m - k - low)
-    chunk_rows = min(-(-DEFAULT_CHUNK // 2 ** (low + k)), max(1, table_rows >> k), total_rows)
+    chunk_rows = min(max(1, BLOCK_ELEMENTS // ((k + 1) << low)), max(1, table_rows >> k), total_rows)
     sums = np.empty((k + 1, chunk_rows, 1 << low))  # S_I, then S_g for q's pairs in order; every chunk reuses them
     magnitude = np.empty((chunk_rows, 1 << low)) if k else None
     best_value = -np.inf
@@ -282,7 +276,8 @@ def classical_bound(op: HSOperator) -> BoundResult:
 def sampled_lower_bound(op: HSOperator, trials: int, seed: int = 0) -> float:
     """Best value over uniformly random assignments; never above the bound.
 
-    Any exactly summed value that is not finite raises ``ValueError``.
+    The assignments are drawn BLOCK_ELEMENTS at a time.  Any exactly
+    summed value that is not finite raises ``ValueError``.
     """
     require_identity_free(op)
     if trials < 1:
@@ -294,10 +289,8 @@ def sampled_lower_bound(op: HSOperator, trials: int, seed: int = 0) -> float:
     masks = incidence @ bits
     rng = np.random.default_rng(seed)
     best_value = -np.inf
-    done = 0
-    while done < trials:
-        count = min(DEFAULT_CHUNK, trials - done)
+    for done in range(0, trials, BLOCK_ELEMENTS):
+        count = min(BLOCK_ELEMENTS, trials - done)
         draws = rng.integers(0, 2, size=(count, len(pairs)), dtype=np.int8)  # 1 sets a pair to -1
         best_value = max(best_value, _exact_best(draws @ bits, masks, op.coeffs)[0])
-        done += count
     return best_value

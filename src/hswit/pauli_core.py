@@ -39,6 +39,10 @@ JACOBI_MAX_SWEEPS = 100
 
 DEFAULT_QUBIT_CAP = 10
 
+# The working-set rule of every blocked loop: no array a block allocates exceeds this many
+# entries, unless a block of one row, start or grid point already does
+BLOCK_ELEMENTS = 1 << 18
+
 
 class CapacityError(Exception):
     """Raised when an operation would exceed the configured qubit cap."""

@@ -26,13 +26,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .hs import HSOperator, require_identity_free
-from .pauli_core import Array
+from .pauli_core import BLOCK_ELEMENTS, Array
 from .states import ProductState
 
 DEGENERATE_FIELD = 1e-14
 DEFAULT_GRID_BUDGET = 250_000_000
-GRID_BLOCK_ELEMENTS = 262_144  # 2 MiB of float64: bounds the grid oracle's folded table, block rows and block values
-ASCENT_BLOCK_ELEMENTS = 65_536  # factor-table entries per block of ascent starts
 ASCENT_TOL = 1e-10  # a start stops once a sweep improves it by less than this
 ASCENT_MAX_SWEEPS = 500
 MIN_DRAW_NORM = 1e-12  # shorter random triples are redrawn
@@ -234,8 +232,8 @@ def alpha_max(op: HSOperator, starts: int = 64, seed: int = 0) -> AlphaResult:
     scheduling or how many starts run.  Every start ascends as ``ascend``
     does with its default budget: until a sweep improves it by less than
     ``ASCENT_TOL``, or for ``ASCENT_MAX_SWEEPS`` sweeps.  The starts
-    ascend in blocks of at most ``ASCENT_BLOCK_ELEMENTS`` factor-table
-    entries, so the tables do not grow with ``starts``.  The first start
+    ascend in blocks whose factor tables fit ``BLOCK_ELEMENTS`` entries,
+    so the tables do not grow with ``starts``.  The first start
     to reach the best value supplies the endpoint, sweep count and
     convergence flag.  A best value or endpoint that is not finite raises
     ``ValueError``.
@@ -251,7 +249,7 @@ def alpha_max(op: HSOperator, starts: int = 64, seed: int = 0) -> AlphaResult:
         return AlphaResult(0.0, poles, starts, 0, True, starts)
 
     axes, coeffs = op.axes, op.coeffs
-    block = max(1, ASCENT_BLOCK_ELEMENTS // axes.size)
+    block = max(1, BLOCK_ELEMENTS // axes.size)
     values = np.empty(starts)
     best: tuple[_Runs, int] | None = None
     for lo in range(0, starts, block):
@@ -285,7 +283,7 @@ def grid_point_count(n: int, divisions: int) -> int:
 
 
 def _grid_layout(n: int, points: int, n_terms: int) -> tuple[int, int, int]:
-    """(split, width, block): how ``alpha_grid_oracle`` walks a grid within GRID_BLOCK_ELEMENTS.
+    """(split, width, block): how ``alpha_grid_oracle`` walks a grid within BLOCK_ELEMENTS.
 
     Qubits split..n-1 fold into one table of terms x points**(n - split)
     entries: as many trailing qubits as fit, and one whenever n >= 2 even
@@ -298,10 +296,10 @@ def _grid_layout(n: int, points: int, n_terms: int) -> tuple[int, int, int]:
     the columns for every few rows.
     """
     folds = min(1, n - 1)
-    while folds < n - 1 and points ** (folds + 1) * n_terms <= GRID_BLOCK_ELEMENTS:
+    while folds < n - 1 and points ** (folds + 1) * n_terms <= BLOCK_ELEMENTS:
         folds += 1
-    width = min(points**folds, max(points, math.isqrt(GRID_BLOCK_ELEMENTS)))
-    block = max(1, GRID_BLOCK_ELEMENTS // max(width, n_terms))
+    width = min(points**folds, max(points, math.isqrt(BLOCK_ELEMENTS)))
+    block = max(1, BLOCK_ELEMENTS // max(width, n_terms))
     return n - folds, width, block
 
 
@@ -322,7 +320,7 @@ def alpha_grid_oracle(op: HSOperator, divisions: int) -> float:
     per block and slice of table columns (see ``_grid_layout``).  Apart
     from the n per-qubit factor tables (grid points x terms each), the
     table, a block's rows and a block's values each stay within
-    GRID_BLOCK_ELEMENTS entries.  Where a point's term products are
+    BLOCK_ELEMENTS entries.  Where a point's term products are
     split between the walked and the folded qubits depends on that
     bound, so the value's last bits do too.
     """

@@ -217,6 +217,18 @@ def test_alpha_bad_arguments_exit_two(bell_g3_file, capsys, flags):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_alpha_refuses_a_grid_past_its_budget_before_the_ascent(bell_g3_file, monkeypatch, capsys, flags):
+    def no_ascent(*args, **kwargs):
+        raise AssertionError("alpha_max ran before the grid budget refused")
+
+    monkeypatch.setattr("hswit.cli.alpha_max", no_ascent)
+    assert main(["alpha", bell_g3_file, "--grid-check", "25", *flags]) == 1  # 650^3 points
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: grid of 274625000 points exceeds the budget of 250000000; lower divisions\n"
+
+
 def test_alpha_accepts_the_largest_seed(bell_g3_file, capsys):
     assert main(["alpha", bell_g3_file, "--seed", str(2**64 - 1), "--starts", "1"]) == 0
     assert "starts_used 1" in capsys.readouterr().out

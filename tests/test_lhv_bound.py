@@ -10,6 +10,7 @@ oracle reaches full-weight two-letter operators up to n = 10.
 
 import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from conftest import mermin
 from hswit import lhv_bound
 from hswit.hs import HSOperator, require_identity_free
 from hswit.lhv_bound import (
-    DEFAULT_CHUNK,
+    BLOCK_ELEMENTS,
     DEFAULT_MAX_ASSIGNMENTS,
     BoundResult,
     LHVAssignment,
@@ -81,7 +82,7 @@ def _walsh_hadamard_bound(op: HSOperator) -> float:
 
 def _per_term_enumeration(
     op: HSOperator,
-    chunk_size: int = DEFAULT_CHUNK,
+    chunk_size: int = 1 << 20,
     max_assignments: int = DEFAULT_MAX_ASSIGNMENTS,
 ) -> tuple[float, LHVAssignment, int]:
     """The per-term enumerator that the matrix-product screen replaced, as it was.
@@ -175,10 +176,28 @@ def _random_coefficient_op(rng, n, kind, n_terms=None):
     return HSOperator(n, {labels[i]: float(c) for i, c in zip(picks, coeffs) if c != 0})
 
 
-def _bound_in_chunks(monkeypatch, op, chunk):
-    """classical_bound with its chunk of codes, the module constant DEFAULT_CHUNK, set to ``chunk``."""
-    monkeypatch.setattr(lhv_bound, "DEFAULT_CHUNK", chunk)
+def _bound_in_blocks(monkeypatch, op, elements):
+    """classical_bound with its working-set bound, the module constant BLOCK_ELEMENTS, set to ``elements``."""
+    monkeypatch.setattr(lhv_bound, "BLOCK_ELEMENTS", elements)
     return classical_bound(op)
+
+
+def _chunk_shapes(monkeypatch, op, elements):
+    """classical_bound at the given bound, and the (rows, codes per row) of every letter sum it screened."""
+    shapes, signed_sums = [], lhv_bound._signed_sums
+
+    def recording(rows, coeffs, high_masks, low_signs, out):
+        shapes.append(out.shape)
+        signed_sums(rows, coeffs, high_masks, low_signs, out)
+
+    monkeypatch.setattr(lhv_bound, "_signed_sums", recording)
+    return _bound_in_blocks(monkeypatch, op, elements), set(shapes)
+
+
+def _block_bounds(op):
+    """Bounds to run ``op`` at: one code per chunk where 2^m is small enough to walk so, then 4,096 and the default."""
+    tiny = (1, 3, 17) if len(_incidence(op)[0]) <= 9 else ()
+    return (*tiny, 4096, BLOCK_ELEMENTS)
 
 
 def _assert_same_bound(got, want):
@@ -192,8 +211,8 @@ def test_bound_equals_the_per_term_enumerator_on_catalog(cat, monkeypatch):
             if op is None:
                 continue
             want = _per_term_enumeration(op)
-            for chunk in (1, 3, 17, 4096, DEFAULT_CHUNK):
-                _assert_same_bound(_bound_in_chunks(monkeypatch, op, chunk), want)
+            for elements in _block_bounds(op):
+                _assert_same_bound(_bound_in_blocks(monkeypatch, op, elements), want)
 
 
 @pytest.mark.parametrize("kind", ["normal", "integer", "dyadic", "mixed"])
@@ -202,18 +221,26 @@ def test_bound_equals_the_per_term_enumerator_on_random_ops(kind, monkeypatch):
     for i in range(48):
         op = _random_coefficient_op(rng, 1 + i % 6, kind)
         want = _per_term_enumeration(op)
-        for chunk in (1, 3, 17, 4096, DEFAULT_CHUNK):
-            _assert_same_bound(_bound_in_chunks(monkeypatch, op, chunk), want)
+        for elements in _block_bounds(op):
+            _assert_same_bound(_bound_in_blocks(monkeypatch, op, elements), want)
 
 
 @pytest.mark.parametrize("kind", ["normal", "dyadic"])
 def test_bound_equals_the_per_term_enumerator_over_several_chunks(kind, monkeypatch):
-    # m > 11 measured pairs: rows of 2^11 codes, and chunks of 1, 4 or all rows
+    # m = 18 measured pairs, three of them on the closed-form qubit, so 2^15 reduced codes: chunks of one
+    # row of 8 codes, of 12 or 14 rows of 64 codes with a partial last chunk, and all 128 rows of 256 codes
     op = _random_coefficient_op(np.random.default_rng(4), 6, kind, n_terms=40)
-    assert len(_incidence(op)[0]) > 11
+    assert len(_incidence(op)[0]) == 18
     want = _per_term_enumeration(op)
-    for chunk in (1, 2048, 3 * 2048 + 1, DEFAULT_CHUNK):
-        _assert_same_bound(_bound_in_chunks(monkeypatch, op, chunk), want)
+    rows = 12 if kind == "normal" else 14
+    for elements, shapes in [
+        (16 * len(op) - 1, {(1, 8)}),
+        (4096, {(rows, 64), (8, 64)}),
+        (BLOCK_ELEMENTS, {(128, 256)}),
+    ]:
+        got, seen = _chunk_shapes(monkeypatch, op, elements)
+        _assert_same_bound(got, want)
+        assert seen == shapes, elements
 
 
 def _tenths_op(rng, n, n_terms, swap_symmetric):
@@ -240,8 +267,8 @@ def test_bound_equals_the_per_term_enumerator_on_rounded_ties(n, n_terms, monkey
         for swap_symmetric in (False, True):
             op = _tenths_op(np.random.default_rng(seed), n, n_terms, swap_symmetric)
             want = _per_term_enumeration(op)
-            for chunk in (1, DEFAULT_CHUNK):
-                _assert_same_bound(_bound_in_chunks(monkeypatch, op, chunk), want)
+            for elements in _block_bounds(op):
+                _assert_same_bound(_bound_in_blocks(monkeypatch, op, elements), want)
 
 
 def test_bound_rejects_values_that_overflow():
@@ -286,10 +313,13 @@ def test_maximizer_ties_resolve_to_all_plus_one():
 
 
 def test_chunk_partition_does_not_change_the_result(cat, monkeypatch):
+    # m = 12, 13 terms: chunks of one code, of 15 rows of 64 codes with a partial last chunk, and all 64 rows
     op = cat["w4"].bell
-    reference = classical_bound(op)
-    for chunk in (1, 3, 17, 1000):
-        result = _bound_in_chunks(monkeypatch, op, chunk)
+    reference, seen = _chunk_shapes(monkeypatch, op, BLOCK_ELEMENTS)
+    assert seen == {(64, 64)}
+    for elements, shapes in [(1, {(1, 1)}), (3, {(1, 1)}), (17, {(1, 1)}), (1000, {(15, 64), (4, 64)})]:
+        result, seen = _chunk_shapes(monkeypatch, op, elements)
+        assert seen == shapes, elements
         assert result.beta_cl == reference.beta_cl
         assert result.maximizer == reference.maximizer
         assert result.evaluations == reference.evaluations
@@ -388,6 +418,22 @@ def test_sampled_bound_is_the_best_evaluated_draw(cat):
             assert value == pytest.approx(_naive_value(op, dict(zip(pairs, row))), abs=1e-12)
 
 
+def test_sampled_bound_draws_one_stream_across_batches():
+    # 23 one-letter terms with normal coefficients give every assignment its own value, and an odd number
+    # of int8 draws per row, which numpy packs four to a 32-bit word.  The assignments are drawn
+    # BLOCK_ELEMENTS at a time, and the batches must continue the stream as one draw of all trials does;
+    # at seed 1 the best of 2 * BLOCK_ELEMENTS - 1 draws lies in the second batch
+    rng = np.random.default_rng(23)
+    words = ["I" * k + a + "I" * (7 - k) for k in range(8) for a in "XYZ"][:23]
+    op = HSOperator(8, dict(zip(words, rng.normal(size=len(words)).tolist())))
+    pairs, incidence = _incidence(op)
+    draws = np.random.default_rng(1).integers(0, 2, size=(2 * BLOCK_ELEMENTS - 1, len(pairs)), dtype=np.int8)
+    values = _sign_row_values(op, incidence, 1 - 2 * draws)
+    assert np.argmax(values) >= BLOCK_ELEMENTS and np.count_nonzero(values == values.max()) == 1
+    for trials in (BLOCK_ELEMENTS + 5, 2 * BLOCK_ELEMENTS - 1):
+        assert sampled_lower_bound(op, trials, seed=1) == values[:trials].max()
+
+
 # The busiest qubit q leaves the enumeration when the other m - k pairs
 # number more than LOW_BITS.  Each layout gives the axes each qubit
 # measures; q is the first qubit with the most of them.
@@ -442,8 +488,8 @@ def test_bound_with_the_busiest_qubit_in_closed_form_equals_the_per_term_enumera
     for identity_on_q in (False, True):
         op = _layout_op(rng, layout, kind, identity_on_q)
         want = _per_term_enumeration(op)
-        for chunk in (1, 2048, DEFAULT_CHUNK):
-            _assert_same_bound(_bound_in_chunks(monkeypatch, op, chunk), want)
+        for elements in (4096, BLOCK_ELEMENTS):
+            _assert_same_bound(_bound_in_blocks(monkeypatch, op, elements), want)
 
 
 def test_tied_maximizers_keep_both_signs_where_a_letter_sum_vanishes(monkeypatch):
@@ -455,10 +501,29 @@ def test_tied_maximizers_keep_both_signs_where_a_letter_sum_vanishes(monkeypatch
     assert len(pairs) - 2 > lhv_bound.LOW_BITS
     want = _per_term_enumeration(op)
     values = _sign_row_values(op, incidence, np.array(list(itertools.product((1, -1), repeat=len(pairs))))).tolist()
-    for chunk in (1, 2048, DEFAULT_CHUNK):
-        got = _bound_in_chunks(monkeypatch, op, chunk)
+    for elements in (4 * len(op), 4096, BLOCK_ELEMENTS):
+        got = _bound_in_blocks(monkeypatch, op, elements)
         _assert_same_bound(got, want)
         assert got.exact_checks == values.count(max(values)) == 2 * 2**12  # two under each reduced code
+
+
+def test_bound_working_set_at_the_default_bound(monkeypatch):
+    # eight qubits measuring all 24 pairs, 40 terms: 2^21 reduced codes in chunks of 32 rows of 2^11 codes
+    rng = np.random.default_rng(24)
+    words = sorted({"".join(rng.choice(list("XYZ"), size=8)) for _ in range(40)})
+    op = HSOperator(8, dict(zip(words, rng.normal(size=len(words)).tolist())))
+    assert len(_incidence(op)[0]) == 24
+    tracemalloc.start()
+    try:
+        got, shapes = _chunk_shapes(monkeypatch, op, BLOCK_ELEMENTS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert shapes == {(32, 2048)}
+    # the k + 1 letter sums fill one bound; the low sign tables and the magnitudes |S_g| fit in another
+    assert peak <= 2 * 8 * BLOCK_ELEMENTS
+    wider = _bound_in_blocks(monkeypatch, op, 4 * BLOCK_ELEMENTS)  # chunks of 128 rows
+    assert (got.beta_cl, got.maximizer) == (wider.beta_cl, wider.maximizer)
 
 
 def test_sampled_bound_rejects_values_that_overflow_as_the_bound_does():

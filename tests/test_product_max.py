@@ -246,7 +246,7 @@ def _grid_by_enumeration(op, divisions):
     return float(np.max(terms @ op.coeffs))
 
 
-# GRID_BLOCK_ELEMENTS as a function of (n, terms), and the walk that bound must give, checked on its layout
+# BLOCK_ELEMENTS as a function of (n, terms), and the walk that bound must give, checked on its layout
 # (n, split, table columns, columns per product, grid points per block); divisions 4 give 20 points per
 # qubit and the operators have up to 30 terms
 @pytest.mark.parametrize("bound,walk", [
@@ -276,7 +276,7 @@ def test_grid_oracle_matches_an_enumeration_of_every_point(monkeypatch, bound, w
     for n in (1, 2, 3, 4):
         for _ in range(3):
             op = _random_operator(rng, n, int(rng.integers(1, min(4**n - 1, 30) + 1)))
-            monkeypatch.setattr(product_max, "GRID_BLOCK_ELEMENTS", bound(n, len(op)))
+            monkeypatch.setattr(product_max, "BLOCK_ELEMENTS", bound(n, len(op)))
             split, width, block = product_max._grid_layout(n, points, len(op))
             assert walk(n, split, points ** (n - split), width, block), (n, len(op), split, width, block)
             want = _grid_by_enumeration(op, divisions)
@@ -309,7 +309,7 @@ def test_grid_oracle_blocks_stay_within_the_block_bound_for_many_terms(monkeypat
     # (16 per term): the terms, not the table, must bound a block
     op = _random_operator(np.random.default_rng(8), 4, 255)
     points, bound = 20, bound_per_term * len(op)
-    monkeypatch.setattr(product_max, "GRID_BLOCK_ELEMENTS", bound)
+    monkeypatch.setattr(product_max, "BLOCK_ELEMENTS", bound)
     assert product_max._grid_layout(4, points, len(op)) == (3, points, bound_per_term)
     tables = (op.n + 1) * points * len(op) * 8  # the per-qubit factors and the one folded qubit
     # two arrays of at most `bound` entries live at once (a block's rows beside a gathered factor
@@ -321,7 +321,7 @@ def test_grid_oracle_working_set_at_the_default_bound():
     # four qubits, 24 terms, 6 divisions (42 points a qubit): the benchmark's operator shape
     op = _random_operator(np.random.default_rng(19), 4, 24)
     tables = op.n * 42 * len(op) * 8  # the per-qubit factors
-    assert _traced_peak(op, 6) <= tables + 3 * 8 * product_max.GRID_BLOCK_ELEMENTS
+    assert _traced_peak(op, 6) <= tables + 3 * 8 * product_max.BLOCK_ELEMENTS
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -334,12 +334,12 @@ def test_grid_oracle_folds_a_qubit_whatever_the_bound(monkeypatch, n):
         return khatri_rao(left, right)
 
     monkeypatch.setattr(product_max, "_khatri_rao", counting)
-    monkeypatch.setattr(product_max, "GRID_BLOCK_ELEMENTS", 1)
+    monkeypatch.setattr(product_max, "BLOCK_ELEMENTS", 1)
     op = _random_operator(np.random.default_rng(n), n, 3)
     assert abs(alpha_grid_oracle(op, 4) - _grid_by_enumeration(op, 4)) <= 1e-12 * (1.0 + np.abs(op.coeffs).sum())
     assert folds == [20]
     # the shape that ran about 45 times slower with a one-column table: 2 qubits, 10 terms, 60 divisions
-    monkeypatch.setattr(product_max, "GRID_BLOCK_ELEMENTS", 32_768)
+    monkeypatch.setattr(product_max, "BLOCK_ELEMENTS", 32_768)
     assert product_max._grid_layout(2, grid_point_count(1, 60), 10)[0] == 1
 
 
@@ -515,8 +515,8 @@ def test_alpha_max_matches_lone_starts_across_blocks(cat, monkeypatch):
     ops = _operators(cat)
     for name, op in ops[:6] + ops[-3:]:
         best, at_best = _lone_alpha(op, 20, seed=9)
-        for elements in (op.axes.size, 3 * op.axes.size, product_max.ASCENT_BLOCK_ELEMENTS):
-            monkeypatch.setattr(product_max, "ASCENT_BLOCK_ELEMENTS", elements)
+        for elements in (op.axes.size, 3 * op.axes.size, product_max.BLOCK_ELEMENTS):
+            monkeypatch.setattr(product_max, "BLOCK_ELEMENTS", elements)
             result = alpha_max(op, starts=20, seed=9)
             assert result.alpha == best[0], name
             assert (result.iterations, result.converged) == (best[2], best[3]), name
