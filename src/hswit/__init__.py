@@ -10,26 +10,14 @@ of reference states whose benchmark numbers are pinned by tests.
 """
 
 from .hs import HSOperator, hs_decompose, hs_reconstruct, overlap
-from .lhv_bound import (
-    BoundResult,
-    LHVAssignment,
-    classical_bound,
-    sampled_lower_bound,
-)
-from .pauli_core import (
-    CapacityError,
-    DensityMatrix,
-    InvalidStateError,
-    hermitian_eigenvalues,
-    qubit_cap,
-)
+from .lhv_bound import BoundResult, LHVAssignment, classical_bound
+from .pauli_core import CapacityError, DensityMatrix, InvalidStateError, qubit_cap
 from .product_max import (
     AlphaResult,
     Ascent,
     alpha_grid_oracle,
     alpha_max,
     ascend,
-    objective,
 )
 from .states import (
     CatalogEntry,
@@ -40,7 +28,6 @@ from .states import (
     mds,
     mds_g_operator,
     mix_white_noise,
-    partial_transpose,
     product_state,
     w_state,
 )
@@ -82,20 +69,16 @@ __all__ = [
     "cluster4",
     "eval_witness",
     "ghz",
-    "hermitian_eigenvalues",
     "hs_decompose",
     "hs_reconstruct",
     "mds",
     "mds_entanglement_threshold",
     "mds_g_operator",
     "mix_white_noise",
-    "objective",
     "overlap",
-    "partial_transpose",
     "pcrit_bell",
     "pcrit_witness",
     "product_state",
     "qubit_cap",
-    "sampled_lower_bound",
     "w_state",
 ]

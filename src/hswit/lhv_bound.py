@@ -270,27 +270,3 @@ def classical_bound(op: HSOperator) -> BoundResult:
 
     signs = {pair: 1 - 2 * ((best_code >> (m - 1 - j)) & 1) for j, pair in enumerate(pairs)}
     return BoundResult(best_value, _full_table(op, signs), exact_checks, tuple(pairs))
-
-
-@np.errstate(over="ignore", invalid="ignore")  # overflow is checked for, as in classical_bound
-def sampled_lower_bound(op: HSOperator, trials: int, seed: int = 0) -> float:
-    """Best value over uniformly random assignments; never above the bound.
-
-    The assignments are drawn BLOCK_ELEMENTS at a time.  Any exactly
-    summed value that is not finite raises ``ValueError``.
-    """
-    require_identity_free(op)
-    if trials < 1:
-        raise ValueError(f"trials must be positive, got {trials}")
-    if len(op) == 0:  # every assignment has value 0
-        return 0.0
-    pairs, incidence = _incidence(op)
-    bits = 1 << np.arange(len(pairs) - 1, -1, -1)
-    masks = incidence @ bits
-    rng = np.random.default_rng(seed)
-    best_value = -np.inf
-    for done in range(0, trials, BLOCK_ELEMENTS):
-        count = min(BLOCK_ELEMENTS, trials - done)
-        draws = rng.integers(0, 2, size=(count, len(pairs)), dtype=np.int8)  # 1 sets a pair to -1
-        best_value = max(best_value, _exact_best(draws @ bits, masks, op.coeffs)[0])
-    return best_value

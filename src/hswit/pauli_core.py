@@ -34,8 +34,6 @@ SIGMA = np.array(
 HERMITIAN_ATOL = 1e-10
 TRACE_ATOL = 1e-10
 EIGENVALUE_FLOOR = -1e-9
-JACOBI_TOL = 1e-12  # off-diagonal norm at which Jacobi sweeps stop, relative above norm 1
-JACOBI_MAX_SWEEPS = 100
 
 DEFAULT_QUBIT_CAP = 10
 
@@ -78,67 +76,6 @@ def check_qubit_count(n: int) -> int:
     if n > cap:
         raise CapacityError(f"{n} qubits exceeds the cap of {cap} (set WITNESS_QUBIT_CAP to raise it)")
     return n
-
-
-def hermitian_eigenvalues(matrix: Array) -> Array:
-    """Eigenvalues of a Hermitian matrix, ascending, via cyclic Jacobi.
-
-    Each (p, q) rotation absorbs the phase of the off-diagonal entry into
-    a diagonal unitary and then applies the standard real symmetric 2x2
-    rotation, so every sweep strictly shrinks the off-diagonal norm.
-    Sweeps stop once that norm falls below JACOBI_TOL scaled by the
-    input's Frobenius norm when that exceeds 1 (roundoff makes a smaller
-    absolute norm unreachable for large-scale matrices); no convergence
-    within JACOBI_MAX_SWEEPS sweeps raises ``ValueError``.  The package
-    checks positivity with ``eigvalsh``; this is an independent reference
-    for tests on small dense matrices.  It is O(dim^4) per unit of
-    accuracy gained, not a general-purpose solver.
-    """
-    a = np.array(matrix, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    dim = a.shape[0]
-    if dim == 1:
-        return a.real.reshape(1).copy()
-    if np.max(np.abs(a - a.conj().T)) > 1e-8 * max(1.0, np.max(np.abs(a))):
-        raise ValueError("matrix is not Hermitian")
-
-    def off_norm(m: Array) -> float:
-        off = m - np.diag(np.diag(m))
-        return float(np.linalg.norm(off))
-
-    stop = JACOBI_TOL * max(1.0, float(np.linalg.norm(a)))
-    threshold = stop / (2 * dim)
-    for _ in range(JACOBI_MAX_SWEEPS):
-        if off_norm(a) < stop:
-            break
-        for p in range(dim - 1):
-            for q in range(p + 1, dim):
-                apq = a[p, q]
-                r = abs(apq)
-                if r <= threshold:
-                    continue
-                phase = apq / r
-                app = a[p, p].real
-                aqq = a[q, q].real
-                tau = (aqq - app) / (2.0 * r)
-                t = (1.0 if tau >= 0 else -1.0) / (abs(tau) + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                # columns: A <- A U with U restricted to the (p, q) plane
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * np.conj(phase) * col_q
-                a[:, q] = s * col_p + c * np.conj(phase) * col_q
-                # rows: A <- U^dagger A
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * phase * row_q
-                a[q, :] = s * row_p + c * phase * row_q
-    else:
-        if off_norm(a) >= stop:
-            raise ValueError(f"Jacobi sweeps did not converge within {JACOBI_MAX_SWEEPS} sweeps")
-    return np.sort(np.diag(a).real)
 
 
 @dataclass(frozen=True, eq=False)

@@ -150,11 +150,6 @@ def _one_start(op: HSOperator, blochs: Array) -> Array:
     return blochs[None]
 
 
-def objective(op: HSOperator, blochs: Array) -> float:
-    """Expectation sum_s c_s prod_k v_k[s_k] at the given Bloch vectors."""
-    return float(_values(_factors(op.axes, _components(_one_start(op, blochs))), op.coeffs)[0])
-
-
 @dataclass(frozen=True)
 class Ascent:
     """One alternating-ascent trajectory.

@@ -160,16 +160,6 @@ def mix_white_noise(rho: DensityMatrix, p: float) -> DensityMatrix:
     return DensityMatrix(mat, rho.n)
 
 
-def partial_transpose(rho: DensityMatrix, qubit: int) -> Array:
-    """Transpose within qubit ``qubit``'s 2x2 blocks; output may not be psd."""
-    n = rho.n
-    if not 0 <= qubit < n:
-        raise ValueError(f"qubit index must lie in [0, {n}), got {qubit}")
-    tensor = rho.matrix.reshape((2,) * (2 * n))
-    tensor = np.swapaxes(tensor, qubit, n + qubit)
-    return tensor.reshape(rho.dim, rho.dim).copy()
-
-
 @dataclass(frozen=True)
 class CatalogEntry:
     """One reference state with its operators and expected benchmarks.

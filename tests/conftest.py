@@ -1,6 +1,11 @@
-"""Shared fixtures: the reference catalog, random-state helpers, a dense string oracle and the Mermin family."""
+"""Shared fixtures: the reference catalog, the benchmark's generated inputs, random-state helpers,
+a dense string oracle and the Mermin family.
+"""
 
 import itertools
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +19,15 @@ from hswit.states import catalog
 def cat():
     """The six reference entries, built once per test run."""
     return catalog()
+
+
+@pytest.fixture(scope="session")
+def generated(tmp_path_factory) -> Path:
+    """The directory of input files ``bench/gen.py --seed 1`` writes, written once per test run."""
+    out = tmp_path_factory.mktemp("generated")
+    gen = Path(__file__).resolve().parents[1] / "bench" / "gen.py"
+    subprocess.run([sys.executable, str(gen), "--seed", "1", "--out", str(out)], check=True, stdout=subprocess.DEVNULL)
+    return out
 
 
 def random_density(rng: np.random.Generator, n: int) -> DensityMatrix:

@@ -1,0 +1,125 @@
+"""Reference routines that only the tests call.
+
+Each is an independent second route to a number the package computes
+another way: a pure-Python Jacobi eigensolver beside ``eigvalsh``, the
+partial transpose for spectral checks on the catalog states, a one-start
+product-state value beside the blocked ascent, and a sampled lower bound
+beside the exhaustive classical bound.  None is reached by a command or a
+library path, so none lives in the package.
+"""
+
+import numpy as np
+
+from hswit.hs import HSOperator, require_identity_free
+from hswit.lhv_bound import _exact_best, _incidence
+from hswit.pauli_core import BLOCK_ELEMENTS, Array, DensityMatrix
+from hswit.product_max import _components, _factors, _one_start, _values
+
+JACOBI_TOL = 1e-12  # off-diagonal norm at which Jacobi sweeps stop, relative above norm 1
+JACOBI_MAX_SWEEPS = 100
+
+
+def hermitian_eigenvalues(matrix: Array) -> Array:
+    """Eigenvalues of a Hermitian matrix, ascending, via cyclic Jacobi.
+
+    Each (p, q) rotation absorbs the phase of the off-diagonal entry into
+    a diagonal unitary and then applies the standard real symmetric 2x2
+    rotation, so every sweep strictly shrinks the off-diagonal norm.
+    Sweeps stop once that norm falls below JACOBI_TOL scaled by the
+    input's Frobenius norm when that exceeds 1 (roundoff makes a smaller
+    absolute norm unreachable for large-scale matrices); no convergence
+    within JACOBI_MAX_SWEEPS sweeps raises ``ValueError``.  The package
+    checks positivity with ``eigvalsh``; this is an independent reference
+    for tests on small dense matrices.  It is O(dim^4) per unit of
+    accuracy gained, not a general-purpose solver.
+    """
+    a = np.array(matrix, dtype=complex)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    dim = a.shape[0]
+    if dim == 1:
+        return a.real.reshape(1).copy()
+    if np.max(np.abs(a - a.conj().T)) > 1e-8 * max(1.0, np.max(np.abs(a))):
+        raise ValueError("matrix is not Hermitian")
+
+    def off_norm(m: Array) -> float:
+        off = m - np.diag(np.diag(m))
+        return float(np.linalg.norm(off))
+
+    stop = JACOBI_TOL * max(1.0, float(np.linalg.norm(a)))
+    threshold = stop / (2 * dim)
+    for _ in range(JACOBI_MAX_SWEEPS):
+        if off_norm(a) < stop:
+            break
+        for p in range(dim - 1):
+            for q in range(p + 1, dim):
+                apq = a[p, q]
+                r = abs(apq)
+                if r <= threshold:
+                    continue
+                phase = apq / r
+                app = a[p, p].real
+                aqq = a[q, q].real
+                tau = (aqq - app) / (2.0 * r)
+                t = (1.0 if tau >= 0 else -1.0) / (abs(tau) + np.sqrt(1.0 + tau * tau))
+                c = 1.0 / np.sqrt(1.0 + t * t)
+                s = t * c
+                # columns: A <- A U with U restricted to the (p, q) plane
+                col_p = a[:, p].copy()
+                col_q = a[:, q].copy()
+                a[:, p] = c * col_p - s * np.conj(phase) * col_q
+                a[:, q] = s * col_p + c * np.conj(phase) * col_q
+                # rows: A <- U^dagger A
+                row_p = a[p, :].copy()
+                row_q = a[q, :].copy()
+                a[p, :] = c * row_p - s * phase * row_q
+                a[q, :] = s * row_p + c * phase * row_q
+    else:
+        if off_norm(a) >= stop:
+            raise ValueError(f"Jacobi sweeps did not converge within {JACOBI_MAX_SWEEPS} sweeps")
+    return np.sort(np.diag(a).real)
+
+
+def partial_transpose(rho: DensityMatrix, qubit: int) -> Array:
+    """Transpose within qubit ``qubit``'s 2x2 blocks; output may not be psd."""
+    n = rho.n
+    if not 0 <= qubit < n:
+        raise ValueError(f"qubit index must lie in [0, {n}), got {qubit}")
+    tensor = rho.matrix.reshape((2,) * (2 * n))
+    tensor = np.swapaxes(tensor, qubit, n + qubit)
+    return tensor.reshape(rho.dim, rho.dim).copy()
+
+
+def objective(op: HSOperator, blochs: Array) -> float:
+    """Expectation sum_s c_s prod_k v_k[s_k] at the given Bloch vectors."""
+    return float(_values(_factors(op.axes, _components(_one_start(op, blochs))), op.coeffs)[0])
+
+
+@np.errstate(over="ignore", invalid="ignore")  # overflow is checked for, as in classical_bound
+def sampled_lower_bound(op: HSOperator, trials: int, seed: int = 0) -> float:
+    """Best value over uniformly random assignments; never above the bound.
+
+    The assignments are drawn BLOCK_ELEMENTS at a time, and each batch's
+    codes are built one pair's column at a time, so the int8 draws are
+    never widened whole.  Any exactly summed value that is not finite
+    raises ``ValueError``.
+    """
+    require_identity_free(op)
+    if trials < 1:
+        raise ValueError(f"trials must be positive, got {trials}")
+    if len(op) == 0:  # every assignment has value 0
+        return 0.0
+    pairs, incidence = _incidence(op)
+    bits = 1 << np.arange(len(pairs) - 1, -1, -1)
+    masks = incidence @ bits
+    rng = np.random.default_rng(seed)
+    best_value = -np.inf
+    for done in range(0, trials, BLOCK_ELEMENTS):
+        count = min(BLOCK_ELEMENTS, trials - done)
+        draws = rng.integers(0, 2, size=(count, len(pairs)), dtype=np.int8)  # 1 sets a pair to -1
+        codes = np.zeros(count, dtype=np.int64)
+        for column in draws.T:  # the first pair is the most significant bit
+            codes <<= 1
+            codes |= column
+        best_value = max(best_value, _exact_best(codes, masks, op.coeffs)[0])
+    return best_value

@@ -13,8 +13,8 @@ import pytest
 
 from hswit.cli import main
 from hswit.hs import HSOperator, hs_decompose, hs_reconstruct, overlap
-from hswit.lhv_bound import classical_bound, sampled_lower_bound
-from hswit.pauli_core import AXIS_LABELS, hermitian_eigenvalues
+from hswit.lhv_bound import classical_bound
+from hswit.pauli_core import AXIS_LABELS
 from hswit.product_max import alpha_grid_oracle, alpha_max, ascend
 from hswit.states import (
     MDS_R_LIMIT,
@@ -22,12 +22,12 @@ from hswit.states import (
     mds,
     mds_g_operator,
     mix_white_noise,
-    partial_transpose,
     product_state,
 )
 from hswit.witness import analyze, build_witness, eval_witness, mds_entanglement_threshold
 
 from conftest import random_density
+from reference import hermitian_eigenvalues, partial_transpose, sampled_lower_bound
 
 
 def _report(criterion: str, failures: list[str]) -> None:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import hswit
+from hswit import lhv_bound, product_max
 from hswit.cli import build_parser, load_operator, load_state, main, operator_json, verify_entries
 from hswit.hs import hs_decompose, hs_reconstruct
 from hswit.states import ENTRY_NAMES, catalog, ghz, mix_white_noise, w_state
@@ -399,31 +400,35 @@ def test_values_past_the_float_range_exit_one(tmp_path, capsys, command, terms, 
     assert captured.err.startswith("error:") and "overflow" in captured.err
 
 
-def _hswit(argv, stdout=subprocess.PIPE, unbuffered=True):
-    """``python -m hswit ARGV`` in a fresh process that imports this checkout's hswit."""
+def _hswit(argv, stdout=subprocess.PIPE, unbuffered=True, run=subprocess.run):
+    """``python -m hswit ARGV`` in a fresh process that imports this checkout's hswit, started by ``run``."""
     src = str(Path(hswit.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
-    return subprocess.run([sys.executable, "-m", "hswit", *argv], stdout=stdout, stderr=subprocess.PIPE, env=env, text=True)
+    return run([sys.executable, "-m", "hswit", *argv], stdout=stdout, stderr=subprocess.PIPE, env=env, text=True)
+
+
+_ASCENT_OVERFLOWS = "the ascent overflows the float range; scale the coefficients down"
 
 
 @pytest.mark.parametrize(
-    "command,message",
+    "command,flags,message",
     [
-        ("bound", "an assignment's value overflows the float range; no finite classical bound"),
-        ("alpha", "the ascent overflows the float range; scale the coefficients down"),
+        ("bound", [], "an assignment's value overflows the float range; no finite classical bound"),
+        ("alpha", [], _ASCENT_OVERFLOWS),
+        ("alpha", ["--grid-check", "4"], _ASCENT_OVERFLOWS),
     ],
-    ids=["bound", "alpha"],
+    ids=["bound", "alpha", "alpha_grid"],
 )
 @pytest.mark.parametrize(
     "terms", [{"X": 1e308, "Y": 1e308, "Z": 1e308}, {"XX": 1e308, "ZZ": 1e308}], ids=["XYZ", "XX_ZZ"]
 )
-def test_bound_past_the_float_range_prints_one_error_line(tmp_path, command, message, terms):
+def test_bound_past_the_float_range_prints_one_error_line(tmp_path, command, flags, message, terms):
     # a fresh process shows numpy's RuntimeWarnings, which pytest would turn into errors
     doc = {"n": len(next(iter(terms))), "terms": [{"string": w, "coeff": c} for w, c in terms.items()]}
-    proc = _hswit([command, write_json(tmp_path, "overflow.json", doc)])
+    proc = _hswit([command, write_json(tmp_path, "overflow.json", doc), *flags])
     assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"error: {message}\n")
 
 
@@ -437,6 +442,31 @@ def test_a_closed_stdout_exits_141_and_writes_no_stderr(unbuffered):
     finally:
         os.close(write)
     assert (proc.returncode, proc.stderr) == (141, "")
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_a_reader_that_leaves_after_one_line_sees_no_stderr(unbuffered):
+    # as `hswit verify | head -n 1`: exit 141, or 0 if every line reached the pipe before the reader left
+    with _hswit(["verify"], unbuffered=unbuffered, run=subprocess.Popen) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert first and proc.returncode in (0, 141) and err == ""
+
+
+def test_bounds_and_maxima_do_not_depend_on_the_block_size(generated, monkeypatch, capsys):
+    # every blocked loop sizes its blocks from BLOCK_ELEMENTS, and the block size may not change a byte:
+    # bound and alpha (without the grid oracle, whose grouping of products follows the block) at the default
+    # and at 4,096 entries
+    files = [str(p) for kind in ("bell", "kernel", "op") for p in sorted(generated.glob(f"{kind}_*.json"))]
+    assert len(files) == 19
+    argvs = [[command, f, "--json"] for f in files for command in ("bound", "alpha")]
+    default = [_run(capsys, argv)[:2] for argv in argvs]
+    monkeypatch.setattr(lhv_bound, "BLOCK_ELEMENTS", 4096)
+    monkeypatch.setattr(product_max, "BLOCK_ELEMENTS", 4096)
+    small = [_run(capsys, argv)[:2] for argv in argvs]
+    assert all(rc == 0 for rc, _ in default)
+    assert small == default
 
 
 @pytest.mark.parametrize("n", [40, 10**7])

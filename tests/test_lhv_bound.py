@@ -27,8 +27,8 @@ from hswit.lhv_bound import (
     _full_table,
     _incidence,
     classical_bound,
-    sampled_lower_bound,
 )
+from reference import sampled_lower_bound
 
 
 def _naive_value(op: HSOperator, table: dict[tuple[int, int], int]) -> float:

@@ -18,11 +18,11 @@ from hswit.pauli_core import (
     CapacityError,
     DensityMatrix,
     InvalidStateError,
-    hermitian_eigenvalues,
     qubit_cap,
 )
 
 from conftest import PAULI, random_density, string_matrix
+from reference import hermitian_eigenvalues
 
 
 def _dense(label: str) -> np.ndarray:

@@ -1,12 +1,19 @@
 """Alternating ascent over product states and the exhaustive grid oracle."""
 
+import json
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hswit import product_max
+from hswit.cli import load_operator
 from hswit.hs import HSOperator, overlap
+from hswit.lhv_bound import classical_bound
+from hswit.pauli_core import AXIS_LABELS
 from hswit.product_max import (
     DEGENERATE_FIELD,
     _ascend,
@@ -15,9 +22,10 @@ from hswit.product_max import (
     alpha_max,
     ascend,
     grid_point_count,
-    objective,
 )
 from hswit.states import ProductState, mds_g_operator
+
+from reference import objective
 
 ALPHA_CASES = [
     ("ghz3", 1.0),
@@ -199,6 +207,37 @@ def test_alpha_names_an_overflow(terms):
     op = HSOperator(len(next(iter(terms))), terms)
     with pytest.raises(ValueError, match="ascent overflows the float range"):
         alpha_max(op)
+
+
+def _alpha_and_bound(op):
+    """alpha_max(op).alpha, and classical_bound(op).beta_cl raised by its rounding margin 8 (T + 1) eps sum|c|."""
+    margin = 8 * (len(op) + 1) * sys.float_info.epsilon * float(np.abs(op.coeffs).sum())
+    return alpha_max(op).alpha, classical_bound(op).beta_cl + margin
+
+
+def test_alpha_never_exceeds_the_classical_bound(cat, generated):
+    # a product state's value is affine in each qubit's Bloch vector, so its maximum over the cube
+    # [-1, 1]^(3n), which holds the Bloch balls, lies at a vertex: an assignment of +/-1 outcomes
+    ops = {name: entry.g_witness for name, entry in cat.items()}
+    for path in sorted(generated.glob("kernel_*.json")) + sorted(generated.glob("op_*.json")):
+        ops[path.name] = load_operator(json.loads(path.read_text()))
+    assert len(ops) == 20
+    values = {name: _alpha_and_bound(op) for name, op in ops.items()}
+    assert not {name: pair for name, pair in values.items() if not pair[0] <= pair[1]}
+
+
+@st.composite
+def identity_free_operators(draw):
+    n = draw(st.integers(1, 4))
+    words = st.tuples(*[st.integers(0, 3)] * n).filter(any).map(lambda axes: "".join(AXIS_LABELS[a] for a in axes))
+    return HSOperator(n, draw(st.dictionaries(words, st.floats(-10.0, 10.0), min_size=1, max_size=12)))
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(identity_free_operators())
+def test_alpha_never_exceeds_the_classical_bound_on_random_operators(op):
+    alpha, bound = _alpha_and_bound(op)
+    assert alpha <= bound
 
 
 def test_grid_point_count():

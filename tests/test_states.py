@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from hswit.hs import hs_decompose, hs_reconstruct
-from hswit.pauli_core import DensityMatrix, InvalidStateError, hermitian_eigenvalues
+from hswit.pauli_core import DensityMatrix, InvalidStateError
 from hswit.states import (
     MDS_R_LIMIT,
     CatalogEntry,
@@ -18,9 +18,10 @@ from hswit.states import (
     mds,
     mds_g_operator,
     mix_white_noise,
-    partial_transpose,
     w_state,
 )
+
+from reference import hermitian_eigenvalues, partial_transpose
 
 
 def test_ghz_amplitudes():
