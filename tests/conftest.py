@@ -2,6 +2,7 @@
 a dense string oracle and the Mermin family.
 """
 
+import functools
 import itertools
 import subprocess
 import sys
@@ -22,12 +23,26 @@ def cat():
 
 
 @pytest.fixture(scope="session")
-def generated(tmp_path_factory) -> Path:
-    """The directory of input files ``bench/gen.py --seed 1`` writes, written once per test run."""
-    out = tmp_path_factory.mktemp("generated")
+def generated_by_seed(tmp_path_factory):
+    """``generated_by_seed(seed)``: the directory of input files ``bench/gen.py --seed SEED`` writes, written once
+    per seed and test run."""
     gen = Path(__file__).resolve().parents[1] / "bench" / "gen.py"
-    subprocess.run([sys.executable, str(gen), "--seed", "1", "--out", str(out)], check=True, stdout=subprocess.DEVNULL)
-    return out
+
+    @functools.cache
+    def write(seed: int) -> Path:
+        out = tmp_path_factory.mktemp(f"generated{seed}")
+        subprocess.run(
+            [sys.executable, str(gen), "--seed", str(seed), "--out", str(out)], check=True, stdout=subprocess.DEVNULL
+        )
+        return out
+
+    return write
+
+
+@pytest.fixture(scope="session")
+def generated(generated_by_seed) -> Path:
+    """The directory of input files ``bench/gen.py --seed 1`` writes."""
+    return generated_by_seed(1)
 
 
 def random_density(rng: np.random.Generator, n: int) -> DensityMatrix:

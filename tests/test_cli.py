@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -267,11 +268,58 @@ def test_report_mds_with_ineffective_scale(capsys):
     assert "witness" in capsys.readouterr().err
 
 
+# the 40 graded rows and the verdict, byte for byte: a changed printed digit is a changed paper number
+_VERIFY_OUT = """\
+ghz3 beta_cl 2 expected 2 PASS
+ghz3 beta_qu 4 expected 4 PASS
+ghz3 pcrit_bell 0.5 expected 0.5 PASS
+ghz3 alpha 1 expected 1 PASS
+ghz3 trace_g_rho 5 expected 5 PASS
+ghz3 witness_value -4 expected -4 PASS
+ghz3 pcrit_witness 0.2 expected 0.2 PASS
+w3 beta_cl 2 expected 2 PASS
+w3 beta_qu 3 expected 3 PASS
+w3 pcrit_bell 0.666666666667 expected 0.666666666667 PASS
+w3 alpha 1 expected 1 PASS
+w3 trace_g_rho 3.66666666667 expected 3.66666666667 PASS
+w3 witness_value -2.66666666667 expected -2.66666666667 PASS
+w3 pcrit_witness 0.272727272727 expected 0.272727272727 PASS
+ghz4 beta_cl 4 expected 4 PASS
+ghz4 beta_qu 8 expected 8 PASS
+ghz4 pcrit_bell 0.5 expected 0.5 PASS
+ghz4 alpha 1 expected 1 PASS
+ghz4 trace_g_rho 9 expected 9 PASS
+ghz4 witness_value -8 expected -8 PASS
+ghz4 pcrit_witness 0.111111111111 expected 0.111111111111 PASS
+w4 beta_cl 5 expected 5 PASS
+w4 beta_qu 6 expected 6 PASS
+w4 pcrit_bell 0.833333333333 expected 0.833333333333 PASS
+w4 alpha 3 expected 3 PASS
+w4 trace_g_rho 6 expected 6 PASS
+w4 witness_value -3 expected -3 PASS
+w4 pcrit_witness 0.5 expected 0.5 PASS
+cl4 beta_cl 4 expected 4 PASS
+cl4 beta_qu 8 expected 8 PASS
+cl4 pcrit_bell 0.5 expected 0.5 PASS
+cl4 alpha 2 expected 2 PASS
+cl4 trace_g_rho 8 expected 8 PASS
+cl4 witness_value -6 expected -6 PASS
+cl4 pcrit_witness 0.25 expected 0.25 PASS
+mds alpha 0.5 expected 0.5 PASS
+mds trace_g_rho 0.75 expected 0.75 PASS
+mds witness_value -0.25 expected -0.25 PASS
+mds pcrit_witness 0.666666666667 expected 0.666666666667 PASS
+mds threshold_r 0.333333333553 expected 0.333333333333 PASS
+RESULT PASS (40 checks at 1e-09)
+"""
+
+
 def test_verify_passes_and_is_byte_identical(capsys):
     assert main(["verify"]) == 0
     first = capsys.readouterr().out
     assert first.splitlines()[-1].startswith("RESULT PASS")
     assert "mds threshold_r" in first
+    assert first == _VERIFY_OUT
     assert main(["verify"]) == 0
     assert capsys.readouterr().out == first
 
@@ -400,14 +448,20 @@ def test_values_past_the_float_range_exit_one(tmp_path, capsys, command, terms, 
     assert captured.err.startswith("error:") and "overflow" in captured.err
 
 
-def _hswit(argv, stdout=subprocess.PIPE, unbuffered=True, run=subprocess.run):
-    """``python -m hswit ARGV`` in a fresh process that imports this checkout's hswit, started by ``run``."""
+def _python(args, stdout=subprocess.PIPE, unbuffered=True, run=subprocess.run, env=None):
+    """``python ARGS`` in a fresh process that imports this checkout's hswit, with ``env`` added to the
+    environment, started by ``run``."""
     src = str(Path(hswit.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = dict(os.environ, **(env or {}), PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
-    return run([sys.executable, "-m", "hswit", *argv], stdout=stdout, stderr=subprocess.PIPE, env=env, text=True)
+    return run([sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE, env=env, text=True)
+
+
+def _hswit(argv, **kwargs):
+    """``python -m hswit ARGV`` in a fresh process, as ``_python`` starts it."""
+    return _python(["-m", "hswit", *argv], **kwargs)
 
 
 _ASCENT_OVERFLOWS = "the ascent overflows the float range; scale the coefficients down"
@@ -454,19 +508,94 @@ def test_a_reader_that_leaves_after_one_line_sees_no_stderr(unbuffered):
     assert first and proc.returncode in (0, 141) and err == ""
 
 
+def _generated_files(directory, *kinds):
+    return [str(p) for kind in kinds for p in sorted(directory.glob(f"{kind}_*.json"))]
+
+
+def _invariant_commands(directory):
+    """The commands whose stdout may depend on neither the BLAS thread count nor the block size: bound on
+    every Bell, kernel and operator file, the six reports, and alpha on every kernel and operator file
+    (without the grid oracle, whose grouping of products follows the block and BLAS)."""
+    return (
+        [["bound", f, "--json"] for f in _generated_files(directory, "bell", "kernel", "op")]
+        + [["report", name, "--json"] for name in ENTRY_NAMES]
+        + [["alpha", f, "--json"] for f in _generated_files(directory, "kernel", "op")]
+    )
+
+
 def test_bounds_and_maxima_do_not_depend_on_the_block_size(generated, monkeypatch, capsys):
     # every blocked loop sizes its blocks from BLOCK_ELEMENTS, and the block size may not change a byte:
-    # bound and alpha (without the grid oracle, whose grouping of products follows the block) at the default
-    # and at 4,096 entries
-    files = [str(p) for kind in ("bell", "kernel", "op") for p in sorted(generated.glob(f"{kind}_*.json"))]
-    assert len(files) == 19
-    argvs = [[command, f, "--json"] for f in files for command in ("bound", "alpha")]
+    # the invariant commands, and alpha on the Bell files too, at the default and at 4,096 entries
+    argvs = _invariant_commands(generated) + [["alpha", f, "--json"] for f in _generated_files(generated, "bell")]
+    assert Counter(argv[0] for argv in argvs) == {"bound": 19, "report": 6, "alpha": 19}
     default = [_run(capsys, argv)[:2] for argv in argvs]
     monkeypatch.setattr(lhv_bound, "BLOCK_ELEMENTS", 4096)
     monkeypatch.setattr(product_max, "BLOCK_ELEMENTS", 4096)
     small = [_run(capsys, argv)[:2] for argv in argvs]
     assert all(rc == 0 for rc, _ in default)
     assert small == default
+
+
+# runs each command of the JSON list in argv[1] in-process, then prints one JSON document: each command's
+# [exit code, stdout], and the process's thread count from /proc/self/status after the runs (null without /proc)
+_RUN_COMMANDS = """
+import contextlib, io, json, os, sys
+from hswit.cli import main
+
+runs = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        runs.append([main(argv), out.getvalue()])
+threads = None
+if os.path.exists("/proc/self/status"):
+    with open("/proc/self/status") as status:
+        threads = next(int(line.split()[1]) for line in status if line.startswith("Threads:"))
+print(json.dumps({"runs": runs, "threads": threads}))
+"""
+
+
+def test_bounds_reports_and_maxima_do_not_depend_on_the_blas_thread_count(generated):
+    # the screen's letter sums and the ascent's products round differently with each thread count, and the
+    # output may not change by a byte; OPENBLAS_NUM_THREADS is read only when numpy loads, so each count
+    # runs every command in a process of its own
+    argvs = _invariant_commands(generated)
+    assert Counter(argv[0] for argv in argvs) == {"bound": 19, "report": 6, "alpha": 14}
+    runs = {}
+    for threads in (1, 2):
+        proc = _python(["-c", _RUN_COMMANDS, json.dumps(argvs)], env={"OPENBLAS_NUM_THREADS": str(threads)})
+        assert (proc.returncode, proc.stderr) == (0, "")
+        doc = json.loads(proc.stdout)
+        if doc["threads"] is not None:  # the setting took effect: BLAS started its threads, up to one a CPU
+            assert doc["threads"] == min(threads, len(os.sched_getaffinity(0)))
+        runs[threads] = doc["runs"]
+    assert all(rc == 0 for rc, _ in runs[1])
+    assert runs[2] == runs[1]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_the_grid_value_is_below_alpha_and_changes_no_other_field(generated_by_seed, capsys, seed):
+    directory = generated_by_seed(seed)
+    cases = [(f, 6) for f in _generated_files(directory, "op_n4")]
+    cases += [(str(directory / f"kernel_{name}.json"), 8) for name in ("ghz3", "w3", "mds")]
+    assert len(cases) == 5
+    for f, divisions in cases:
+        rc, out, _ = _run(capsys, ["alpha", f, "--json"])
+        rc_grid, out_grid, _ = _run(capsys, ["alpha", f, "--json", "--grid-check", str(divisions)])
+        assert (rc, rc_grid) == (0, 0)
+        plain, grid = json.loads(out), json.loads(out_grid)
+        value = grid.pop("grid_value")
+        assert value <= plain["alpha"] + 1e-9, f
+        assert grid == plain, f
+
+
+def test_generated_states_decompose_and_the_non_positive_one_is_refused(generated, capsys):
+    states = _generated_files(generated, "state")
+    assert len(states) == 4
+    for flags in ([], ["--json"]):
+        for f in states:
+            assert _run(capsys, ["decompose", f, *flags])[0] == 0
+        rc, out, err = _run(capsys, ["decompose", str(generated / "non_psd_n4.json"), *flags])
+        assert (rc, out) == (1, "") and err.startswith("error:")
 
 
 @pytest.mark.parametrize("n", [40, 10**7])
