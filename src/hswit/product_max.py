@@ -9,12 +9,18 @@ streams guards against local maxima.  A brute-force angular grid search
 is provided as an independent cross-check.
 
 One evaluator serves every entry point: a block of starts shares one
-(n, starts, terms) factor table and each ascent step is one numpy call
-for the whole block.  Per start the arithmetic is that of a lone start:
-field sums are one ``bincount`` over start-major bins, which keeps each
-start's term order, and values and norms are stacked vector products,
-one dot per start.  So a start's result does not depend on which block
-it ran in or how many starts ran beside it.
+(n + 1, starts, terms) table, the qubits' factors in rows 0..n-1 and the
+coefficients in row n.  A sweep carries the product of the qubits it has
+updated; the step on qubit k writes that prefix into row k and takes
+every term's weight, for the whole block, as one product over rows k..n.
+Rounded left to right, that is bit for bit a lone start's weight: its
+factors in qubit order with a 1 for qubit k, times the coefficient.
+After the last qubit the prefix is the product of every factor, so the
+values need no second product.  Field sums are one ``bincount`` over
+start-major bins, built once per block, which keeps each start's term
+order; values and norms are stacked vector products, one dot per start.
+So a start's result does not depend on which block it ran in or how many
+starts ran beside it.
 """
 
 from __future__ import annotations
@@ -45,15 +51,27 @@ def _components(blochs: Array) -> Array:
     return components
 
 
-def _factors(axes: Array, components: Array) -> Array:
-    """(n, starts, terms) table: entry [k, s, t] is start s's qubit-k component along term t's axis.
+def _table(axes: Array, coeffs: Array, components: Array) -> Array:
+    """(n + 1, starts, terms) table: entry [k, s, t] is start s's qubit-k component along term t's axis.
 
-    Entries along the first axis multiply to the term's value.  The
-    table stays C-ordered, so every start's products form one contiguous
-    row, as a lone start's do.
+    Row n holds the coefficients, so the rows multiply to each term's
+    share of the objective.  The table stays C-ordered, so every start's
+    products form one contiguous row, as a lone start's do.
     """
-    n = components.shape[1]
-    return np.ascontiguousarray(components[:, np.arange(n), axes].transpose(2, 0, 1))
+    starts, n = components.shape[:2]
+    table = np.empty((n + 1, starts, len(coeffs)))
+    table[:n] = components[:, np.arange(n), axes].transpose(2, 0, 1)
+    table[n] = coeffs
+    return table
+
+
+def _bins(axes: Array, starts: int) -> Array:
+    """(n, starts * terms) start-major bins 4 * start + axis, one row per qubit.
+
+    The first rows * terms entries of a row are the bins of the first
+    ``rows`` starts, so they serve the block after it is compacted.
+    """
+    return ((4 * np.arange(starts))[:, None] + axes.T[:, None, :]).reshape(axes.shape[1], -1)
 
 
 def _lengths(rows: Array) -> Array:
@@ -61,22 +79,23 @@ def _lengths(rows: Array) -> Array:
     return np.sqrt((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
 
 
-def _values(factors: Array, coeffs: Array) -> Array:
-    """Objective of every start in the table, one dot per start."""
-    return (factors.prod(axis=0)[:, None, :] @ coeffs[:, None])[:, 0, 0]
+def _values(products: Array, coeffs: Array) -> Array:
+    """Objective of every start from its (starts, terms) row of term products, one dot per start."""
+    return (products[:, None, :] @ coeffs[:, None])[:, 0, 0]
 
 
-def _fields(factors: Array, coeffs: Array, axes: Array, qubit: int) -> Array:
+def _fields(table: Array, bins: Array, prefix: Array, qubit: int) -> Array:
     """(starts, 4) rows (c0, cx, cy, cz) of the objective as affine in one qubit.
 
-    Sets that qubit's slice of the table to 1.  One bincount over
+    ``prefix`` is the product of qubits 0..qubit-1's rows.  It replaces
+    the qubit's row, so rows qubit..n multiply, left to right, to each
+    term's weight without that qubit's factor.  One bincount over
     start-major bins sums each start's terms in term order.
     """
-    starts = factors.shape[1]
-    factors[qubit] = 1.0
-    bins = (4 * np.arange(starts))[:, None] + axes[:, qubit]
-    weights = coeffs * factors.prod(axis=0)
-    return np.bincount(bins.ravel(), weights=weights.ravel(), minlength=4 * starts).reshape(starts, 4)
+    starts = prefix.shape[0]
+    table[qubit] = prefix
+    weights = table[qubit:].prod(axis=0)
+    return np.bincount(bins[qubit, : weights.size], weights=weights.ravel(), minlength=4 * starts).reshape(starts, 4)
 
 
 class _Runs(NamedTuple):
@@ -107,20 +126,23 @@ def _ascend(
     blochs = blochs.copy()
     live = np.arange(starts)  # start index of each row still ascending
     components = _components(blochs)
-    factors = _factors(axes, components)
-    value = _values(factors, coeffs)
+    table = _table(axes, coeffs, components)
+    bins = _bins(axes, starts)
+    value = _values(table[:n].prod(axis=0), coeffs)
     values = value.copy()
     sweeps = np.zeros(starts, dtype=int)
     converged = np.zeros(starts, dtype=bool)
     history = [value.copy()] if keep_history else None
     for sweep in range(1, max_iters + 1):
+        prefix = np.ones(table.shape[1:])  # the product of the qubits this sweep has updated
         for k in range(n):
-            field = _fields(factors, coeffs, axes, k)[:, 1:]
+            field = _fields(table, bins, prefix, k)[:, 1:]
             norm = _lengths(field)
             moved = ~(norm < DEGENERATE_FIELD)  # a degenerate field keeps the vector
             np.divide(field, norm[:, None], out=components[:, k, 1:], where=moved[:, None])
-            factors[k] = components[:, k, axes[:, k]]
-        new = _values(factors, coeffs)
+            table[k] = components[:, k, axes[:, k]]
+            prefix *= table[k]
+        new = _values(prefix, coeffs)
         best = np.where(new > value, new, value)
         done = new - value < tol
         value = np.where(done, best, new)
@@ -136,7 +158,7 @@ def _ascend(
                 break
             keep = ~stop
             live, components, value = live[keep], components[keep], value[keep]
-            factors = factors.compress(keep, axis=1)  # stays C-ordered
+            table = table.compress(keep, axis=1)  # stays C-ordered
     if history is not None:
         history = np.stack(history, axis=1)
     return _Runs(values, blochs, sweeps, converged, history)
@@ -227,8 +249,8 @@ def alpha_max(op: HSOperator, starts: int = 64, seed: int = 0) -> AlphaResult:
     scheduling or how many starts run.  Every start ascends as ``ascend``
     does with its default budget: until a sweep improves it by less than
     ``ASCENT_TOL``, or for ``ASCENT_MAX_SWEEPS`` sweeps.  The starts
-    ascend in blocks whose factor tables fit ``BLOCK_ELEMENTS`` entries,
-    so the tables do not grow with ``starts``.  The first start
+    ascend in blocks whose tables fit ``BLOCK_ELEMENTS`` entries, so the
+    tables do not grow with ``starts``.  The first start
     to reach the best value supplies the endpoint, sweep count and
     convergence flag.  A best value or endpoint that is not finite raises
     ``ValueError``.
@@ -244,7 +266,7 @@ def alpha_max(op: HSOperator, starts: int = 64, seed: int = 0) -> AlphaResult:
         return AlphaResult(0.0, poles, starts, 0, True, starts)
 
     axes, coeffs = op.axes, op.coeffs
-    block = max(1, BLOCK_ELEMENTS // axes.size)
+    block = max(1, BLOCK_ELEMENTS // ((n + 1) * len(op)))
     values = np.empty(starts)
     best: tuple[_Runs, int] | None = None
     for lo in range(0, starts, block):

@@ -13,7 +13,7 @@ import numpy as np
 from hswit.hs import HSOperator, require_identity_free
 from hswit.lhv_bound import _exact_best, _incidence
 from hswit.pauli_core import BLOCK_ELEMENTS, Array, DensityMatrix
-from hswit.product_max import _components, _factors, _one_start, _values
+from hswit.product_max import _components, _one_start, _table, _values
 
 JACOBI_TOL = 1e-12  # off-diagonal norm at which Jacobi sweeps stop, relative above norm 1
 JACOBI_MAX_SWEEPS = 100
@@ -92,7 +92,8 @@ def partial_transpose(rho: DensityMatrix, qubit: int) -> Array:
 
 def objective(op: HSOperator, blochs: Array) -> float:
     """Expectation sum_s c_s prod_k v_k[s_k] at the given Bloch vectors."""
-    return float(_values(_factors(op.axes, _components(_one_start(op, blochs))), op.coeffs)[0])
+    table = _table(op.axes, op.coeffs, _components(_one_start(op, blochs)))
+    return float(_values(table[: op.n].prod(axis=0), op.coeffs)[0])
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow is checked for, as in classical_bound

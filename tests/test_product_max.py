@@ -52,8 +52,9 @@ def _product_coeffs(ps):
 
 def _field(op, blochs, qubit):
     """(c0, c) of the objective as c0 + c . v_qubit, all other qubits fixed, by the ascent's step."""
-    factors = product_max._factors(op.axes, product_max._components(np.array(blochs, dtype=float)[None]))
-    sums = product_max._fields(factors, op.coeffs, op.axes, qubit)[0]
+    table = product_max._table(op.axes, op.coeffs, product_max._components(np.array(blochs, dtype=float)[None]))
+    prefix = table[:qubit].prod(axis=0)  # the product of the qubits a sweep has updated before this one
+    sums = product_max._fields(table, product_max._bins(op.axes, 1), prefix, qubit)[0]
     return sums[0], sums[1:]
 
 
@@ -515,6 +516,16 @@ def test_block_compacts_starts_that_stop_on_different_sweeps(cat):
     assert len(set(runs.sweeps.tolist())) > 5
 
 
+@pytest.mark.parametrize("name", ["op_n7_m20", "op_n8_m16", "op_n8_m22"])
+def test_block_ascent_is_bit_identical_to_lone_starts_on_the_benchmark_operators(generated, name):
+    # the 64 starts alpha_max draws at seed 0, as the CLI runs them, on the benchmark's largest operator files
+    op = load_operator(json.loads((generated / f"{name}.json").read_text()))
+    runs = _assert_block_matches_lone(op, [_start_blochs(0, s, op.n) for s in range(64)])
+    if name == "op_n8_m16":
+        # two starts run on long after the rest have stopped, so the block compacts across a long tail
+        assert sorted(runs.sweeps.tolist())[-3:] == [82, 200, 250]
+
+
 @pytest.mark.parametrize("tol,max_iters", [(0.0, 0), (0.0, 2), (-1.0, 40)])
 def test_block_respects_the_iteration_budget(cat, tol, max_iters):
     # with a negative tolerance no sweep converges, and the value follows
@@ -531,12 +542,29 @@ def test_factor_table_equals_a_per_qubit_gather(cat):
     for name, op in _operators(cat):
         for starts in (1, 64):
             components = product_max._components(rng.normal(size=(starts, op.n, 3)))
-            want = np.empty((op.n, starts, len(op)))
+            want = np.empty((op.n + 1, starts, len(op)))
             for k in range(op.n):
                 want[k] = components[:, k, op.axes[:, k]]
-            got = product_max._factors(op.axes, components)
+            want[op.n] = op.coeffs
+            got = product_max._table(op.axes, op.coeffs, components)
             np.testing.assert_array_equal(got, want)
             assert got.flags.c_contiguous, name
+
+
+def test_ascent_working_set_stays_within_the_block_bound(monkeypatch):
+    # eight qubits and 64 terms, the shape of the benchmark's op_n8_m16: 200 starts in eight blocks of up to 28
+    op = _random_operator(np.random.default_rng(23), 8, 64)
+    starts, bound = 200, 2**14
+    monkeypatch.setattr(product_max, "BLOCK_ELEMENTS", bound)
+    tracemalloc.start()
+    try:
+        alpha_max(op, starts=starts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the table, its compacted copy and the bins hold at most `bound` entries each, the fourth is slack for
+    # the small arrays; only the final values, 8 bytes a start, grow with the starts
+    assert peak <= 8 * starts + 4 * 8 * bound
 
 
 def test_start_draws_skip_short_triples(monkeypatch):
@@ -554,7 +582,7 @@ def test_alpha_max_matches_lone_starts_across_blocks(cat, monkeypatch):
     ops = _operators(cat)
     for name, op in ops[:6] + ops[-3:]:
         best, at_best = _lone_alpha(op, 20, seed=9)
-        for elements in (op.axes.size, 3 * op.axes.size, product_max.BLOCK_ELEMENTS):
+        for elements in ((op.n + 1) * len(op), 3 * (op.n + 1) * len(op), product_max.BLOCK_ELEMENTS):
             monkeypatch.setattr(product_max, "BLOCK_ELEMENTS", elements)
             result = alpha_max(op, starts=20, seed=9)
             assert result.alpha == best[0], name
