@@ -199,10 +199,15 @@ _AXIS_TO_PAIR = SIGMA.reshape(4, 4)  # [a, 2r + c] = SIGMA[a, r, c]
 
 
 def _per_qubit(tensor: Array, table: Array) -> Array:
-    """Contract each axis of a (4,) * n tensor with a 4x4 table, qubit 0 first."""
-    for _ in range(tensor.ndim):  # contract the leading axis, append the result axis
-        tensor = np.tensordot(tensor, table, axes=(0, 0))
-    return tensor
+    """Contract each axis of a (4,) * n tensor with a 4x4 table, qubit 0 first, one matrix product a qubit.
+
+    Read flat, the (4^(n-1), 4) product of the leading axis's transposed rows with the table is the
+    tensor with that axis contracted and moved last, so after n products every axis is back in place.
+    """
+    n = tensor.ndim
+    for _ in range(n):
+        tensor = tensor.reshape(4, -1).T @ table
+    return tensor.reshape((4,) * n)
 
 
 def hs_decompose(rho: DensityMatrix) -> HSOperator:

@@ -249,8 +249,9 @@ def alpha_max(op: HSOperator, starts: int = 64, seed: int = 0) -> AlphaResult:
     scheduling or how many starts run.  Every start ascends as ``ascend``
     does with its default budget: until a sweep improves it by less than
     ``ASCENT_TOL``, or for ``ASCENT_MAX_SWEEPS`` sweeps.  The starts
-    ascend in blocks whose tables fit ``BLOCK_ELEMENTS`` entries, so the
-    tables do not grow with ``starts``.  The first start
+    ascend in blocks whose widest array, the table or the components,
+    fits ``BLOCK_ELEMENTS`` entries, so no block's arrays, its draws
+    included, grow with ``starts``.  The first start
     to reach the best value supplies the endpoint, sweep count and
     convergence flag.  A best value or endpoint that is not finite raises
     ``ValueError``.
@@ -266,13 +267,15 @@ def alpha_max(op: HSOperator, starts: int = 64, seed: int = 0) -> AlphaResult:
         return AlphaResult(0.0, poles, starts, 0, True, starts)
 
     axes, coeffs = op.axes, op.coeffs
-    block = max(1, BLOCK_ELEMENTS // ((n + 1) * len(op)))
+    block = min(starts, max(1, BLOCK_ELEMENTS // max((n + 1) * len(op), 4 * n)))
+    draws = np.empty((block, n, 3))
     values = np.empty(starts)
     best: tuple[_Runs, int] | None = None
     for lo in range(0, starts, block):
         hi = min(starts, lo + block)
-        draws = np.stack([_start_blochs(seed, s, n) for s in range(lo, hi)])
-        runs = _ascend(axes, coeffs, draws, ASCENT_TOL, ASCENT_MAX_SWEEPS)
+        for s in range(lo, hi):
+            draws[s - lo] = _start_blochs(seed, s, n)
+        runs = _ascend(axes, coeffs, draws[: hi - lo], ASCENT_TOL, ASCENT_MAX_SWEEPS)
         values[lo:hi] = runs.values
         i = int(np.argmax(runs.values))
         if best is None or runs.values[i] > best[0].values[best[1]]:

@@ -514,12 +514,14 @@ def _generated_files(directory, *kinds):
 
 def _invariant_commands(directory):
     """The commands whose stdout may depend on neither the BLAS thread count nor the block size: bound on
-    every Bell, kernel and operator file, the six reports, and alpha on every kernel and operator file
-    (without the grid oracle, whose grouping of products follows the block and BLAS)."""
+    every Bell, kernel and operator file, the six reports, alpha on every kernel and operator file
+    (without the grid oracle, whose grouping of products follows the block and BLAS), and decompose on
+    every state file, whose per-qubit matrix products are the HS transforms."""
     return (
         [["bound", f, "--json"] for f in _generated_files(directory, "bell", "kernel", "op")]
         + [["report", name, "--json"] for name in ENTRY_NAMES]
         + [["alpha", f, "--json"] for f in _generated_files(directory, "kernel", "op")]
+        + [["decompose", f, "--json"] for f in _generated_files(directory, "state")]
     )
 
 
@@ -527,7 +529,7 @@ def test_bounds_and_maxima_do_not_depend_on_the_block_size(generated, monkeypatc
     # every blocked loop sizes its blocks from BLOCK_ELEMENTS, and the block size may not change a byte:
     # the invariant commands, and alpha on the Bell files too, at the default and at 4,096 entries
     argvs = _invariant_commands(generated) + [["alpha", f, "--json"] for f in _generated_files(generated, "bell")]
-    assert Counter(argv[0] for argv in argvs) == {"bound": 19, "report": 6, "alpha": 19}
+    assert Counter(argv[0] for argv in argvs) == {"bound": 19, "report": 6, "alpha": 19, "decompose": 4}
     default = [_run(capsys, argv)[:2] for argv in argvs]
     monkeypatch.setattr(lhv_bound, "BLOCK_ELEMENTS", 4096)
     monkeypatch.setattr(product_max, "BLOCK_ELEMENTS", 4096)
@@ -555,11 +557,11 @@ print(json.dumps({"runs": runs, "threads": threads}))
 
 
 def test_bounds_reports_and_maxima_do_not_depend_on_the_blas_thread_count(generated):
-    # the screen's letter sums and the ascent's products round differently with each thread count, and the
-    # output may not change by a byte; OPENBLAS_NUM_THREADS is read only when numpy loads, so each count
-    # runs every command in a process of its own
+    # the screen's letter sums, the ascent's products and the HS transforms' matrix products round
+    # differently with each thread count, and the output may not change by a byte; OPENBLAS_NUM_THREADS is
+    # read only when numpy loads, so each count runs every command in a process of its own
     argvs = _invariant_commands(generated)
-    assert Counter(argv[0] for argv in argvs) == {"bound": 19, "report": 6, "alpha": 14}
+    assert Counter(argv[0] for argv in argvs) == {"bound": 19, "report": 6, "alpha": 14, "decompose": 4}
     runs = {}
     for threads in (1, 2):
         proc = _python(["-c", _RUN_COMMANDS, json.dumps(argvs)], env={"OPENBLAS_NUM_THREADS": str(threads)})

@@ -113,6 +113,26 @@ def test_decompose_equals_the_searched_einsum(n):
     np.testing.assert_array_equal(coeffs.coeffs, want.coeffs)
 
 
+def _einsum_reconstruct(op) -> np.ndarray:
+    """The dense matrix as one einsum over the per-qubit indices, its path searched per call."""
+    n = op.n
+    dense = np.zeros(4**n)
+    dense[op.codes] = op.coeffs
+    # index layout: rows r_k = k, columns c_k = n + k, axes a_k = 2n + k
+    operands: list = [dense.reshape((4,) * n), [2 * n + k for k in range(n)]]
+    for k in range(n):
+        operands.extend([SIGMA, [2 * n + k, k, n + k]])
+    operands.append(list(range(2 * n)))
+    return np.einsum(*operands, optimize=True).reshape(2**n, 2**n)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_reconstruct_equals_the_searched_einsum(n):
+    # the per-qubit contraction must equal the one-einsum reconstruction bit for bit
+    op = hs_decompose(random_density(np.random.default_rng(40 + n), n))
+    np.testing.assert_array_equal(hs_reconstruct(op), _einsum_reconstruct(op))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_round_trip_reproduces_the_state(n):
     rng = np.random.default_rng(100 + n)

@@ -334,10 +334,10 @@ def test_grid_oracle_matches_an_enumeration_on_one_qubit_at_many_divisions():
         assert abs(alpha_grid_oracle(op, 600) - want) <= 1e-12 * (1.0 + np.abs(op.coeffs).sum()), op.labels()
 
 
-def _traced_peak(op, divisions):
+def _traced_peak(function, *args, **kwargs):
     tracemalloc.start()
     try:
-        alpha_grid_oracle(op, divisions)
+        function(*args, **kwargs)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -354,14 +354,14 @@ def test_grid_oracle_blocks_stay_within_the_block_bound_for_many_terms(monkeypat
     tables = (op.n + 1) * points * len(op) * 8  # the per-qubit factors and the one folded qubit
     # two arrays of at most `bound` entries live at once (a block's rows beside a gathered factor
     # or beside its values); the third is slack for the small arrays
-    assert _traced_peak(op, 4) <= tables + 3 * 8 * bound
+    assert _traced_peak(alpha_grid_oracle, op, 4) <= tables + 3 * 8 * bound
 
 
 def test_grid_oracle_working_set_at_the_default_bound():
     # four qubits, 24 terms, 6 divisions (42 points a qubit): the benchmark's operator shape
     op = _random_operator(np.random.default_rng(19), 4, 24)
     tables = op.n * 42 * len(op) * 8  # the per-qubit factors
-    assert _traced_peak(op, 6) <= tables + 3 * 8 * product_max.BLOCK_ELEMENTS
+    assert _traced_peak(alpha_grid_oracle, op, 6) <= tables + 3 * 8 * product_max.BLOCK_ELEMENTS
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -556,15 +556,24 @@ def test_ascent_working_set_stays_within_the_block_bound(monkeypatch):
     op = _random_operator(np.random.default_rng(23), 8, 64)
     starts, bound = 200, 2**14
     monkeypatch.setattr(product_max, "BLOCK_ELEMENTS", bound)
-    tracemalloc.start()
-    try:
-        alpha_max(op, starts=starts)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = _traced_peak(alpha_max, op, starts=starts)
     # the table, its compacted copy and the bins hold at most `bound` entries each, the fourth is slack for
     # the small arrays; only the final values, 8 bytes a start, grow with the starts
     assert peak <= 8 * starts + 4 * 8 * bound
+
+
+@pytest.mark.parametrize("bound", [2**14, product_max.BLOCK_ELEMENTS])
+def test_start_draws_stay_within_the_block_bound(monkeypatch, bound):
+    # one qubit, one term: the components, 4 entries a start, are a block's widest array, twice the table;
+    # at 2**14 the 20,000 starts run in five blocks, at the default in one
+    op, starts = HSOperator(1, {"Z": 1.0}), 20_000
+    monkeypatch.setattr(product_max, "BLOCK_ELEMENTS", bound)
+    alpha_max(op, starts=2)  # the first call's one-off allocations are not the block's
+    peak = _traced_peak(alpha_max, op, starts=starts)
+    # the draws, their copy, the components, table, bins and fields of a block, its results and the previous
+    # block's: about ten arrays of at most `bound` entries live at once, the rest slack; only the final
+    # values, 8 bytes a start, grow with the starts
+    assert peak <= 8 * starts + 12 * 8 * bound
 
 
 def test_start_draws_skip_short_triples(monkeypatch):
