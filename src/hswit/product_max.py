@@ -26,6 +26,7 @@ starts ran beside it.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -222,6 +223,13 @@ def _start_blochs(seed: int, start: int, n: int) -> Array:
     return draws[keep] / lengths[keep, None]
 
 
+def _draw_starts(seed: int, lo: int, out: Array) -> Array:
+    """``out``, (k, n, 3), filled with the unit Bloch vectors of starts lo..lo + k - 1."""
+    for s in range(len(out)):
+        out[s] = _start_blochs(seed, lo + s, out.shape[1])
+    return out
+
+
 def ascend(op: HSOperator, blochs: Array, *, max_iters: int = ASCENT_MAX_SWEEPS) -> Ascent:
     """Run one alternating-ascent trajectory from given unit Bloch vectors.
 
@@ -240,7 +248,6 @@ def ascend(op: HSOperator, blochs: Array, *, max_iters: int = ASCENT_MAX_SWEEPS)
     return Ascent(float(runs.values[0]), runs.blochs[0], sweeps, bool(runs.converged[0]), history)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a non-finite best value or endpoint raises, so numpy warns of nothing
 def alpha_max(op: HSOperator, starts: int = 64, seed: int = 0) -> AlphaResult:
     """Maximum of the operator over pure product states, by ascent.
 
@@ -266,29 +273,44 @@ def alpha_max(op: HSOperator, starts: int = 64, seed: int = 0) -> AlphaResult:
         poles = ProductState(tuple((0.0, 0.0) for _ in range(n)))
         return AlphaResult(0.0, poles, starts, 0, True, starts)
 
-    axes, coeffs = op.axes, op.coeffs
     block = min(starts, max(1, BLOCK_ELEMENTS // max((n + 1) * len(op), 4 * n)))
     draws = np.empty((block, n, 3))
-    values = np.empty(starts)
-    best: tuple[_Runs, int] | None = None
-    for lo in range(0, starts, block):
-        hi = min(starts, lo + block)
-        for s in range(lo, hi):
-            draws[s - lo] = _start_blochs(seed, s, n)
-        runs = _ascend(axes, coeffs, draws[: hi - lo], ASCENT_TOL, ASCENT_MAX_SWEEPS)
-        values[lo:hi] = runs.values
-        i = int(np.argmax(runs.values))
-        if best is None or runs.values[i] > best[0].values[best[1]]:
-            best = (runs, i)
 
-    runs, i = best
-    alpha = float(runs.values[i])
-    blochs = runs.blochs[i] / np.linalg.norm(runs.blochs[i], axis=1)[:, None]
+    def blocks() -> Iterator[Array]:
+        for lo in range(0, starts, block):
+            yield _draw_starts(seed, lo, draws[: min(starts - lo, block)])
+
+    return _alpha_from_draws(op, blocks(), starts)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite best value or endpoint raises, so numpy warns of nothing
+def _alpha_from_draws(op: HSOperator, blocks: Iterable[Array], starts: int) -> AlphaResult:
+    """``alpha_max``'s result from its start draws, given as (block, n, 3) unit Bloch vectors in start order.
+
+    ``starts`` counts the draws over all blocks.  Between blocks only the
+    running best start's value, endpoint, sweeps and flag are kept, so a
+    block's results are released before the next block ascends.  Given
+    the draws of ``alpha_max(op, starts, seed)`` it returns that call's
+    result, so a caller can draw once and search several operators.
+    """
+    values = np.empty(starts)
+    lo = 0
+    for block in blocks:
+        runs = _ascend(op.axes, op.coeffs, block, ASCENT_TOL, ASCENT_MAX_SWEEPS)
+        values[lo : lo + len(block)] = runs.values
+        i = int(np.argmax(runs.values))
+        if lo == 0 or runs.values[i] > alpha:  # a later block must beat the best to replace it
+            alpha, endpoint = float(runs.values[i]), runs.blochs[i].copy()
+            sweeps, converged = int(runs.sweeps[i]), bool(runs.converged[i])
+        lo += len(block)
+        del runs
+
+    blochs = endpoint / np.linalg.norm(endpoint, axis=1)[:, None]
     if not (np.isfinite(alpha) and np.isfinite(blochs).all()):
         raise ValueError("the ascent overflows the float range; scale the coefficients down")
     argmax = ProductState.from_bloch_vectors(blochs)
     at_best = int(np.count_nonzero(alpha - values <= ASCENT_TOL))
-    return AlphaResult(alpha, argmax, starts, int(runs.sweeps[i]), bool(runs.converged[i]), at_best)
+    return AlphaResult(alpha, argmax, starts, sweeps, converged, at_best)
 
 
 def _khatri_rao(left: Array, right: Array) -> Array:

@@ -22,15 +22,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+
 from .hs import HSOperator, _trace_on_support, _trace_plan, overlap, require_identity_free
 from .lhv_bound import BoundResult, classical_bound
 from .pauli_core import Array, DensityMatrix
-from .product_max import AlphaResult, alpha_max
+from .product_max import AlphaResult, _alpha_from_draws, _draw_starts, alpha_max
 from .states import MDS_R_LIMIT, CatalogEntry, mds, mds_g_operator
 
 MDS_THRESHOLD_R_LO = 1e-6
 MDS_THRESHOLD_TOL = 1e-9  # bracket width at which the bisection stops
-MDS_THRESHOLD_STARTS = 16  # ascent starts per probe's witness
+MDS_THRESHOLD_STARTS = 16  # ascent starts of every probe's witness, drawn once per bisection
 
 
 class WitnessIneffectiveError(Exception):
@@ -121,16 +123,20 @@ def mds_entanglement_threshold() -> float:
     witness for that r from MDS_THRESHOLD_STARTS ascent starts, read
     Tr(E_W rho) through the witness's support plan (``eval_witness``,
     which does not decompose the state), and bisect on its sign.  The
+    starts are those of ``alpha_max(G(r), starts=MDS_THRESHOLD_STARTS)``;
+    they do not depend on r, so they are drawn once and every probe
+    ascends from the same ones, and the probes differ only in r.  The
     bracket is [MDS_THRESHOLD_R_LO, MDS_R_LIMIT] and the bisection stops
     once it is MDS_THRESHOLD_TOL wide.  No closed form of the crossing is
     assumed.  Witness values that do not change sign across the bracket
     raise ``ValueError``.
     """
     r_lo, r_hi = MDS_THRESHOLD_R_LO, MDS_R_LIMIT
+    draws = _draw_starts(0, 0, np.empty((MDS_THRESHOLD_STARTS, 3, 3)))
 
     def witness_value(r: float) -> float:
         g = mds_g_operator(r)
-        return eval_witness(Witness(g, alpha_max(g, starts=MDS_THRESHOLD_STARTS)), mds(r))
+        return eval_witness(Witness(g, _alpha_from_draws(g, [draws], MDS_THRESHOLD_STARTS)), mds(r))
 
     lo_val = witness_value(r_lo)
     hi_val = witness_value(r_hi)

@@ -16,6 +16,7 @@ from hswit.lhv_bound import classical_bound
 from hswit.pauli_core import AXIS_LABELS
 from hswit.product_max import (
     DEGENERATE_FIELD,
+    _alpha_from_draws,
     _ascend,
     _start_blochs,
     alpha_grid_oracle,
@@ -570,10 +571,10 @@ def test_start_draws_stay_within_the_block_bound(monkeypatch, bound):
     monkeypatch.setattr(product_max, "BLOCK_ELEMENTS", bound)
     alpha_max(op, starts=2)  # the first call's one-off allocations are not the block's
     peak = _traced_peak(alpha_max, op, starts=starts)
-    # the draws, their copy, the components, table, bins and fields of a block, its results and the previous
-    # block's: about ten arrays of at most `bound` entries live at once, the rest slack; only the final
-    # values, 8 bytes a start, grow with the starts
-    assert peak <= 8 * starts + 12 * 8 * bound
+    # the draws, their copy, the components, table, bins and fields of a block and its results: about eight
+    # arrays of at most `bound` entries live at once, the rest slack, as a finished block's results are
+    # released before the next block ascends; only the final values, 8 bytes a start, grow with the starts
+    assert peak <= 8 * starts + 10 * 8 * bound
 
 
 def test_start_draws_skip_short_triples(monkeypatch):
@@ -591,6 +592,7 @@ def test_alpha_max_matches_lone_starts_across_blocks(cat, monkeypatch):
     ops = _operators(cat)
     for name, op in ops[:6] + ops[-3:]:
         best, at_best = _lone_alpha(op, 20, seed=9)
+        draws = np.stack([_start_blochs(9, s, op.n) for s in range(20)])
         for elements in ((op.n + 1) * len(op), 3 * (op.n + 1) * len(op), product_max.BLOCK_ELEMENTS):
             monkeypatch.setattr(product_max, "BLOCK_ELEMENTS", elements)
             result = alpha_max(op, starts=20, seed=9)
@@ -599,6 +601,10 @@ def test_alpha_max_matches_lone_starts_across_blocks(cat, monkeypatch):
             assert result.starts_at_best == at_best, name
             want = best[1] / np.linalg.norm(best[1], axis=1)[:, None]
             assert result.argmax == ProductState.from_bloch_vectors(want), name
+            # the same draws, in the blocks alpha_max cuts at this bound, searched without drawing
+            block = max(1, elements // max((op.n + 1) * len(op), 4 * op.n))
+            blocks = [draws[lo : lo + block] for lo in range(0, 20, block)]
+            assert _alpha_from_draws(op, blocks, 20) == result, name
 
 
 def test_alpha_max_of_k_starts_is_the_best_of_the_first_k(cat):

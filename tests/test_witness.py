@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import mermin
-from hswit import hs, witness
+from hswit import hs, product_max, witness
 from hswit.cli import entry_rows
 from hswit.hs import HSOperator, hs_decompose, hs_reconstruct, overlap
 from hswit.lhv_bound import classical_bound
@@ -21,6 +21,7 @@ from hswit.states import (
     product_state,
 )
 from hswit.witness import (
+    MDS_THRESHOLD_STARTS,
     Witness,
     WitnessIneffectiveError,
     analyze,
@@ -305,8 +306,22 @@ def test_pcrit_witness_values_and_domain():
         pcrit_witness(1.0, 1.0)
 
 
-def test_entanglement_threshold_of_the_disordered_family():
+def test_entanglement_threshold_of_the_disordered_family(monkeypatch):
+    draw, search = product_max._start_blochs, witness._alpha_from_draws
+    draws, probes = [], []
+
+    def searched(g, *args):
+        probes.append((g, search(g, *args)))
+        return probes[-1][1]
+
+    monkeypatch.setattr(product_max, "_start_blochs", lambda *key: draws.append(key) or draw(*key))
+    monkeypatch.setattr(witness, "_alpha_from_draws", searched)
     threshold = mds_entanglement_threshold()
+    # the starts are drawn once, not once a probe, and every probe finds what alpha_max finds from them
+    assert len(draws) == MDS_THRESHOLD_STARTS
+    assert len(probes) == 32
+    for g, result in probes:
+        assert result == alpha_max(g, starts=MDS_THRESHOLD_STARTS)
     assert abs(threshold - 1 / 3) <= 1e-9 + 1e-12
     # bit for bit: the bracket is fixed, so this one float fixes the signs at its two
     # ends and at all 30 midpoints (+-+--+--++++--++-+--+-++-++++--+); the nearest
