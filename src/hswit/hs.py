@@ -17,6 +17,7 @@ import numpy as np
 
 from .pauli_core import (
     AXIS_LABELS,
+    BLOCK_ELEMENTS,
     SIGMA,
     Array,
     CapacityError,
@@ -57,8 +58,14 @@ def _axes(codes: Array, n: int) -> Array:
 
 
 def _labels(codes: Array, n: int) -> list[str]:
-    letters = np.frombuffer(AXIS_LABELS.encode(), dtype="S1")[_axes(codes, n)]
-    return np.ascontiguousarray(letters).view(f"S{n}").ravel().astype(f"U{n}").tolist()
+    """Labels of the codes, in blocks whose (codes, n) axis table fits BLOCK_ELEMENTS entries."""
+    alphabet = np.frombuffer(AXIS_LABELS.encode(), dtype="S1")
+    step = max(1, BLOCK_ELEMENTS // n)
+    labels = []
+    for lo in range(0, len(codes), step):
+        letters = alphabet[_axes(codes[lo : lo + step], n)]
+        labels += np.ascontiguousarray(letters).view(f"S{n}").ravel().astype(f"U{n}").tolist()
+    return labels
 
 
 class HSOperator:

@@ -207,26 +207,39 @@ class AlphaResult:
     starts_at_best: int
 
 
-def _start_blochs(seed: int, start: int, n: int) -> Array:
-    """Unit Bloch vectors of one start, from its own Philox stream keyed on (seed, start).
-
-    Qubit k normalizes the k-th triple of normal draws that is longer
-    than MIN_DRAW_NORM; shorter triples are skipped.
-    """
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, start], dtype=np.uint64)))
-    draws = rng.normal(size=(n, 3))
-    lengths = _lengths(draws)
-    while (short := n - np.count_nonzero(lengths > MIN_DRAW_NORM)) > 0:
-        more = rng.normal(size=(short, 3))
-        draws, lengths = np.concatenate((draws, more)), np.concatenate((lengths, _lengths(more)))
-    keep = np.flatnonzero(lengths > MIN_DRAW_NORM)[:n]
-    return draws[keep] / lengths[keep, None]
-
-
 def _draw_starts(seed: int, lo: int, out: Array) -> Array:
-    """``out``, (k, n, 3), filled with the unit Bloch vectors of starts lo..lo + k - 1."""
-    for s in range(len(out)):
-        out[s] = _start_blochs(seed, lo + s, out.shape[1])
+    """``out``, (k, n, 3), filled with the unit Bloch vectors of starts lo..lo + k - 1.
+
+    Start j draws from its own Philox stream, keyed on (seed, j) with a
+    zero counter.  Philox is counter-based, so one bit generator serves
+    the whole block: its state is reset to each start's key in turn.
+    Qubit q normalizes the q-th triple of the start's normal draws that
+    is longer than MIN_DRAW_NORM; shorter triples are skipped, so a start
+    that has one draws again from its reset stream and reads on past
+    its first n triples.
+    """
+    k, n = out.shape[:2]
+    bits = np.random.Philox(key=np.array([seed, lo], dtype=np.uint64))
+    rng = np.random.Generator(bits)
+    state = bits.state  # zero counter, empty buffer; only the key changes from start to start
+
+    def stream(start: int) -> np.random.Generator:
+        state["state"]["key"][1] = start
+        bits.state = state
+        return rng
+
+    for s in range(k):
+        out[s] = stream(lo + s).normal(size=(n, 3))
+    lengths = _lengths(out.reshape(k * n, 3)).reshape(k, n)
+    for s in np.flatnonzero((lengths <= MIN_DRAW_NORM).any(axis=1)).tolist():
+        draws = stream(lo + s).normal(size=(n, 3))
+        drawn = _lengths(draws)
+        while (short := n - np.count_nonzero(drawn > MIN_DRAW_NORM)) > 0:
+            more = rng.normal(size=(short, 3))
+            draws, drawn = np.concatenate((draws, more)), np.concatenate((drawn, _lengths(more)))
+        keep = np.flatnonzero(drawn > MIN_DRAW_NORM)[:n]
+        out[s], lengths[s] = draws[keep], drawn[keep]
+    out /= lengths[:, :, None]
     return out
 
 

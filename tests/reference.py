@@ -3,9 +3,10 @@
 Each is an independent second route to a number the package computes
 another way: a pure-Python Jacobi eigensolver beside ``eigvalsh``, the
 partial transpose for spectral checks on the catalog states, a one-start
-product-state value beside the blocked ascent, and a sampled lower bound
-beside the exhaustive classical bound.  None is reached by a command or a
-library path, so none lives in the package.
+product-state value beside the blocked ascent, one start's draws from its
+own generator beside a block's draws from one reset bit generator, and a
+sampled lower bound beside the exhaustive classical bound.  None is
+reached by a command or a library path, so none lives in the package.
 """
 
 import numpy as np
@@ -88,6 +89,23 @@ def partial_transpose(rho: DensityMatrix, qubit: int) -> Array:
     tensor = rho.matrix.reshape((2,) * (2 * n))
     tensor = np.swapaxes(tensor, qubit, n + qubit)
     return tensor.reshape(rho.dim, rho.dim).copy()
+
+
+def lone_start(seed: int, start: int, n: int, min_norm: float = 1e-12) -> Array:
+    """Unit Bloch vectors of one start, from a Generator of its own over Philox keyed on (seed, start).
+
+    Each qubit draws normal triples until one is longer than ``min_norm``.
+    """
+    rng = np.random.Generator(np.random.Philox(key=np.array([seed, start], dtype=np.uint64)))
+    out = np.empty((n, 3))
+    for k in range(n):
+        while True:
+            v = rng.normal(size=3)
+            norm = np.linalg.norm(v)
+            if norm > min_norm:
+                out[k] = v / norm
+                break
+    return out
 
 
 def objective(op: HSOperator, blochs: Array) -> float:

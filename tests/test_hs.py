@@ -7,10 +7,12 @@ string matrices.
 
 import itertools
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from hswit import hs
 from hswit.hs import HSOperator, hs_decompose, hs_reconstruct, overlap
 from hswit.pauli_core import AXIS_LABELS, SIGMA, DensityMatrix
 from hswit.states import ProductState, ghz, product_state, w_state
@@ -240,6 +242,34 @@ def test_operator_prunes_negligible_coefficients():
 def test_terms_iterate_in_word_order():
     op = HSOperator(2, {"ZZ": 1.0, "IX": 2.0, "XI": 3.0, "II": 4.0})
     assert op.labels() == ["II", "IX", "XI", "ZZ"]
+
+
+@pytest.mark.parametrize("bound", [64, hs.BLOCK_ELEMENTS])
+def test_labels_spell_every_code_block_by_block(monkeypatch, bound):
+    # at 64 entries a block holds 64 // n codes, so most tables end on a partial block
+    monkeypatch.setattr(hs, "BLOCK_ELEMENTS", bound)
+    rng = np.random.default_rng(4)
+    for n in range(1, 11):
+        codes = np.arange(4**n) if n <= 6 else np.unique(rng.integers(0, 4**n, size=3000))
+        want = ["".join(AXIS_LABELS[c >> 2 * (n - 1 - q) & 3] for q in range(n)) for c in codes.tolist()]
+        assert hs._labels(codes, n) == want, n
+    assert hs._labels(np.arange(0), 3) == []
+
+
+def test_labels_stay_within_the_block_bound(monkeypatch):
+    # a dense table at n = 8 is 65,536 codes, 128 blocks at this bound; only the labels returned grow with it
+    bound = 2**12
+    monkeypatch.setattr(hs, "BLOCK_ELEMENTS", bound)
+    codes = np.arange(4**8)
+    tracemalloc.start()
+    try:
+        labels = hs._labels(codes, 8)
+        result, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(labels) == 4**8
+    # a block's shifted codes, its axis table and its letters as text: a few arrays of at most `bound` entries
+    assert peak - result <= 4 * 8 * bound
 
 
 def test_identity_coefficient_and_support():

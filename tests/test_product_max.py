@@ -18,7 +18,7 @@ from hswit.product_max import (
     DEGENERATE_FIELD,
     _alpha_from_draws,
     _ascend,
-    _start_blochs,
+    _draw_starts,
     alpha_grid_oracle,
     alpha_max,
     ascend,
@@ -26,7 +26,7 @@ from hswit.product_max import (
 )
 from hswit.states import ProductState, mds_g_operator
 
-from reference import objective
+from reference import lone_start, objective
 
 ALPHA_CASES = [
     ("ghz3", 1.0),
@@ -436,21 +436,8 @@ def _lone_ascend(op, blochs, tol=1e-10, max_iters=500):
     return value, blochs, sweeps, converged, tuple(history)
 
 
-def _lone_start(seed, start, n, min_norm=1e-12):
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, start], dtype=np.uint64)))
-    out = np.empty((n, 3))
-    for k in range(n):
-        while True:
-            v = rng.normal(size=3)
-            norm = np.linalg.norm(v)
-            if norm > min_norm:
-                out[k] = v / norm
-                break
-    return out
-
-
 def _lone_alpha(op, starts, seed=0, tol=1e-10):
-    runs = [_lone_ascend(op, _lone_start(seed, s, op.n), tol) for s in range(starts)]
+    runs = [_lone_ascend(op, lone_start(seed, s, op.n), tol) for s in range(starts)]
     best = None
     for run in runs:
         if best is None or run[0] > best[0]:
@@ -491,7 +478,7 @@ def _operators(cat):
 
 def test_block_ascent_is_bit_identical_to_lone_starts(cat):
     for name, op in _operators(cat):
-        starts = [_lone_start(5, s, op.n) for s in range(12)]
+        starts = [lone_start(5, s, op.n) for s in range(12)]
         runs = _assert_block_matches_lone(op, starts)
         lone = ascend(op, starts[0])
         assert (lone.value, lone.sweeps, lone.converged) == (runs.values[0], runs.sweeps[0], runs.converged[0]), name
@@ -512,7 +499,7 @@ def test_block_mixes_degenerate_and_moving_starts():
 
 def test_block_compacts_starts_that_stop_on_different_sweeps(cat):
     op = _operators(cat)[-4][1]
-    starts = [_lone_start(0, s, op.n) for s in range(24)]
+    starts = [lone_start(0, s, op.n) for s in range(24)]
     runs = _assert_block_matches_lone(op, starts, tol=1e-13)
     assert len(set(runs.sweeps.tolist())) > 5
 
@@ -521,7 +508,7 @@ def test_block_compacts_starts_that_stop_on_different_sweeps(cat):
 def test_block_ascent_is_bit_identical_to_lone_starts_on_the_benchmark_operators(generated, name):
     # the 64 starts alpha_max draws at seed 0, as the CLI runs them, on the benchmark's largest operator files
     op = load_operator(json.loads((generated / f"{name}.json").read_text()))
-    runs = _assert_block_matches_lone(op, [_start_blochs(0, s, op.n) for s in range(64)])
+    runs = _assert_block_matches_lone(op, _draw_starts(0, 0, np.empty((64, op.n, 3))))
     if name == "op_n8_m16":
         # two starts run on long after the rest have stopped, so the block compacts across a long tail
         assert sorted(runs.sweeps.tolist())[-3:] == [82, 200, 250]
@@ -532,7 +519,7 @@ def test_block_respects_the_iteration_budget(cat, tol, max_iters):
     # with a negative tolerance no sweep converges, and the value follows
     # every last-bit wobble of the sweeps while the history keeps the maximum
     op = _operators(cat)[-4][1]
-    starts = [_lone_start(1, s, op.n) for s in range(6)]
+    starts = [lone_start(1, s, op.n) for s in range(6)]
     runs = _assert_block_matches_lone(op, starts, tol=tol, max_iters=max_iters)
     assert (runs.sweeps == max_iters).all()
     assert not runs.converged.any()
@@ -571,20 +558,35 @@ def test_start_draws_stay_within_the_block_bound(monkeypatch, bound):
     monkeypatch.setattr(product_max, "BLOCK_ELEMENTS", bound)
     alpha_max(op, starts=2)  # the first call's one-off allocations are not the block's
     peak = _traced_peak(alpha_max, op, starts=starts)
-    # the draws, their copy, the components, table, bins and fields of a block and its results: about eight
-    # arrays of at most `bound` entries live at once, the rest slack, as a finished block's results are
-    # released before the next block ascends; only the final values, 8 bytes a start, grow with the starts
+    # a block's draws, filled in place, and the ascent's copy of them, its components, table, bins and fields,
+    # and its results: about eight arrays of at most `bound` entries live at once, the rest slack, as a finished
+    # block's results are released before the next block ascends; only the final values, 8 bytes a start, grow
+    # with the starts
     assert peak <= 8 * starts + 10 * 8 * bound
+
+
+@pytest.mark.parametrize("floor", [product_max.MIN_DRAW_NORM, 1.0])
+def test_block_draws_are_the_lone_starts_bit_for_bit(monkeypatch, floor):
+    # compared as raw words, so a signed zero counts; with a floor of 1 about a fifth of all triples are redrawn
+    monkeypatch.setattr(product_max, "MIN_DRAW_NORM", floor)
+    for seed in (0, 1, 2**63, 2**64 - 1):
+        for n in range(1, 11):
+            for lo in (0, 7, 2**40):
+                for k in (1, 17, 64):
+                    out = np.empty((k, n, 3))
+                    assert _draw_starts(seed, lo, out) is out
+                    want = np.stack([lone_start(seed, lo + s, n, min_norm=floor) for s in range(k)])
+                    assert np.array_equal(out.view(np.uint64), want.view(np.uint64)), (seed, n, lo, k)
 
 
 def test_start_draws_skip_short_triples(monkeypatch):
     # with a floor of 1 about a fifth of all triples are redrawn, shifting later qubits
     monkeypatch.setattr(product_max, "MIN_DRAW_NORM", 1.0)
+    draws = _draw_starts(3, 0, np.empty((20, 5, 3)))
     shifted = 0
-    for s in range(20):
-        got = _start_blochs(3, s, 5)
-        np.testing.assert_array_equal(got, _lone_start(3, s, 5, min_norm=1.0))
-        shifted += not np.array_equal(got, _lone_start(3, s, 5))
+    for s, got in enumerate(draws):
+        np.testing.assert_array_equal(got, lone_start(3, s, 5, min_norm=1.0))
+        shifted += not np.array_equal(got, lone_start(3, s, 5))
     assert shifted > 0
 
 
@@ -592,7 +594,7 @@ def test_alpha_max_matches_lone_starts_across_blocks(cat, monkeypatch):
     ops = _operators(cat)
     for name, op in ops[:6] + ops[-3:]:
         best, at_best = _lone_alpha(op, 20, seed=9)
-        draws = np.stack([_start_blochs(9, s, op.n) for s in range(20)])
+        draws = _draw_starts(9, 0, np.empty((20, op.n, 3)))
         for elements in ((op.n + 1) * len(op), 3 * (op.n + 1) * len(op), product_max.BLOCK_ELEMENTS):
             monkeypatch.setattr(product_max, "BLOCK_ELEMENTS", elements)
             result = alpha_max(op, starts=20, seed=9)
@@ -609,7 +611,7 @@ def test_alpha_max_matches_lone_starts_across_blocks(cat, monkeypatch):
 
 def test_alpha_max_of_k_starts_is_the_best_of_the_first_k(cat):
     op = _operators(cat)[-2][1]
-    starts = np.stack([_start_blochs(2, s, op.n) for s in range(30)])
+    starts = _draw_starts(2, 0, np.empty((30, op.n, 3)))
     runs = _ascend(op.axes, op.coeffs, starts, 1e-10, 500)
     for k in (1, 4, 17, 30):
         i = int(np.argmax(runs.values[:k]))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import mermin
-from hswit import hs, product_max, witness
+from hswit import hs, witness
 from hswit.cli import entry_rows
 from hswit.hs import HSOperator, hs_decompose, hs_reconstruct, overlap
 from hswit.lhv_bound import classical_bound
@@ -307,18 +307,18 @@ def test_pcrit_witness_values_and_domain():
 
 
 def test_entanglement_threshold_of_the_disordered_family(monkeypatch):
-    draw, search = product_max._start_blochs, witness._alpha_from_draws
+    draw, search = witness._draw_starts, witness._alpha_from_draws
     draws, probes = [], []
 
     def searched(g, *args):
         probes.append((g, search(g, *args)))
         return probes[-1][1]
 
-    monkeypatch.setattr(product_max, "_start_blochs", lambda *key: draws.append(key) or draw(*key))
+    monkeypatch.setattr(witness, "_draw_starts", lambda seed, lo, out: draws.append(len(out)) or draw(seed, lo, out))
     monkeypatch.setattr(witness, "_alpha_from_draws", searched)
     threshold = mds_entanglement_threshold()
     # the starts are drawn once, not once a probe, and every probe finds what alpha_max finds from them
-    assert len(draws) == MDS_THRESHOLD_STARTS
+    assert draws == [MDS_THRESHOLD_STARTS]  # one call, which fills every start
     assert len(probes) == 32
     for g, result in probes:
         assert result == alpha_max(g, starts=MDS_THRESHOLD_STARTS)
