@@ -34,7 +34,7 @@ import math
 import os
 import sys
 from collections.abc import Iterable, Mapping
-from itertools import chain, compress
+from itertools import chain, compress, repeat
 from operator import itemgetter
 from typing import Any
 
@@ -173,9 +173,22 @@ def _operator_file(path: str) -> HSOperator:
 
 
 def operator_json(n: int, words: list[str], values: list[float]) -> str:
-    """Operator-file text, byte for byte what ``json.dumps`` writes: the values are finite floats, each its repr."""
-    terms = ", ".join(map('{{"string": "{}", "coeff": {!r}}}'.format, words, values))
-    return f'{{"n": {n}, "terms": [{terms}]}}'
+    """Operator-file text, byte for byte what ``json.dumps`` writes: the values are finite floats, each its repr.
+
+    The terms are one join over the (word, repr) pairs, each pair itself
+    joined around the text between a word and its coefficient.
+    """
+    if not words:
+        return f'{{"n": {n}, "terms": []}}'
+    terms = '}, {"string": "'.join(map('", "coeff": '.join, zip(words, map(float.__repr__, values))))
+    return f'{{"n": {n}, "terms": [{{"string": "{terms}}}]}}'
+
+
+def decompose_text(n: int, words: list[str], values: list[float]) -> str:
+    """``decompose``'s text form: the qubit and term counts, then one ``WORD VALUE`` line a term, each
+    value formatted as ``_fmt`` does."""
+    lines = map(" ".join, zip(words, map(format, values, repeat(".12g"))))
+    return "\n".join([f"n {n}", f"terms {len(words)}", *lines])
 
 
 def _entries_matrix(entries: list[Any]) -> Array:
@@ -260,7 +273,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     if args.json:
         print(operator_json(coeffs.n, words, values))
         return 0
-    print("\n".join([f"n {coeffs.n}", f"terms {len(words)}", *map("{} {:.12g}".format, words, values)]))
+    print(decompose_text(coeffs.n, words, values))
     return 0
 
 

@@ -12,6 +12,7 @@ Conventions used across the package:
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -34,12 +35,17 @@ SIGMA = np.array(
 HERMITIAN_ATOL = 1e-10
 TRACE_ATOL = 1e-10
 EIGENVALUE_FLOOR = -1e-9
+_EPS = float(np.finfo(float).eps)
 
 DEFAULT_QUBIT_CAP = 10
 
 # The working-set rule of every blocked loop: no array a block allocates exceeds this many
 # entries, unless a block of one row, start or grid point already does
 BLOCK_ELEMENTS = 1 << 18
+
+# Row blocks of the Hermiticity residual: |M - M*| reads M's columns as rows, and a block this small
+# keeps the columns it reads in a core's cache
+RESIDUAL_BLOCK_ELEMENTS = 1 << 15
 
 
 class CapacityError(Exception):
@@ -78,15 +84,25 @@ def check_qubit_count(n: int) -> int:
     return n
 
 
+def _blocked_residual(mat: Array) -> float:
+    """The largest entry of |M - M*|, taken over blocks of whole rows of RESIDUAL_BLOCK_ELEMENTS entries,
+    each against the matching columns: the number one pass over M gives, since the maximum propagates a
+    NaN and rounds nothing."""
+    dim = len(mat)
+    rows = max(1, RESIDUAL_BLOCK_ELEMENTS // dim)
+    blocks = range(0, dim, rows)
+    return np.array([np.abs(mat[lo : lo + rows] - mat[:, lo : lo + rows].conj().T).max() for lo in blocks]).max()
+
+
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """A validated n-qubit density matrix.
 
-    Construction checks finiteness, Hermiticity and unit trace;
-    positivity is only checked by :meth:`from_matrix`, the entry point
-    for matrices of unknown origin.  The matrix is kept C-contiguous,
-    copied once here if it came in another memory order, so flat reads
-    of it never copy.
+    Construction checks finiteness, Hermiticity and unit trace, a matrix
+    failing several reported by the first; positivity is only checked by
+    :meth:`from_matrix`, the entry point for matrices of unknown origin.
+    The matrix is kept C-contiguous, copied once here if it came in
+    another memory order, so flat reads of it never copy.
     """
 
     matrix: Array
@@ -98,18 +114,49 @@ class DensityMatrix:
         dim = 2**self.n
         if mat.shape != (dim, dim):
             raise InvalidStateError(f"expected shape {(dim, dim)} for {self.n} qubits, got {mat.shape}")
-        if not np.isfinite(mat).all():
-            raise InvalidStateError("matrix has non-finite entries")
-        if np.abs(mat - mat.conj().T).max() > HERMITIAN_ATOL:
-            raise InvalidStateError("matrix is not Hermitian")
-        trace = mat.trace()
-        if abs(trace - 1.0) > TRACE_ATOL:
-            raise InvalidStateError(f"trace must be 1, got {trace}")
+        # a NaN or an infinity makes the residual |M - M*| NaN or infinite, so the finiteness pass runs only
+        # to name the failure; an overflow in the residual or the trace is a value to compare, not a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            if mat.size <= RESIDUAL_BLOCK_ELEMENTS:
+                residual = np.abs(mat - mat.conj().T).max()
+            else:
+                residual = _blocked_residual(mat)
+            if not residual <= HERMITIAN_ATOL:
+                if not np.isfinite(mat).all():
+                    raise InvalidStateError("matrix has non-finite entries")
+                raise InvalidStateError("matrix is not Hermitian")
+            trace = mat.trace()
+            if abs(trace - 1.0) > TRACE_ATOL:
+                raise InvalidStateError(f"trace must be 1, got {trace}")
         object.__setattr__(self, "matrix", mat)
 
     @classmethod
     def from_matrix(cls, matrix: Array) -> DensityMatrix:
-        """Validate an arbitrary matrix as a state, including positivity."""
+        """Validate an arbitrary matrix as a state, including positivity.
+
+        The matrix is refused when ``eigvalsh`` puts its smallest
+        eigenvalue below ``EIGENVALUE_FLOOR``.  Most states are accepted
+        without ``eigvalsh``: a Cholesky factorization of one shifted
+        copy A = rho + s*I, with s = |EIGENVALUE_FLOOR| - delta and
+        delta = 2*d*(d + 1)*eps*||rho||_F, decides first.  Both LAPACK
+        routines read the same Hermitian matrix, rho's lower triangle
+        and the real part of its diagonal.
+
+        When the factorization completes, its computed factor R has
+        R*R = A + E, and Higham (Accuracy and Stability of Numerical
+        Algorithms, 2002, Theorem 10.3) bounds the backward error
+        ||E||_2 by about d*(d + 1)*u*||A||_2, u = eps/2.  delta is four
+        times that, room for complex arithmetic's larger constants and
+        for rounding the shift.  R*R is positive semidefinite, so
+        lambda_min(rho) >= -s - ||E||_2 >= EIGENVALUE_FLOOR + delta/2.
+        ``eigvalsh`` is backward stable, with an error near d*eps*||rho||_2,
+        far below delta/2, so it would report a smallest eigenvalue
+        above the floor and accept: every acceptance here is one
+        ``eigvalsh`` would make.  When the factorization fails, or when
+        delta >= |EIGENVALUE_FLOOR| (a large-norm matrix, or the cap
+        raised well past 10 qubits), ``eigvalsh`` runs and gives both
+        the decision and the message, as it always did.
+        """
         mat = np.asarray(matrix, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise InvalidStateError(f"expected a square matrix, got shape {mat.shape}")
@@ -118,7 +165,19 @@ class DensityMatrix:
         if dim < 2 or 2**n != dim:
             raise InvalidStateError(f"matrix dimension must be a power of two >= 2, got {dim}")
         state = cls(mat, n)
-        smallest = np.linalg.eigvalsh(state.matrix)[0]
+        rho = state.matrix
+        # ||rho||_F as one dot product; one past the float range is inf, and skips the factorization
+        delta = 2 * dim * (dim + 1) * _EPS * math.sqrt(np.vdot(rho, rho).real)
+        if delta < -EIGENVALUE_FLOOR:
+            shifted = rho.copy()
+            shifted.reshape(-1)[:: dim + 1] += -EIGENVALUE_FLOOR - delta
+            try:
+                np.linalg.cholesky(shifted)
+            except np.linalg.LinAlgError:
+                pass
+            else:
+                return state
+        smallest = np.linalg.eigvalsh(rho)[0]
         if smallest < EIGENVALUE_FLOOR:
             raise InvalidStateError(f"matrix has a negative eigenvalue {smallest}")
         return state

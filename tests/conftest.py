@@ -58,6 +58,19 @@ def make_density():
     return random_density
 
 
+def count_calls(monkeypatch, module, name: str) -> list:
+    """Replace ``module.<name>`` by a wrapper that records each call's arguments; returns the record."""
+    calls = []
+    inner = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 PAULI = {
     "I": np.eye(2, dtype=complex),
     "X": np.array([[0, 1], [1, 0]], dtype=complex),

@@ -2,6 +2,9 @@
 
 Each is an independent second route to a number the package computes
 another way: a pure-Python Jacobi eigensolver beside ``eigvalsh``, the
+density-matrix checks in their plain order (finiteness, Hermiticity,
+trace) beside the constructor's residual-first pass, an ``eigvalsh``-only
+positivity check beside ``from_matrix``'s Cholesky test, the
 partial transpose for spectral checks on the catalog states, a one-start
 product-state value beside the blocked ascent, one start's draws from its
 own generator beside a block's draws from one reset bit generator, and a
@@ -13,7 +16,16 @@ import numpy as np
 
 from hswit.hs import HSOperator, require_identity_free
 from hswit.lhv_bound import _exact_best, _incidence
-from hswit.pauli_core import BLOCK_ELEMENTS, Array, DensityMatrix
+from hswit.pauli_core import (
+    BLOCK_ELEMENTS,
+    EIGENVALUE_FLOOR,
+    HERMITIAN_ATOL,
+    TRACE_ATOL,
+    Array,
+    DensityMatrix,
+    InvalidStateError,
+    check_qubit_count,
+)
 from hswit.product_max import _components, _one_start, _table, _values
 
 JACOBI_TOL = 1e-12  # off-diagonal norm at which Jacobi sweeps stop, relative above norm 1
@@ -79,6 +91,36 @@ def hermitian_eigenvalues(matrix: Array) -> Array:
         if off_norm(a) >= stop:
             raise ValueError(f"Jacobi sweeps did not converge within {JACOBI_MAX_SWEEPS} sweeps")
     return np.sort(np.diag(a).real)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # the constructor compares overflowed values without a warning too
+def density_checks(matrix: Array, n: int) -> None:
+    """The ``DensityMatrix`` constructor's checks, one full pass each, in order.
+
+    The cap, the shape, finiteness, Hermiticity (the largest entry of
+    |M - M*|), then the trace; the first that fails raises the
+    constructor's exception and message.
+    """
+    check_qubit_count(n)
+    mat = np.asarray(matrix, dtype=complex, order="C")
+    dim = 2**n
+    if mat.shape != (dim, dim):
+        raise InvalidStateError(f"expected shape {(dim, dim)} for {n} qubits, got {mat.shape}")
+    if not np.isfinite(mat).all():
+        raise InvalidStateError("matrix has non-finite entries")
+    if np.abs(mat - mat.conj().T).max() > HERMITIAN_ATOL:
+        raise InvalidStateError("matrix is not Hermitian")
+    trace = mat.trace()
+    if abs(trace - 1.0) > TRACE_ATOL:
+        raise InvalidStateError(f"trace must be 1, got {trace}")
+
+
+def eigvalsh_positivity(rho: DensityMatrix) -> None:
+    """Refuse a state whose smallest ``eigvalsh`` eigenvalue is below EIGENVALUE_FLOOR, with
+    ``from_matrix``'s message; ``eigvalsh`` decides every matrix."""
+    smallest = np.linalg.eigvalsh(rho.matrix)[0]
+    if smallest < EIGENVALUE_FLOOR:
+        raise InvalidStateError(f"matrix has a negative eigenvalue {smallest}")
 
 
 def partial_transpose(rho: DensityMatrix, qubit: int) -> Array:

@@ -1,6 +1,7 @@
 """End-to-end command tests: formats, exit codes, determinism."""
 
 import dataclasses
+import itertools
 import json
 import os
 import subprocess
@@ -10,14 +11,24 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import hswit
 from hswit import lhv_bound, product_max
-from hswit.cli import build_parser, load_operator, load_state, main, operator_json, verify_entries
+from hswit.cli import (
+    build_parser,
+    decompose_text,
+    load_operator,
+    load_state,
+    main,
+    operator_json,
+    verify_entries,
+)
 from hswit.hs import hs_decompose, hs_reconstruct
 from hswit.states import ENTRY_NAMES, catalog, ghz, mix_white_noise, w_state
 
-from conftest import random_density
+from conftest import count_calls, random_density
 
 
 def write_json(tmp_path, name, doc):
@@ -127,6 +138,35 @@ def test_decompose_json_is_the_bytes_of_json_dumps(tmp_path, capsys):
         op = hs_decompose(load_state(doc))
         terms = [{"string": w, "coeff": c} for w, c in zip(op.labels(), op.coeffs.tolist())]
         assert capsys.readouterr().out == json.dumps({"n": op.n, "terms": terms}) + "\n"
+
+
+# repr writes a float's exponent from 1e16 up and below 1e-4; format(.12g) from 1e12 up and below 1e-4
+_EXPONENT_SWITCHES = st.one_of(
+    st.floats(min_value=1e15, max_value=1e17),
+    st.floats(min_value=1e-5, max_value=1e-3),
+    st.floats(allow_nan=False, allow_infinity=False),
+).map(lambda x: x if x else 1.0)  # a kept coefficient is never zero
+_EDGES = [1e16, np.nextafter(1e16, 0), 1e-4, np.nextafter(1e-4, 0), 1e12, 5e-324, 1.7976931348623157e308]
+_WORDS = ["".join(w) for w in itertools.product("IXYZ", repeat=3)]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_EXPONENT_SWITCHES, st.booleans()), max_size=len(_WORDS)))
+@example([(float(x), False) for x in _EDGES] + [(float(x), True) for x in _EDGES])
+def test_the_writers_equal_json_dumps_and_the_format_template(signed):
+    values = [-x if negative else x for x, negative in signed]
+    words = _WORDS[: len(values)]
+    terms = [{"string": w, "coeff": c} for w, c in zip(words, values)]
+    assert operator_json(3, words, values) == json.dumps({"n": 3, "terms": terms})
+    lines = ["n 3", f"terms {len(words)}", *map("{} {:.12g}".format, words, values)]
+    assert decompose_text(3, words, values) == "\n".join(lines)
+
+
+@pytest.mark.parametrize("flags,out", [([], "n 3\nterms 0\n"), (["--json"], json.dumps({"n": 3, "terms": []}) + "\n")])
+def test_decompose_with_no_kept_terms(ghz3_file, capsys, flags, out):
+    # every ghz3 coefficient has magnitude 1
+    assert main(["decompose", ghz3_file, "--threshold", "1.5", *flags]) == 0
+    assert capsys.readouterr() == (out, "")
 
 
 def test_decompose_mds_r_zero_is_identity_only(tmp_path, capsys):
@@ -486,6 +526,26 @@ def test_bound_past_the_float_range_prints_one_error_line(tmp_path, command, fla
     assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "entries,message",
+    [
+        ("[[0.5, 0], [1e308, 0], [-1e308, 0], [0.5, 0]]", "matrix is not Hermitian"),  # the residual overflows
+        ("[[1e308, 0], [0, 0], [0, 0], [1e308, 0]]", "trace must be 1, got (inf+0j)"),  # the trace overflows
+        ("[[NaN, 0], [0, 0], [0, 0], [0.5, 0]]", "matrix has non-finite entries"),
+        ("[[0.5, 0], [0, Infinity], [0, 0], [0.5, 0]]", "matrix has non-finite entries"),
+    ],
+    ids=["residual_overflow", "trace_overflow", "nan", "infinity"],
+)
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+def test_a_bad_matrix_state_prints_one_error_line(tmp_path, entries, message, flags):
+    # a fresh process shows numpy's RuntimeWarnings, which pytest would turn into errors; json.load reads
+    # the literals NaN and Infinity as non-finite floats
+    path = tmp_path / "state.json"
+    path.write_text(f'{{"matrix": 1, "entries": {entries}}}')
+    proc = _hswit(["decompose", str(path), *flags])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
 def test_a_closed_stdout_exits_141_and_writes_no_stderr(unbuffered):
     # unbuffered, the first print meets the closed pipe; buffered, main's flush does
@@ -598,6 +658,18 @@ def test_generated_states_decompose_and_the_non_positive_one_is_refused(generate
             assert _run(capsys, ["decompose", f, *flags])[0] == 0
         rc, out, err = _run(capsys, ["decompose", str(generated / "non_psd_n4.json"), *flags])
         assert (rc, out) == (1, "") and err.startswith("error:")
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_eigvalsh_runs_only_on_the_refused_generated_state(generated_by_seed, monkeypatch, capsys, seed):
+    # the Cholesky test accepts every generated state; eigvalsh runs once, for the non-positive one's message
+    calls = count_calls(monkeypatch, np.linalg, "eigvalsh")
+    directory = generated_by_seed(seed)
+    for f in _generated_files(directory, "state", "catalog"):
+        assert _run(capsys, ["decompose", f, "--json"])[0] == 0
+    assert len(calls) == 0
+    assert _run(capsys, ["decompose", str(directory / "non_psd_n4.json"), "--json"])[0] == 1
+    assert [matrix.shape for matrix, in calls] == [(16, 16)]
 
 
 @pytest.mark.parametrize("n", [40, 10**7])

@@ -7,13 +7,18 @@ checked against the Kronecker chain of the textbook matrices.
 
 import itertools
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from hswit import pauli_core
 from hswit.hs import HSOperator, hs_reconstruct
 from hswit.pauli_core import (
     AXIS_LABELS,
+    EIGENVALUE_FLOOR,
     SIGMA,
     CapacityError,
     DensityMatrix,
@@ -21,8 +26,8 @@ from hswit.pauli_core import (
     qubit_cap,
 )
 
-from conftest import PAULI, random_density, string_matrix
-from reference import hermitian_eigenvalues
+from conftest import PAULI, count_calls, random_density, string_matrix
+from reference import density_checks, eigvalsh_positivity, hermitian_eigenvalues
 
 
 def _dense(label: str) -> np.ndarray:
@@ -258,3 +263,123 @@ def test_qubit_cap_env_override(monkeypatch):
     monkeypatch.setenv("WITNESS_QUBIT_CAP", "0")
     with pytest.raises(CapacityError):
         qubit_cap()
+
+
+def _outcome(check, *args):
+    """The type and message of the error ``check(*args)`` raises, or None when it returns."""
+    try:
+        check(*args)
+    except (InvalidStateError, CapacityError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+# NaN and infinities; finite values that overflow a residual or a trace; finite values that break
+# Hermiticity or the trace by a little or a lot
+SPECIAL_ENTRIES = (np.nan, np.inf, -np.inf, 1e308, -1e308, 0.5, -0.25, 3e-10, 5e-11)
+
+
+@st.composite
+def edited_states(draw):
+    """A random 1-3 qubit state with up to four real or imaginary parts overwritten by special entries,
+    each edit copied to its mirror entry or not, and the result perhaps scaled off unit trace."""
+    n = draw(st.integers(1, 3))
+    mat = random_density(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n).matrix.copy()
+    index = st.integers(0, 2**n - 1)
+    edit = st.tuples(index, index, st.booleans(), st.booleans(), st.sampled_from(SPECIAL_ENTRIES))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, j, imaginary, mirror, value in draw(st.lists(edit, max_size=4)):
+            (mat.imag if imaginary else mat.real)[i, j] = value
+            if mirror:
+                mat[j, i] = np.conj(mat[i, j])
+        mat *= draw(st.sampled_from((1.0, 1.0 + 4e-10, 3.0, 1e300)))
+    return n, mat
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(edited_states(), st.sampled_from((pauli_core.RESIDUAL_BLOCK_ELEMENTS, 1, 8, 24)))
+@example((1, np.diag([1e308, 1e308]).astype(complex)), 1)  # the trace overflows
+@example((2, np.diag([1e308, 1e308, -1e308, 1.0]).astype(complex)), 8)  # the trace overflows past entries of both signs
+def test_density_checks_report_what_the_plain_order_reports(case, residual_block):
+    # the constructor computes the Hermiticity residual first, in row blocks from 1 row to the whole
+    # matrix, and names a failure afterwards; the oracle runs the checks one full pass each, finiteness first
+    n, mat = case
+    with mock.patch.object(pauli_core, "RESIDUAL_BLOCK_ELEMENTS", residual_block):
+        assert _outcome(DensityMatrix, mat, n) == _outcome(density_checks, mat, n)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("imaginary", [False, True], ids=["real", "imag"])
+def test_a_non_finite_entry_anywhere_is_named_first(value, imaginary):
+    # every position of a two-qubit matrix that is also asymmetric and off unit trace
+    for i, j in itertools.product(range(4), repeat=2):
+        mat = np.eye(4, dtype=complex)
+        mat[3, 0] = 0.5
+        (mat.imag if imaginary else mat.real)[i, j] = value
+        assert _outcome(DensityMatrix, mat, 2) == (InvalidStateError, "matrix has non-finite entries")
+        assert _outcome(density_checks, mat, 2) == _outcome(DensityMatrix, mat, 2)
+
+
+def test_finite_overflows_are_compared_without_a_warning():
+    # pytest turns RuntimeWarnings into errors, so a warning would fail these
+    skew = np.array([[0.5, 1e308], [-1e308, 0.5]], dtype=complex)  # the residual overflows
+    assert _outcome(DensityMatrix, skew, 1) == (InvalidStateError, "matrix is not Hermitian")
+    heavy = np.diag([1e308, 1e308]).astype(complex)  # the trace overflows
+    assert _outcome(DensityMatrix, heavy, 1) == (InvalidStateError, "trace must be 1, got (inf+0j)")
+    for mat in (skew, heavy):
+        assert _outcome(DensityMatrix.from_matrix, mat) == _outcome(density_checks, mat, 1)
+
+
+def _with_smallest_eigenvalue(rng, n, smallest):
+    """A random Hermitian unit-trace matrix whose eigenvalues are ``smallest`` and d - 1 values in (0, 1)."""
+    dim = 2**n
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    lam = rng.uniform(0.5, 1.5, size=dim)
+    lam[0] = 0.0
+    lam *= (1.0 - smallest) / lam.sum()
+    lam[0] = smallest
+    mat = (q * lam) @ q.conj().T
+    return (mat + mat.conj().T) / 2
+
+
+def _pure(rng, n):
+    vec = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    return DensityMatrix.from_statevector(vec / np.linalg.norm(vec)).matrix
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_positivity_decides_as_eigvalsh_at_the_floor(n):
+    rng = np.random.default_rng(100 + n)
+    cases = [
+        (_with_smallest_eigenvalue(rng, n, EIGENVALUE_FLOOR + offset), offset > 0)
+        for offset in (1e-11, -1e-11, 1e-12, -1e-12)
+    ]
+    cases += [(_pure(rng, n), True), (_with_smallest_eigenvalue(rng, n, -0.05), False)]
+    for mat, accepted in cases:
+        want = _outcome(eigvalsh_positivity, DensityMatrix(mat, n))
+        assert (want is None) == accepted
+        assert _outcome(DensityMatrix.from_matrix, mat) == want
+
+
+def test_a_large_norm_matrix_skips_the_factorization(monkeypatch):
+    # ||rho||_F = sqrt(2) * 1e6 puts delta = 12 * eps * ||rho||_F above |EIGENVALUE_FLOOR|
+    mat = np.array([[0.5, 1e6], [1e6, 0.5]], dtype=complex)
+    want = _outcome(eigvalsh_positivity, DensityMatrix(mat, 1))
+    assert want == (InvalidStateError, f"matrix has a negative eigenvalue {np.linalg.eigvalsh(mat)[0]}")
+    cholesky = count_calls(monkeypatch, np.linalg, "cholesky")
+    eigvalsh = count_calls(monkeypatch, np.linalg, "eigvalsh")
+    assert _outcome(DensityMatrix.from_matrix, mat) == want
+    assert (len(cholesky), len(eigvalsh)) == (0, 1)
+
+
+def test_eigvalsh_runs_only_on_a_refused_matrix(monkeypatch):
+    rng = np.random.default_rng(5)
+    accepted = [random_density(rng, n).matrix for n in range(1, 8)] + [_pure(rng, n) for n in range(1, 8)]
+    refused = _with_smallest_eigenvalue(rng, 3, -0.05)
+    eigvalsh = count_calls(monkeypatch, np.linalg, "eigvalsh")
+    for mat in accepted:
+        DensityMatrix.from_matrix(mat)
+    assert len(eigvalsh) == 0
+    with pytest.raises(InvalidStateError, match="negative eigenvalue"):
+        DensityMatrix.from_matrix(refused)
+    assert len(eigvalsh) == 1
