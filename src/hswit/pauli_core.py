@@ -43,10 +43,6 @@ DEFAULT_QUBIT_CAP = 10
 # entries, unless a block of one row, start or grid point already does
 BLOCK_ELEMENTS = 1 << 18
 
-# Row blocks of the Hermiticity residual: |M - M*| reads M's columns as rows, and a block this small
-# keeps the columns it reads in a core's cache
-RESIDUAL_BLOCK_ELEMENTS = 1 << 15
-
 
 class CapacityError(Exception):
     """Raised when an operation would exceed the configured qubit cap."""
@@ -84,16 +80,6 @@ def check_qubit_count(n: int) -> int:
     return n
 
 
-def _blocked_residual(mat: Array) -> float:
-    """The largest entry of |M - M*|, taken over blocks of whole rows of RESIDUAL_BLOCK_ELEMENTS entries,
-    each against the matching columns: the number one pass over M gives, since the maximum propagates a
-    NaN and rounds nothing."""
-    dim = len(mat)
-    rows = max(1, RESIDUAL_BLOCK_ELEMENTS // dim)
-    blocks = range(0, dim, rows)
-    return np.array([np.abs(mat[lo : lo + rows] - mat[:, lo : lo + rows].conj().T).max() for lo in blocks]).max()
-
-
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """A validated n-qubit density matrix.
@@ -117,10 +103,7 @@ class DensityMatrix:
         # a NaN or an infinity makes the residual |M - M*| NaN or infinite, so the finiteness pass runs only
         # to name the failure; an overflow in the residual or the trace is a value to compare, not a warning
         with np.errstate(over="ignore", invalid="ignore"):
-            if mat.size <= RESIDUAL_BLOCK_ELEMENTS:
-                residual = np.abs(mat - mat.conj().T).max()
-            else:
-                residual = _blocked_residual(mat)
+            residual = np.abs(mat - mat.conj().T).max()
             if not residual <= HERMITIAN_ATOL:
                 if not np.isfinite(mat).all():
                     raise InvalidStateError("matrix has non-finite entries")
