@@ -169,26 +169,6 @@ class HSOperator:
 
     __mul__ = __rmul__
 
-    def relabel(self, mapping: Mapping[int, int]) -> HSOperator:
-        """Apply one permutation of the axes {1: x, 2: y, 3: z} on every qubit.
-
-        The identity axis 0 always maps to itself.  Relabeling is a local
-        unitary on each qubit, so spectra and product-state maxima are
-        unchanged.
-        """
-        perm = {0: 0, **{int(k): int(v) for k, v in mapping.items()}}
-        if sorted(perm) != [0, 1, 2, 3] or sorted(perm.values()) != [0, 1, 2, 3]:
-            raise ValueError(f"mapping must be a permutation of {{1, 2, 3}}, got {dict(mapping)}")
-        letters = str.maketrans(AXIS_LABELS, "".join(AXIS_LABELS[perm[a]] for a in range(4)))
-        return HSOperator(self.n, {s.translate(letters): c for s, c in zip(self.labels(), self.coeffs.tolist())})
-
-    def is_close(self, other: HSOperator, atol: float = 1e-9) -> bool:
-        """True when both operators have the same coefficients within atol."""
-        if self.n != other.n:
-            return False
-        codes = np.union1d(self.codes, other.codes)
-        return bool(np.all(np.abs(self._values_at(codes) - other._values_at(codes)) <= atol))
-
     def __repr__(self) -> str:
         body = " + ".join(f"{c:g}*{s}" for s, c in zip(self.labels(), self.coeffs.tolist())) or "0"
         return f"HSOperator({self.n}, {body})"

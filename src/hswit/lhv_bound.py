@@ -51,14 +51,14 @@ class LHVAssignment:
     def n(self) -> int:
         return len(self.values)
 
-    def lines(self, used: frozenset[tuple[int, int]] | None = None) -> list[str]:
+    def lines(self, used: frozenset[tuple[int, int]]) -> list[str]:
         """One 'qubit k: X=+1 ...' line per qubit, restricted to used axes."""
         out = []
         for k, triple in enumerate(self.values):
             parts = [
                 f"{AXIS_LABELS[a]}={triple[a - 1]:+d}"
                 for a in (1, 2, 3)
-                if used is None or (k, a) in used
+                if (k, a) in used
             ]
             if parts:
                 out.append(f"qubit {k}: " + " ".join(parts))

@@ -109,7 +109,7 @@ class DensityMatrix:
                     raise InvalidStateError("matrix has non-finite entries")
                 raise InvalidStateError("matrix is not Hermitian")
             trace = mat.trace()
-            if abs(trace - 1.0) > TRACE_ATOL:
+            if not abs(trace - 1.0) <= TRACE_ATOL:  # a trace that sums to NaN fails too
                 raise InvalidStateError(f"trace must be 1, got {trace}")
         object.__setattr__(self, "matrix", mat)
 

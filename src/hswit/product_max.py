@@ -100,28 +100,20 @@ def _fields(table: Array, bins: Array, prefix: Array, qubit: int) -> Array:
 
 
 class _Runs(NamedTuple):
-    """Per-start results of one block; ``history`` is (starts, sweeps + 1), NaN past a start's end."""
+    """Per-start results of one block."""
 
     values: Array
     blochs: Array
     sweeps: Array
     converged: Array
-    history: Array | None
 
 
-def _ascend(
-    axes: Array,
-    coeffs: Array,
-    blochs: Array,
-    tol: float,
-    max_iters: int,
-    keep_history: bool = False,
-) -> _Runs:
+def _ascend(axes: Array, coeffs: Array, blochs: Array, max_iters: int) -> _Runs:
     """Alternating ascent of a block of starts from (starts, n, 3) unit Bloch vectors.
 
     A start leaves the block once a sweep improves it by less than
-    ``tol``, or after ``max_iters`` sweeps, and the block is compacted.
-    ``keep_history`` records every start's value after each sweep.
+    ``ASCENT_TOL``, or after ``max_iters`` sweeps, and the block is
+    compacted.
     """
     starts, n = blochs.shape[:2]
     blochs = blochs.copy()
@@ -133,7 +125,6 @@ def _ascend(
     values = value.copy()
     sweeps = np.zeros(starts, dtype=int)
     converged = np.zeros(starts, dtype=bool)
-    history = [value.copy()] if keep_history else None
     for sweep in range(1, max_iters + 1):
         prefix = np.ones(table.shape[1:])  # the product of the qubits this sweep has updated
         for k in range(n):
@@ -145,11 +136,8 @@ def _ascend(
             prefix *= table[k]
         new = _values(prefix, coeffs)
         best = np.where(new > value, new, value)
-        done = new - value < tol
+        done = new - value < ASCENT_TOL
         value = np.where(done, best, new)
-        if history is not None:
-            history.append(np.full(starts, np.nan))
-            history[-1][live] = best
         stop = done | (sweep == max_iters)
         if stop.any():
             ended = live[stop]
@@ -160,32 +148,17 @@ def _ascend(
             keep = ~stop
             live, components, value = live[keep], components[keep], value[keep]
             table = table.compress(keep, axis=1)  # stays C-ordered
-    if history is not None:
-        history = np.stack(history, axis=1)
-    return _Runs(values, blochs, sweeps, converged, history)
-
-
-def _one_start(op: HSOperator, blochs: Array) -> Array:
-    """Bloch vectors of one start as a block of one."""
-    blochs = np.array(blochs, dtype=float)
-    if blochs.shape != (op.n, 3):
-        raise ValueError(f"expected Bloch vectors of shape {(op.n, 3)}, got {blochs.shape}")
-    return blochs[None]
+    return _Runs(values, blochs, sweeps, converged)
 
 
 @dataclass(frozen=True)
 class Ascent:
-    """One alternating-ascent trajectory.
-
-    ``history`` records the objective after the initial point and after
-    every sweep; it is nondecreasing by construction.
-    """
+    """One alternating-ascent trajectory: its final value and endpoint, its sweeps, and whether it converged."""
 
     value: float
     blochs: Array
     sweeps: int
     converged: bool
-    history: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -252,13 +225,13 @@ def ascend(op: HSOperator, blochs: Array, *, max_iters: int = ASCENT_MAX_SWEEPS)
     by less than ``ASCENT_TOL``, or after ``max_iters`` sweeps.
     """
     require_identity_free(op)
-    start = _one_start(op, blochs)
+    start = np.array(blochs, dtype=float)
+    if start.shape != (op.n, 3):
+        raise ValueError(f"expected Bloch vectors of shape {(op.n, 3)}, got {start.shape}")
     if not len(op):
-        return Ascent(0.0, start[0], 0, True, (0.0,))
-    runs = _ascend(op.axes, op.coeffs, start, ASCENT_TOL, max_iters, keep_history=True)
-    sweeps = int(runs.sweeps[0])
-    history = tuple(runs.history[0, : sweeps + 1].tolist())
-    return Ascent(float(runs.values[0]), runs.blochs[0], sweeps, bool(runs.converged[0]), history)
+        return Ascent(0.0, start, 0, True)
+    runs = _ascend(op.axes, op.coeffs, start[None], max_iters)
+    return Ascent(float(runs.values[0]), runs.blochs[0], int(runs.sweeps[0]), bool(runs.converged[0]))
 
 
 def alpha_max(op: HSOperator, starts: int = 64, seed: int = 0) -> AlphaResult:
@@ -309,7 +282,7 @@ def _alpha_from_draws(op: HSOperator, blocks: Iterable[Array], starts: int) -> A
     values = np.empty(starts)
     lo = 0
     for block in blocks:
-        runs = _ascend(op.axes, op.coeffs, block, ASCENT_TOL, ASCENT_MAX_SWEEPS)
+        runs = _ascend(op.axes, op.coeffs, block, ASCENT_MAX_SWEEPS)
         values[lo : lo + len(block)] = runs.values
         i = int(np.argmax(runs.values))
         if lo == 0 or runs.values[i] > alpha:  # a later block must beat the best to replace it

@@ -1,6 +1,6 @@
 """Reference routines that only the tests call.
 
-Each is an independent second route to a number the package computes
+Most are an independent second route to a number the package computes
 another way: a pure-Python Jacobi eigensolver beside ``eigvalsh``, the
 density-matrix checks in their plain order (finiteness, Hermiticity,
 trace) beside the constructor's residual-first pass, an ``eigvalsh``-only
@@ -8,15 +8,22 @@ positivity check beside ``from_matrix``'s Cholesky test, the
 partial transpose for spectral checks on the catalog states, a one-start
 product-state value beside the blocked ascent, one start's draws from its
 own generator beside a block's draws from one reset bit generator, and a
-sampled lower bound beside the exhaustive classical bound.  None is
-reached by a command or a library path, so none lives in the package.
+sampled lower bound beside the exhaustive classical bound.  The rest
+record what only tests read: the ascent's value after every sweep, by
+running the package's ascent one sweep at a time, and an axis
+relabeling and a coefficient-wise comparison of operators, for the
+paper's relabeling identity.  None is reached by a command or a library
+path, so none lives in the package.
 """
+
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
 from hswit.hs import HSOperator, require_identity_free
 from hswit.lhv_bound import _exact_best, _incidence
 from hswit.pauli_core import (
+    AXIS_LABELS,
     BLOCK_ELEMENTS,
     EIGENVALUE_FLOOR,
     HERMITIAN_ATOL,
@@ -26,7 +33,7 @@ from hswit.pauli_core import (
     InvalidStateError,
     check_qubit_count,
 )
-from hswit.product_max import _components, _one_start, _table, _values
+from hswit.product_max import ASCENT_MAX_SWEEPS, _ascend, _components, _table, _values
 
 JACOBI_TOL = 1e-12  # off-diagonal norm at which Jacobi sweeps stop, relative above norm 1
 JACOBI_MAX_SWEEPS = 100
@@ -111,7 +118,7 @@ def density_checks(matrix: Array, n: int) -> None:
     if np.abs(mat - mat.conj().T).max() > HERMITIAN_ATOL:
         raise InvalidStateError("matrix is not Hermitian")
     trace = mat.trace()
-    if abs(trace - 1.0) > TRACE_ATOL:
+    if not abs(trace - 1.0) <= TRACE_ATOL:
         raise InvalidStateError(f"trace must be 1, got {trace}")
 
 
@@ -151,9 +158,61 @@ def lone_start(seed: int, start: int, n: int, min_norm: float = 1e-12) -> Array:
 
 
 def objective(op: HSOperator, blochs: Array) -> float:
-    """Expectation sum_s c_s prod_k v_k[s_k] at the given Bloch vectors."""
-    table = _table(op.axes, op.coeffs, _components(_one_start(op, blochs)))
+    """Expectation sum_s c_s prod_k v_k[s_k] at the given (n, 3) Bloch vectors."""
+    table = _table(op.axes, op.coeffs, _components(np.array(blochs, dtype=float)[None]))
     return float(_values(table[: op.n].prod(axis=0), op.coeffs)[0])
+
+
+class Trajectory(NamedTuple):
+    """One start's ascent with its value before the first sweep and after every sweep."""
+
+    value: float
+    blochs: Array
+    sweeps: int
+    converged: bool
+    history: tuple[float, ...]
+
+
+def ascent_history(op: HSOperator, blochs: Array, max_iters: int = ASCENT_MAX_SWEEPS) -> Trajectory:
+    """The package's ascent of one start, run one ``_ascend`` sweep at a time.
+
+    Each sweep resumes from the previous sweep's endpoint, whose value is
+    bit for bit the one an unbroken run carries on with, so the stepped
+    run ends with one ``_ascend`` call's value, endpoint, sweeps and flag.
+    After each sweep the history records the larger of the values before
+    and after it, as the ascent keeps the better of the two when it stops.
+    """
+    runs = _ascend(op.axes, op.coeffs, np.array(blochs, dtype=float)[None], 0)
+    history = [float(runs.values[0])]
+    for _ in range(max_iters):
+        before = float(runs.values[0])
+        runs = _ascend(op.axes, op.coeffs, runs.blochs, 1)
+        history.append(max(before, float(runs.values[0])))
+        if runs.converged[0]:
+            break
+    return Trajectory(float(runs.values[0]), runs.blochs[0], len(history) - 1, bool(runs.converged[0]), tuple(history))
+
+
+def relabel(op: HSOperator, mapping: Mapping[int, int]) -> HSOperator:
+    """Apply one permutation of the axes {1: x, 2: y, 3: z} on every qubit.
+
+    The identity axis 0 always maps to itself.  Relabeling is a local
+    unitary on each qubit, so spectra and product-state maxima are
+    unchanged.
+    """
+    perm = {0: 0, **{int(k): int(v) for k, v in mapping.items()}}
+    if sorted(perm) != [0, 1, 2, 3] or sorted(perm.values()) != [0, 1, 2, 3]:
+        raise ValueError(f"mapping must be a permutation of {{1, 2, 3}}, got {dict(mapping)}")
+    letters = str.maketrans(AXIS_LABELS, "".join(AXIS_LABELS[perm[a]] for a in range(4)))
+    return HSOperator(op.n, {s.translate(letters): c for s, c in zip(op.labels(), op.coeffs.tolist())})
+
+
+def is_close(a: HSOperator, b: HSOperator, atol: float = 1e-9) -> bool:
+    """True when both operators have the same coefficients within atol."""
+    if a.n != b.n:
+        return False
+    codes = np.union1d(a.codes, b.codes)
+    return bool(np.all(np.abs(a._values_at(codes) - b._values_at(codes)) <= atol))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow is checked for, as in classical_bound

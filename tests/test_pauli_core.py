@@ -210,6 +210,11 @@ def test_density_matrix_checks_fire_in_order(monkeypatch):
     mat[0, 1] = 0.0
     with _raises_exactly(InvalidStateError, f"trace must be 1, got {np.trace(mat)}"):
         DensityMatrix(mat, 2)
+    # a trace that sums to NaN is refused by the trace check, before positivity is looked at
+    split = np.diag([1e308] * 64 + [-1e308] * 64).astype(complex)
+    for check in (lambda m: DensityMatrix(m, 7), DensityMatrix.from_matrix):
+        with _raises_exactly(InvalidStateError, "trace must be 1, got (nan+0j)"):
+            check(split)
 
 
 @pytest.mark.parametrize("offset", [2e-10, -2e-10])
@@ -298,6 +303,7 @@ def edited_states(draw):
 @given(edited_states())
 @example((1, np.diag([1e308, 1e308]).astype(complex)))  # the trace overflows
 @example((2, np.diag([1e308, 1e308, -1e308, 1.0]).astype(complex)))  # the trace overflows past entries of both signs
+@example((7, np.diag([1e308] * 64 + [-1e308] * 64).astype(complex)))  # the pairwise trace sums inf and -inf to NaN
 def test_density_checks_report_what_the_plain_order_reports(case):
     # the constructor computes the Hermiticity residual first and names a failure afterwards; the oracle
     # runs the checks one full pass each, finiteness first

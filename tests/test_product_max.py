@@ -26,7 +26,7 @@ from hswit.product_max import (
 )
 from hswit.states import ProductState, mds_g_operator
 
-from reference import lone_start, objective
+from reference import ascent_history, lone_start, objective
 
 ALPHA_CASES = [
     ("ghz3", 1.0),
@@ -130,7 +130,7 @@ def test_ascent_history_is_monotone(cat):
     for name, _ in ALPHA_CASES:
         op = cat[name].g_witness
         for _ in range(4):
-            run = ascend(op, _random_blochs(rng, op.n))
+            run = ascent_history(op, _random_blochs(rng, op.n))
             assert len(run.history) == run.sweeps + 1
             assert all(
                 later >= earlier - 1e-15
@@ -455,16 +455,16 @@ def _random_operator(rng, n, terms):
     return HSOperator(n, {w: float(rng.normal()) for w in sorted(labels)})
 
 
-def _assert_block_matches_lone(op, starts, tol=1e-10, max_iters=500):
-    runs = _ascend(op.axes, op.coeffs, np.stack(starts), tol, max_iters, keep_history=True)
+def _assert_block_matches_lone(op, starts, max_iters=500):
+    """The block, and each start's stepped history, against the lone loop at the package's tolerance."""
+    runs = _ascend(op.axes, op.coeffs, np.stack(starts), max_iters)
     for s, start in enumerate(starts):
-        value, blochs, sweeps, converged, history = _lone_ascend(op, start, tol, max_iters)
+        value, blochs, sweeps, converged, history = _lone_ascend(op, start, product_max.ASCENT_TOL, max_iters)
         assert runs.values[s] == value, s
         np.testing.assert_array_equal(runs.blochs[s], blochs)
         assert runs.sweeps[s] == sweeps, s
         assert runs.converged[s] == converged, s
-        assert tuple(runs.history[s, : sweeps + 1].tolist()) == history, s
-        assert np.isnan(runs.history[s, sweeps + 1 :]).all()
+        assert ascent_history(op, start, max_iters).history == history, s
     return runs
 
 
@@ -482,8 +482,21 @@ def test_block_ascent_is_bit_identical_to_lone_starts(cat):
         runs = _assert_block_matches_lone(op, starts)
         lone = ascend(op, starts[0])
         assert (lone.value, lone.sweeps, lone.converged) == (runs.values[0], runs.sweeps[0], runs.converged[0]), name
-        assert lone.history == tuple(runs.history[0, : lone.sweeps + 1].tolist()), name
         np.testing.assert_array_equal(lone.blochs, runs.blochs[0])
+
+
+def test_stepped_history_ends_where_one_ascent_run_does(cat):
+    # ascent_history runs _ascend one sweep at a time; its endpoint is one run's to the last bit, so the
+    # histories the tests read are the package's own ascent
+    for name, op in _operators(cat):
+        for s in range(4):
+            start = lone_start(7, s, op.n)
+            runs = _ascend(op.axes, op.coeffs, start[None], 500)
+            stepped = ascent_history(op, start)
+            assert stepped.value == runs.values[0], (name, s)
+            assert stepped.blochs.tobytes() == runs.blochs[0].tobytes(), (name, s)
+            assert (stepped.sweeps, stepped.converged) == (runs.sweeps[0], runs.converged[0]), (name, s)
+            assert len(stepped.history) == stepped.sweeps + 1 and stepped.history[-1] == stepped.value, (name, s)
 
 
 def test_block_mixes_degenerate_and_moving_starts():
@@ -497,10 +510,11 @@ def test_block_mixes_degenerate_and_moving_starts():
     _assert_block_matches_lone(op, starts)
 
 
-def test_block_compacts_starts_that_stop_on_different_sweeps(cat):
+def test_block_compacts_starts_that_stop_on_different_sweeps(cat, monkeypatch):
     op = _operators(cat)[-4][1]
     starts = [lone_start(0, s, op.n) for s in range(24)]
-    runs = _assert_block_matches_lone(op, starts, tol=1e-13)
+    monkeypatch.setattr(product_max, "ASCENT_TOL", 1e-13)
+    runs = _assert_block_matches_lone(op, starts)
     assert len(set(runs.sweeps.tolist())) > 5
 
 
@@ -515,12 +529,13 @@ def test_block_ascent_is_bit_identical_to_lone_starts_on_the_benchmark_operators
 
 
 @pytest.mark.parametrize("tol,max_iters", [(0.0, 0), (0.0, 2), (-1.0, 40)])
-def test_block_respects_the_iteration_budget(cat, tol, max_iters):
+def test_block_respects_the_iteration_budget(cat, monkeypatch, tol, max_iters):
     # with a negative tolerance no sweep converges, and the value follows
     # every last-bit wobble of the sweeps while the history keeps the maximum
     op = _operators(cat)[-4][1]
     starts = [lone_start(1, s, op.n) for s in range(6)]
-    runs = _assert_block_matches_lone(op, starts, tol=tol, max_iters=max_iters)
+    monkeypatch.setattr(product_max, "ASCENT_TOL", tol)
+    runs = _assert_block_matches_lone(op, starts, max_iters=max_iters)
     assert (runs.sweeps == max_iters).all()
     assert not runs.converged.any()
 
@@ -612,7 +627,7 @@ def test_alpha_max_matches_lone_starts_across_blocks(cat, monkeypatch):
 def test_alpha_max_of_k_starts_is_the_best_of_the_first_k(cat):
     op = _operators(cat)[-2][1]
     starts = _draw_starts(2, 0, np.empty((30, op.n, 3)))
-    runs = _ascend(op.axes, op.coeffs, starts, 1e-10, 500)
+    runs = _ascend(op.axes, op.coeffs, starts, 500)
     for k in (1, 4, 17, 30):
         i = int(np.argmax(runs.values[:k]))
         result = alpha_max(op, starts=k, seed=2)

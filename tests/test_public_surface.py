@@ -5,8 +5,11 @@ a name dropped from the package shows up here rather than as a failed
 benchmark round.
 """
 
+import dataclasses
 import re
 from pathlib import Path
+
+import numpy as np
 
 import hswit
 
@@ -64,3 +67,18 @@ def test_the_result_and_entry_attributes_the_benchmark_reads_resolve():
     assert alpha.iterations >= 1 and 1 <= alpha.starts_used <= 4
     assert len(alpha.argmax.angles) == entry.n
     assert set(hswit.analyze(entry).computed()) == set(entry.expected)
+
+
+def test_one_ascent_sweep_as_the_benchmark_calls_it():
+    assert [f.name for f in dataclasses.fields(hswit.Ascent)] == ["value", "blochs", "sweeps", "converged"]
+    op = hswit.catalog()["ghz3"].g_witness
+    v = np.random.default_rng(0).normal(size=(op.n, 3))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    run = hswit.ascend(op, v, max_iters=1)
+    assert isinstance(run, hswit.Ascent) and run.sweeps == 1 and run.blochs.shape == (op.n, 3)
+
+
+def test_operators_keep_no_test_only_methods():
+    # relabeling and comparing operators live in tests/reference.py
+    assert not hasattr(hswit.HSOperator, "relabel")
+    assert not hasattr(hswit.HSOperator, "is_close")
