@@ -34,7 +34,7 @@ import math
 import os
 import sys
 from collections.abc import Iterable, Mapping
-from itertools import chain, compress, repeat
+from itertools import chain, repeat
 from operator import itemgetter
 from typing import Any
 
@@ -51,7 +51,7 @@ from .pauli_core import (
     check_qubit_count,
 )
 from .product_max import alpha_grid_oracle, alpha_max
-from .states import ENTRY_NAMES, CatalogEntry, catalog, mix_white_noise
+from .states import ENTRY_NAMES, CatalogEntry, catalog, catalog_entry, mix_white_noise
 from .witness import WitnessIneffectiveError, analyze, mds_entanglement_threshold
 
 REPORT_ATOL = 1e-9  # a graded field is ok when |computed - expected| <= REPORT_ATOL
@@ -234,7 +234,7 @@ def load_state(doc: Any) -> DensityMatrix:
         kwargs = {}
         if "R" in params:
             kwargs["mds_r"] = _real_number(params["R"], "'R'")
-        state = catalog(**kwargs)[name].state
+        state = catalog_entry(name, **kwargs).state
         if "p" in params:
             state = mix_white_noise(state, _real_number(params["p"], "'p'"))
         return state
@@ -267,9 +267,9 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         raise UsageError(f"--threshold must be at least {PRUNE_TOL:g}, got {args.threshold}")
     state = load_state(_load_json(args.state))
     coeffs = hs_decompose(state)
-    keep = (np.abs(coeffs.coeffs) >= args.threshold).tolist()
-    words = list(compress(coeffs.labels(), keep))
-    values = list(compress(coeffs.coeffs.tolist(), keep))
+    keep = np.abs(coeffs.coeffs) >= args.threshold
+    words = coeffs.labels(keep)
+    values = coeffs.coeffs[keep].tolist()
     if args.json:
         print(operator_json(coeffs.n, words, values))
         return 0
@@ -343,7 +343,7 @@ def entry_rows(entry: CatalogEntry) -> list[tuple[str, float, float, bool]]:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    entry = catalog(mds_r=args.mds_r)[args.name]
+    entry = catalog_entry(args.name, mds_r=args.mds_r)
     rows = entry_rows(entry)
     all_ok = all(ok for _, _, _, ok in rows)
     if args.json:

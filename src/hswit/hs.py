@@ -142,8 +142,9 @@ class HSOperator:
         # the all-identity string has code 0, the first in sorted order
         return float(self.coeffs[0]) if len(self.codes) and self.codes[0] == 0 else 0.0
 
-    def labels(self) -> list[str]:
-        return _labels(self.codes, self.n)
+    def labels(self, keep: Array | None = None) -> list[str]:
+        """Labels of the terms in code order, or of those a boolean mask ``keep`` over the terms selects."""
+        return _labels(self.codes if keep is None else self.codes[keep], self.n)
 
     def __len__(self) -> int:
         return len(self.codes)

@@ -26,7 +26,6 @@ starts ran beside it.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -41,6 +40,7 @@ DEFAULT_GRID_BUDGET = 250_000_000
 ASCENT_TOL = 1e-10  # a start stops once a sweep improves it by less than this
 ASCENT_MAX_SWEEPS = 500
 MIN_DRAW_NORM = 1e-12  # shorter random triples are redrawn
+ASCENT_OVERFLOW = "the ascent overflows the float range; scale the coefficients down"
 
 
 def _components(blochs: Array) -> Array:
@@ -234,6 +234,7 @@ def ascend(op: HSOperator, blochs: Array, *, max_iters: int = ASCENT_MAX_SWEEPS)
     return Ascent(float(runs.values[0]), runs.blochs[0], int(runs.sweeps[0]), bool(runs.converged[0]))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite best value or endpoint raises, so numpy warns of nothing
 def alpha_max(op: HSOperator, starts: int = 64, seed: int = 0) -> AlphaResult:
     """Maximum of the operator over pure product states, by ascent.
 
@@ -244,7 +245,8 @@ def alpha_max(op: HSOperator, starts: int = 64, seed: int = 0) -> AlphaResult:
     ``ASCENT_TOL``, or for ``ASCENT_MAX_SWEEPS`` sweeps.  The starts
     ascend in blocks whose widest array, the table or the components,
     fits ``BLOCK_ELEMENTS`` entries, so no block's arrays, its draws
-    included, grow with ``starts``.  The first start
+    included, grow with ``starts``.  Between blocks only the running best
+    start's value, endpoint, sweeps and flag are kept.  The first start
     to reach the best value supplies the endpoint, sweep count and
     convergence flag.  A best value or endpoint that is not finite raises
     ``ValueError``.
@@ -261,39 +263,19 @@ def alpha_max(op: HSOperator, starts: int = 64, seed: int = 0) -> AlphaResult:
 
     block = min(starts, max(1, BLOCK_ELEMENTS // max((n + 1) * len(op), 4 * n)))
     draws = np.empty((block, n, 3))
-
-    def blocks() -> Iterator[Array]:
-        for lo in range(0, starts, block):
-            yield _draw_starts(seed, lo, draws[: min(starts - lo, block)])
-
-    return _alpha_from_draws(op, blocks(), starts)
-
-
-@np.errstate(over="ignore", invalid="ignore")  # a non-finite best value or endpoint raises, so numpy warns of nothing
-def _alpha_from_draws(op: HSOperator, blocks: Iterable[Array], starts: int) -> AlphaResult:
-    """``alpha_max``'s result from its start draws, given as (block, n, 3) unit Bloch vectors in start order.
-
-    ``starts`` counts the draws over all blocks.  Between blocks only the
-    running best start's value, endpoint, sweeps and flag are kept, so a
-    block's results are released before the next block ascends.  Given
-    the draws of ``alpha_max(op, starts, seed)`` it returns that call's
-    result, so a caller can draw once and search several operators.
-    """
     values = np.empty(starts)
-    lo = 0
-    for block in blocks:
-        runs = _ascend(op.axes, op.coeffs, block, ASCENT_MAX_SWEEPS)
-        values[lo : lo + len(block)] = runs.values
+    for lo in range(0, starts, block):
+        runs = _ascend(op.axes, op.coeffs, _draw_starts(seed, lo, draws[: min(starts - lo, block)]), ASCENT_MAX_SWEEPS)
+        values[lo : lo + len(runs.values)] = runs.values
         i = int(np.argmax(runs.values))
         if lo == 0 or runs.values[i] > alpha:  # a later block must beat the best to replace it
             alpha, endpoint = float(runs.values[i]), runs.blochs[i].copy()
             sweeps, converged = int(runs.sweeps[i]), bool(runs.converged[i])
-        lo += len(block)
-        del runs
+        del runs  # released before the next block ascends
 
     blochs = endpoint / np.linalg.norm(endpoint, axis=1)[:, None]
     if not (np.isfinite(alpha) and np.isfinite(blochs).all()):
-        raise ValueError("the ascent overflows the float range; scale the coefficients down")
+        raise ValueError(ASCENT_OVERFLOW)
     argmax = ProductState.from_bloch_vectors(blochs)
     at_best = int(np.count_nonzero(alpha - values <= ASCENT_TOL))
     return AlphaResult(alpha, argmax, starts, sweeps, converged, at_best)

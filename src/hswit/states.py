@@ -63,10 +63,15 @@ def mds(r: float) -> DensityMatrix:
     Its eigenvalues are (1 +/- r sqrt(3))/8, four of each, so the matrix
     is a state exactly when |r| <= 1/sqrt(3).
     """
+    return _mds_state(r, mds_g_operator(r))
+
+
+def _mds_state(r: float, g: HSOperator) -> DensityMatrix:
+    """``mds(r)`` from its kernel ``g``, ``mds_g_operator(r)``, built once by the caller."""
     if abs(r) > MDS_R_LIMIT + 1e-12:
         raise InvalidStateError(f"mds requires |r| <= 1/sqrt(3) ~ {MDS_R_LIMIT:.6f}, got {r}")
     eye = np.eye(8, dtype=complex)
-    mat = (eye + hs_reconstruct(mds_g_operator(r))) / 8.0
+    mat = (eye + hs_reconstruct(g)) / 8.0
     return DensityMatrix(mat, 3)
 
 
@@ -329,11 +334,12 @@ def _cl4_entry(name: str) -> CatalogEntry:
 
 
 def _mds_entry(name: str, r: float) -> CatalogEntry:
+    g = mds_g_operator(r)
     return CatalogEntry(
         name,
-        mds(r),
+        _mds_state(r, g),
         None,
-        mds_g_operator(r),
+        g,
         {
             "alpha": r,
             "trace_g_rho": 3.0 * r * r,
@@ -355,13 +361,19 @@ _BUILDERS = {
 ENTRY_NAMES = tuple(_BUILDERS)
 
 
-def catalog(mds_r: float = 0.5) -> dict[str, CatalogEntry]:
-    """All reference entries keyed by name, in ENTRY_NAMES order.
+def catalog_entry(name: str, mds_r: float = 0.5) -> CatalogEntry:
+    """The reference entry ``name``, one of ENTRY_NAMES, built alone.
 
-    ``mds_r`` sets the mixing coefficient of the mds entry; it must be
-    positive so the witness-side numbers are defined.
+    ``mds_r`` sets the mixing coefficient of the mds entry; it is checked
+    whatever the name, and must be positive so the witness-side numbers
+    are defined.
     """
     if not 0.0 < mds_r <= MDS_R_LIMIT + 1e-12:
         raise ValueError(f"mds_r must lie in (0, 1/sqrt(3)], got {mds_r}")
-    params = {"mds": (mds_r,)}
-    return {name: build(name, *params.get(name, ())) for name, build in _BUILDERS.items()}
+    build = _BUILDERS[name]
+    return build(name, mds_r) if name == "mds" else build(name)
+
+
+def catalog(mds_r: float = 0.5) -> dict[str, CatalogEntry]:
+    """All reference entries keyed by name, in ENTRY_NAMES order, each as ``catalog_entry`` builds it."""
+    return {name: catalog_entry(name, mds_r) for name in ENTRY_NAMES}

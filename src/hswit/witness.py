@@ -27,8 +27,8 @@ import numpy as np
 from .hs import HSOperator, _trace_on_support, _trace_plan, overlap, require_identity_free
 from .lhv_bound import BoundResult, classical_bound
 from .pauli_core import Array, DensityMatrix
-from .product_max import AlphaResult, _alpha_from_draws, _draw_starts, alpha_max
-from .states import MDS_R_LIMIT, CatalogEntry, mds, mds_g_operator
+from .product_max import ASCENT_MAX_SWEEPS, ASCENT_OVERFLOW, AlphaResult, _ascend, _draw_starts, alpha_max
+from .states import MDS_R_LIMIT, CatalogEntry, _mds_state, mds_g_operator
 
 MDS_THRESHOLD_R_LO = 1e-6
 MDS_THRESHOLD_TOL = 1e-9  # bracket width at which the bisection stops
@@ -119,24 +119,30 @@ def pcrit_witness(alpha: float, trace_g_rho: float) -> float:
 def mds_entanglement_threshold() -> float:
     """Mixing coefficient where the mds witness starts detecting the family.
 
-    Runs the full pipeline at every probe: build the state, rebuild the
-    witness for that r from MDS_THRESHOLD_STARTS ascent starts, read
-    Tr(E_W rho) through the witness's support plan (``eval_witness``,
-    which does not decompose the state), and bisect on its sign.  The
-    starts are those of ``alpha_max(G(r), starts=MDS_THRESHOLD_STARTS)``;
-    they do not depend on r, so they are drawn once and every probe
-    ascends from the same ones, and the probes differ only in r.  The
-    bracket is [MDS_THRESHOLD_R_LO, MDS_R_LIMIT] and the bisection stops
-    once it is MDS_THRESHOLD_TOL wide.  No closed form of the crossing is
-    assumed.  Witness values that do not change sign across the bracket
-    raise ``ValueError``.
+    Runs the pipeline at every probe, down to the two numbers its sign
+    compares: build G(r) and the state from that one operator, take
+    alpha(r) as the best value of MDS_THRESHOLD_STARTS ascent starts, read
+    Tr(G rho) through G's support plan (``hs._trace_plan``, which does not
+    decompose the state), and bisect on the sign of alpha - Tr(G rho).
+    These are the floats ``eval_witness(Witness(g, alpha_max(g,
+    starts=MDS_THRESHOLD_STARTS)), mds(r))`` subtracts, without the
+    maximizer's angles or the rest of the ``AlphaResult``.  The starts do
+    not depend on r, so they are drawn once and every probe ascends from
+    the same ones, and the probes differ only in r.  The bracket is
+    [MDS_THRESHOLD_R_LO, MDS_R_LIMIT] and the bisection stops once it is
+    MDS_THRESHOLD_TOL wide.  No closed form of the crossing is assumed.
+    Witness values that do not change sign across the bracket raise
+    ``ValueError``, and so does a best value that is not finite.
     """
     r_lo, r_hi = MDS_THRESHOLD_R_LO, MDS_R_LIMIT
     draws = _draw_starts(0, 0, np.empty((MDS_THRESHOLD_STARTS, 3, 3)))
 
     def witness_value(r: float) -> float:
         g = mds_g_operator(r)
-        return eval_witness(Witness(g, _alpha_from_draws(g, [draws], MDS_THRESHOLD_STARTS)), mds(r))
+        alpha = float(_ascend(g.axes, g.coeffs, draws, ASCENT_MAX_SWEEPS).values.max())
+        if not np.isfinite(alpha):
+            raise ValueError(ASCENT_OVERFLOW)
+        return alpha - _trace_on_support(_trace_plan(g), _mds_state(r, g))
 
     lo_val = witness_value(r_lo)
     hi_val = witness_value(r_hi)

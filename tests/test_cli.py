@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hswit
-from hswit import lhv_bound, product_max
+from hswit import hs, lhv_bound, product_max, states
 from hswit.cli import (
     build_parser,
     decompose_text,
@@ -93,6 +93,26 @@ def test_decompose_threshold_filters_small_terms(tmp_path, capsys):
     assert "III" in words
     assert "ZZZ" in words
     assert "ZZI" not in words  # magnitude 1/3
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_decompose_labels_only_the_kept_terms(tmp_path, monkeypatch, capsys, flags):
+    rho = random_density(np.random.default_rng(3), 4)
+    entries = [[z.real, z.imag] for z in rho.matrix.ravel().tolist()]
+    state_file = write_json(tmp_path, "n4.json", {"matrix": 4, "entries": entries})
+    coeffs = hs_decompose(rho)
+    kept = np.abs(coeffs.coeffs) >= 0.05
+    assert 0 < kept.sum() < len(coeffs) == 256
+    labelled = count_calls(monkeypatch, hs, "_labels")
+    assert main(["decompose", state_file, "--threshold", "0.05", *flags]) == 0
+    out = capsys.readouterr().out
+    assert [len(codes) for codes, _ in labelled] == [kept.sum()]
+    words = coeffs.labels()
+    want = [(w, v) for w, v, k in zip(words, coeffs.coeffs.tolist(), kept) if k]
+    if flags:
+        assert out == operator_json(4, *map(list, zip(*want))) + "\n"
+    else:
+        assert out == decompose_text(4, *map(list, zip(*want))) + "\n"
 
 
 @pytest.mark.parametrize("threshold", ["nan", "inf"])
@@ -307,6 +327,141 @@ def test_report_json(capsys):
 def test_report_mds_with_ineffective_scale(capsys):
     assert main(["report", "mds", "--mds-r", "0.2"]) == 1
     assert "witness" in capsys.readouterr().err
+
+
+# `report`'s text for every entry and three mds scales, with the two refusals: stdout, exit code and stderr,
+# byte for byte, as the catalog and the mds bisection print them (text only: --json prints alpha to the last bit)
+_REPORT_OUT = {
+    ("ghz3",): """\
+name ghz3
+n 3
+beta_cl 2 expected 2 ok
+beta_qu 4 expected 4 ok
+pcrit_bell 0.5 expected 0.5 ok
+alpha 1 expected 1 ok
+trace_g_rho 5 expected 5 ok
+witness_value -4 expected -4 ok
+pcrit_witness 0.2 expected 0.2 ok
+all_ok true
+""",
+    ("w3",): """\
+name w3
+n 3
+beta_cl 2 expected 2 ok
+beta_qu 3 expected 3 ok
+pcrit_bell 0.666666666667 expected 0.666666666667 ok
+alpha 1 expected 1 ok
+trace_g_rho 3.66666666667 expected 3.66666666667 ok
+witness_value -2.66666666667 expected -2.66666666667 ok
+pcrit_witness 0.272727272727 expected 0.272727272727 ok
+all_ok true
+""",
+    ("ghz4",): """\
+name ghz4
+n 4
+beta_cl 4 expected 4 ok
+beta_qu 8 expected 8 ok
+pcrit_bell 0.5 expected 0.5 ok
+alpha 1 expected 1 ok
+trace_g_rho 9 expected 9 ok
+witness_value -8 expected -8 ok
+pcrit_witness 0.111111111111 expected 0.111111111111 ok
+all_ok true
+""",
+    ("w4",): """\
+name w4
+n 4
+beta_cl 5 expected 5 ok
+beta_qu 6 expected 6 ok
+pcrit_bell 0.833333333333 expected 0.833333333333 ok
+alpha 3 expected 3 ok
+trace_g_rho 6 expected 6 ok
+witness_value -3 expected -3 ok
+pcrit_witness 0.5 expected 0.5 ok
+all_ok true
+""",
+    ("cl4",): """\
+name cl4
+n 4
+beta_cl 4 expected 4 ok
+beta_qu 8 expected 8 ok
+pcrit_bell 0.5 expected 0.5 ok
+alpha 2 expected 2 ok
+trace_g_rho 8 expected 8 ok
+witness_value -6 expected -6 ok
+pcrit_witness 0.25 expected 0.25 ok
+all_ok true
+""",
+    ("mds",): """\
+name mds
+n 3
+alpha 0.5 expected 0.5 ok
+trace_g_rho 0.75 expected 0.75 ok
+witness_value -0.25 expected -0.25 ok
+pcrit_witness 0.666666666667 expected 0.666666666667 ok
+threshold_r 0.333333333553 expected 0.333333333333 ok
+all_ok true
+""",
+    ("mds", "--mds-r", "0.34"): """\
+name mds
+n 3
+alpha 0.34 expected 0.34 ok
+trace_g_rho 0.3468 expected 0.3468 ok
+witness_value -0.0068 expected -0.0068 ok
+pcrit_witness 0.980392156863 expected 0.980392156863 ok
+threshold_r 0.333333333553 expected 0.333333333333 ok
+all_ok true
+""",
+    ("mds", "--mds-r", "0.4"): """\
+name mds
+n 3
+alpha 0.4 expected 0.4 ok
+trace_g_rho 0.48 expected 0.48 ok
+witness_value -0.08 expected -0.08 ok
+pcrit_witness 0.833333333333 expected 0.833333333333 ok
+threshold_r 0.333333333553 expected 0.333333333333 ok
+all_ok true
+""",
+    ("mds", "--mds-r", "0.5"): """\
+name mds
+n 3
+alpha 0.5 expected 0.5 ok
+trace_g_rho 0.75 expected 0.75 ok
+witness_value -0.25 expected -0.25 ok
+pcrit_witness 0.666666666667 expected 0.666666666667 ok
+threshold_r 0.333333333553 expected 0.333333333333 ok
+all_ok true
+""",
+}
+_REPORT_REFUSALS = {
+    ("ghz3", "--mds-r", "0.9"): "error: mds_r must lie in (0, 1/sqrt(3)], got 0.9\n",
+    ("mds", "--mds-r", "0.2"): (
+        "error: Tr(G rho) = 0.12000000000000001 does not exceed alpha = 0.2; the witness never detects this state\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("args", list(_REPORT_OUT))
+def test_report_text_is_byte_identical(capsys, args):
+    assert main(["report", *args]) == 0
+    assert capsys.readouterr() == (_REPORT_OUT[args], "")
+
+
+@pytest.mark.parametrize("args", list(_REPORT_REFUSALS))
+def test_report_refusals_are_byte_identical(capsys, args):
+    assert main(["report", *args]) == 1
+    assert capsys.readouterr() == ("", _REPORT_REFUSALS[args])
+
+
+def test_one_name_builds_one_entry(ghz3_file, monkeypatch, capsys):
+    built = []
+    for name, build in states._BUILDERS.items():
+        monkeypatch.setitem(states._BUILDERS, name, lambda *args, build=build: built.append(args[0]) or build(*args))
+    for argv in (["report", "ghz3"], ["report", "ghz3", "--mds-r", "0.4"], ["decompose", ghz3_file]):
+        built.clear()
+        assert main(argv) == 0
+        assert built == ["ghz3"], argv
+    capsys.readouterr()
 
 
 # the 40 graded rows and the verdict, byte for byte: a changed printed digit is a changed paper number

@@ -243,6 +243,8 @@ def test_operator_prunes_negligible_coefficients():
 def test_terms_iterate_in_word_order():
     op = HSOperator(2, {"ZZ": 1.0, "IX": 2.0, "XI": 3.0, "II": 4.0})
     assert op.labels() == ["II", "IX", "XI", "ZZ"]
+    assert op.labels(op.coeffs >= 2.5) == ["II", "XI"]
+    assert op.labels(np.zeros(4, dtype=bool)) == []
 
 
 @pytest.mark.parametrize("bound", [64, hs.BLOCK_ELEMENTS])

@@ -16,7 +16,6 @@ from hswit.lhv_bound import classical_bound
 from hswit.pauli_core import AXIS_LABELS
 from hswit.product_max import (
     DEGENERATE_FIELD,
-    _alpha_from_draws,
     _ascend,
     _draw_starts,
     alpha_grid_oracle,
@@ -609,7 +608,6 @@ def test_alpha_max_matches_lone_starts_across_blocks(cat, monkeypatch):
     ops = _operators(cat)
     for name, op in ops[:6] + ops[-3:]:
         best, at_best = _lone_alpha(op, 20, seed=9)
-        draws = _draw_starts(9, 0, np.empty((20, op.n, 3)))
         for elements in ((op.n + 1) * len(op), 3 * (op.n + 1) * len(op), product_max.BLOCK_ELEMENTS):
             monkeypatch.setattr(product_max, "BLOCK_ELEMENTS", elements)
             result = alpha_max(op, starts=20, seed=9)
@@ -618,10 +616,6 @@ def test_alpha_max_matches_lone_starts_across_blocks(cat, monkeypatch):
             assert result.starts_at_best == at_best, name
             want = best[1] / np.linalg.norm(best[1], axis=1)[:, None]
             assert result.argmax == ProductState.from_bloch_vectors(want), name
-            # the same draws, in the blocks alpha_max cuts at this bound, searched without drawing
-            block = max(1, elements // max((op.n + 1) * len(op), 4 * op.n))
-            blocks = [draws[lo : lo + block] for lo in range(0, 20, block)]
-            assert _alpha_from_draws(op, blocks, 20) == result, name
 
 
 def test_alpha_max_of_k_starts_is_the_best_of_the_first_k(cat):

@@ -307,27 +307,37 @@ def test_pcrit_witness_values_and_domain():
 
 
 def test_entanglement_threshold_of_the_disordered_family(monkeypatch):
-    draw, search = witness._draw_starts, witness._alpha_from_draws
-    draws, probes = [], []
+    draw, build, ascend = witness._draw_starts, witness.mds_g_operator, witness._ascend
+    draws, kernels, ascents = [], [], []
 
-    def searched(g, *args):
-        probes.append((g, search(g, *args)))
-        return probes[-1][1]
+    def ascended(axes, coeffs, *args):
+        ascents.append((axes, coeffs, ascend(axes, coeffs, *args)))
+        return ascents[-1][2]
 
     monkeypatch.setattr(witness, "_draw_starts", lambda seed, lo, out: draws.append(len(out)) or draw(seed, lo, out))
-    monkeypatch.setattr(witness, "_alpha_from_draws", searched)
+    monkeypatch.setattr(witness, "mds_g_operator", lambda r: kernels.append(build(r)) or kernels[-1])
+    monkeypatch.setattr(witness, "_ascend", ascended)
     threshold = mds_entanglement_threshold()
     # the starts are drawn once, not once a probe, and every probe finds what alpha_max finds from them
     assert draws == [MDS_THRESHOLD_STARTS]  # one call, which fills every start
-    assert len(probes) == 32
-    for g, result in probes:
-        assert result == alpha_max(g, starts=MDS_THRESHOLD_STARTS)
+    assert len(kernels) == len(ascents) == 32
+    for g, (axes, coeffs, runs) in zip(kernels, ascents):
+        np.testing.assert_array_equal(axes, g.axes)
+        np.testing.assert_array_equal(coeffs, g.coeffs)
+        assert float(runs.values.max()) == alpha_max(g, starts=MDS_THRESHOLD_STARTS).alpha
     assert abs(threshold - 1 / 3) <= 1e-9 + 1e-12
     # bit for bit: the bracket is fixed, so this one float fixes the signs at its two
     # ends and at all 30 midpoints (+-+--+--++++--++-+--+-++-++++--+); the nearest
     # midpoint lies 4.9e-11 from the crossing
     assert threshold == 0.33333333355291384
     assert threshold.hex() == "0x1.555555591b0f0p-2"
+
+
+def test_a_probe_whose_best_value_is_not_finite_raises(monkeypatch):
+    ascend = witness._ascend
+    monkeypatch.setattr(witness, "_ascend", lambda *args: ascend(*args)._replace(values=np.full(16, np.nan)))
+    with pytest.raises(ValueError, match="^the ascent overflows the float range; scale the coefficients down$"):
+        mds_entanglement_threshold()
 
 
 @pytest.mark.parametrize("r,sign", [(0.4, -1.0), (0.3, 1.0), (MDS_R_LIMIT, -1.0)])
