@@ -4,8 +4,6 @@ a dense string oracle and the Mermin family.
 
 import functools
 import itertools
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +12,8 @@ import pytest
 from hswit.hs import HSOperator
 from hswit.pauli_core import DensityMatrix
 from hswit.states import catalog
+
+from make_golden import write_inputs
 
 
 @pytest.fixture(scope="session")
@@ -24,16 +24,15 @@ def cat():
 
 @pytest.fixture(scope="session")
 def generated_by_seed(tmp_path_factory):
-    """``generated_by_seed(seed)``: the directory of input files ``bench/gen.py --seed SEED`` writes, written once
-    per seed and test run."""
-    gen = Path(__file__).resolve().parents[1] / "bench" / "gen.py"
+    """``generated_by_seed(seed)``: the directory ``seedSEED`` of input files ``bench/gen.py --seed SEED``
+    writes, written once per seed and test run; every seed's directory lies in one parent, as the golden
+    file names them."""
+    root = tmp_path_factory.mktemp("generated")
 
     @functools.cache
     def write(seed: int) -> Path:
-        out = tmp_path_factory.mktemp(f"generated{seed}")
-        subprocess.run(
-            [sys.executable, str(gen), "--seed", str(seed), "--out", str(out)], check=True, stdout=subprocess.DEVNULL
-        )
+        out = root / f"seed{seed}"
+        write_inputs(seed, out)
         return out
 
     return write

@@ -29,6 +29,8 @@ from hswit.hs import hs_decompose, hs_reconstruct
 from hswit.states import ENTRY_NAMES, catalog, ghz, mix_white_noise, w_state
 
 from conftest import count_calls, random_density
+from make_golden import GOLDEN, SEEDS
+from make_golden import outputs as golden_outputs
 from reference import is_close
 
 
@@ -329,130 +331,6 @@ def test_report_mds_with_ineffective_scale(capsys):
     assert "witness" in capsys.readouterr().err
 
 
-# `report`'s text for every entry and three mds scales, with the two refusals: stdout, exit code and stderr,
-# byte for byte, as the catalog and the mds bisection print them (text only: --json prints alpha to the last bit)
-_REPORT_OUT = {
-    ("ghz3",): """\
-name ghz3
-n 3
-beta_cl 2 expected 2 ok
-beta_qu 4 expected 4 ok
-pcrit_bell 0.5 expected 0.5 ok
-alpha 1 expected 1 ok
-trace_g_rho 5 expected 5 ok
-witness_value -4 expected -4 ok
-pcrit_witness 0.2 expected 0.2 ok
-all_ok true
-""",
-    ("w3",): """\
-name w3
-n 3
-beta_cl 2 expected 2 ok
-beta_qu 3 expected 3 ok
-pcrit_bell 0.666666666667 expected 0.666666666667 ok
-alpha 1 expected 1 ok
-trace_g_rho 3.66666666667 expected 3.66666666667 ok
-witness_value -2.66666666667 expected -2.66666666667 ok
-pcrit_witness 0.272727272727 expected 0.272727272727 ok
-all_ok true
-""",
-    ("ghz4",): """\
-name ghz4
-n 4
-beta_cl 4 expected 4 ok
-beta_qu 8 expected 8 ok
-pcrit_bell 0.5 expected 0.5 ok
-alpha 1 expected 1 ok
-trace_g_rho 9 expected 9 ok
-witness_value -8 expected -8 ok
-pcrit_witness 0.111111111111 expected 0.111111111111 ok
-all_ok true
-""",
-    ("w4",): """\
-name w4
-n 4
-beta_cl 5 expected 5 ok
-beta_qu 6 expected 6 ok
-pcrit_bell 0.833333333333 expected 0.833333333333 ok
-alpha 3 expected 3 ok
-trace_g_rho 6 expected 6 ok
-witness_value -3 expected -3 ok
-pcrit_witness 0.5 expected 0.5 ok
-all_ok true
-""",
-    ("cl4",): """\
-name cl4
-n 4
-beta_cl 4 expected 4 ok
-beta_qu 8 expected 8 ok
-pcrit_bell 0.5 expected 0.5 ok
-alpha 2 expected 2 ok
-trace_g_rho 8 expected 8 ok
-witness_value -6 expected -6 ok
-pcrit_witness 0.25 expected 0.25 ok
-all_ok true
-""",
-    ("mds",): """\
-name mds
-n 3
-alpha 0.5 expected 0.5 ok
-trace_g_rho 0.75 expected 0.75 ok
-witness_value -0.25 expected -0.25 ok
-pcrit_witness 0.666666666667 expected 0.666666666667 ok
-threshold_r 0.333333333553 expected 0.333333333333 ok
-all_ok true
-""",
-    ("mds", "--mds-r", "0.34"): """\
-name mds
-n 3
-alpha 0.34 expected 0.34 ok
-trace_g_rho 0.3468 expected 0.3468 ok
-witness_value -0.0068 expected -0.0068 ok
-pcrit_witness 0.980392156863 expected 0.980392156863 ok
-threshold_r 0.333333333553 expected 0.333333333333 ok
-all_ok true
-""",
-    ("mds", "--mds-r", "0.4"): """\
-name mds
-n 3
-alpha 0.4 expected 0.4 ok
-trace_g_rho 0.48 expected 0.48 ok
-witness_value -0.08 expected -0.08 ok
-pcrit_witness 0.833333333333 expected 0.833333333333 ok
-threshold_r 0.333333333553 expected 0.333333333333 ok
-all_ok true
-""",
-    ("mds", "--mds-r", "0.5"): """\
-name mds
-n 3
-alpha 0.5 expected 0.5 ok
-trace_g_rho 0.75 expected 0.75 ok
-witness_value -0.25 expected -0.25 ok
-pcrit_witness 0.666666666667 expected 0.666666666667 ok
-threshold_r 0.333333333553 expected 0.333333333333 ok
-all_ok true
-""",
-}
-_REPORT_REFUSALS = {
-    ("ghz3", "--mds-r", "0.9"): "error: mds_r must lie in (0, 1/sqrt(3)], got 0.9\n",
-    ("mds", "--mds-r", "0.2"): (
-        "error: Tr(G rho) = 0.12000000000000001 does not exceed alpha = 0.2; the witness never detects this state\n"
-    ),
-}
-
-
-@pytest.mark.parametrize("args", list(_REPORT_OUT))
-def test_report_text_is_byte_identical(capsys, args):
-    assert main(["report", *args]) == 0
-    assert capsys.readouterr() == (_REPORT_OUT[args], "")
-
-
-@pytest.mark.parametrize("args", list(_REPORT_REFUSALS))
-def test_report_refusals_are_byte_identical(capsys, args):
-    assert main(["report", *args]) == 1
-    assert capsys.readouterr() == ("", _REPORT_REFUSALS[args])
-
-
 def test_one_name_builds_one_entry(ghz3_file, monkeypatch, capsys):
     built = []
     for name, build in states._BUILDERS.items():
@@ -464,60 +342,26 @@ def test_one_name_builds_one_entry(ghz3_file, monkeypatch, capsys):
     capsys.readouterr()
 
 
-# the 40 graded rows and the verdict, byte for byte: a changed printed digit is a changed paper number
-_VERIFY_OUT = """\
-ghz3 beta_cl 2 expected 2 PASS
-ghz3 beta_qu 4 expected 4 PASS
-ghz3 pcrit_bell 0.5 expected 0.5 PASS
-ghz3 alpha 1 expected 1 PASS
-ghz3 trace_g_rho 5 expected 5 PASS
-ghz3 witness_value -4 expected -4 PASS
-ghz3 pcrit_witness 0.2 expected 0.2 PASS
-w3 beta_cl 2 expected 2 PASS
-w3 beta_qu 3 expected 3 PASS
-w3 pcrit_bell 0.666666666667 expected 0.666666666667 PASS
-w3 alpha 1 expected 1 PASS
-w3 trace_g_rho 3.66666666667 expected 3.66666666667 PASS
-w3 witness_value -2.66666666667 expected -2.66666666667 PASS
-w3 pcrit_witness 0.272727272727 expected 0.272727272727 PASS
-ghz4 beta_cl 4 expected 4 PASS
-ghz4 beta_qu 8 expected 8 PASS
-ghz4 pcrit_bell 0.5 expected 0.5 PASS
-ghz4 alpha 1 expected 1 PASS
-ghz4 trace_g_rho 9 expected 9 PASS
-ghz4 witness_value -8 expected -8 PASS
-ghz4 pcrit_witness 0.111111111111 expected 0.111111111111 PASS
-w4 beta_cl 5 expected 5 PASS
-w4 beta_qu 6 expected 6 PASS
-w4 pcrit_bell 0.833333333333 expected 0.833333333333 PASS
-w4 alpha 3 expected 3 PASS
-w4 trace_g_rho 6 expected 6 PASS
-w4 witness_value -3 expected -3 PASS
-w4 pcrit_witness 0.5 expected 0.5 PASS
-cl4 beta_cl 4 expected 4 PASS
-cl4 beta_qu 8 expected 8 PASS
-cl4 pcrit_bell 0.5 expected 0.5 PASS
-cl4 alpha 2 expected 2 PASS
-cl4 trace_g_rho 8 expected 8 PASS
-cl4 witness_value -6 expected -6 PASS
-cl4 pcrit_witness 0.25 expected 0.25 PASS
-mds alpha 0.5 expected 0.5 PASS
-mds trace_g_rho 0.75 expected 0.75 PASS
-mds witness_value -0.25 expected -0.25 PASS
-mds pcrit_witness 0.666666666667 expected 0.666666666667 PASS
-mds threshold_r 0.333333333553 expected 0.333333333333 PASS
-RESULT PASS (40 checks at 1e-09)
-"""
-
-
 def test_verify_passes_and_is_byte_identical(capsys):
     assert main(["verify"]) == 0
     first = capsys.readouterr().out
     assert first.splitlines()[-1].startswith("RESULT PASS")
     assert "mds threshold_r" in first
-    assert first == _VERIFY_OUT
     assert main(["verify"]) == 0
     assert capsys.readouterr().out == first
+
+
+def test_outputs_match_the_golden_file(generated_by_seed):
+    # every printed byte that follows neither the BLAS thread count nor the BLAS kernel: the 40 graded rows
+    # and the verdict, the reports and refusals, and bound and decompose on the seed 1-3 files, as
+    # tests/make_golden.py wrote them; a changed printed digit is a changed paper number
+    root = generated_by_seed(SEEDS[0]).parent
+    for seed in SEEDS:
+        generated_by_seed(seed)
+    golden = json.loads(GOLDEN.read_text())
+    runs = golden_outputs(root)
+    assert list(runs) == list(golden)
+    assert {argv: run for argv, run in runs.items() if run != golden[argv]} == {}
 
 
 def test_verify_json(capsys):
