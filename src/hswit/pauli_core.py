@@ -162,7 +162,7 @@ class DensityMatrix:
                 return state
         smallest = np.linalg.eigvalsh(rho)[0]
         if smallest < EIGENVALUE_FLOOR:
-            raise InvalidStateError(f"matrix has a negative eigenvalue {smallest}")
+            raise InvalidStateError(f"matrix has a negative eigenvalue {smallest:.12g}")
         return state
 
     @classmethod

@@ -174,8 +174,9 @@ class CatalogEntry:
     decomposes afresh.  ``bell`` is None when no Bell operator is part of
     the benchmark (the mds family is treated through its witness only).
     ``expected`` maps report fields to exact values (Fraction where
-    rational); a missing key means the benchmark does not pin that
-    quantity for this entry.
+    rational), in the order ``report`` and ``verify`` print them; a
+    missing key means the benchmark does not pin that quantity for this
+    entry.
     """
 
     name: str

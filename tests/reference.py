@@ -127,7 +127,7 @@ def eigvalsh_positivity(rho: DensityMatrix) -> None:
     ``from_matrix``'s message; ``eigvalsh`` decides every matrix."""
     smallest = np.linalg.eigvalsh(rho.matrix)[0]
     if smallest < EIGENVALUE_FLOOR:
-        raise InvalidStateError(f"matrix has a negative eigenvalue {smallest}")
+        raise InvalidStateError(f"matrix has a negative eigenvalue {smallest:.12g}")
 
 
 def partial_transpose(rho: DensityMatrix, qubit: int) -> Array:

@@ -19,6 +19,7 @@ from hswit import hs, lhv_bound, product_max, states
 from hswit.cli import (
     build_parser,
     decompose_text,
+    entry_rows,
     load_operator,
     load_state,
     main,
@@ -26,9 +27,10 @@ from hswit.cli import (
     verify_entries,
 )
 from hswit.hs import hs_decompose, hs_reconstruct
+from hswit.pauli_core import DensityMatrix
 from hswit.states import ENTRY_NAMES, catalog, ghz, mix_white_noise, w_state
 
-from conftest import count_calls, random_density
+from conftest import count_calls, random_density, string_matrix
 from make_golden import GOLDEN, SEEDS
 from make_golden import outputs as golden_outputs
 from reference import is_close
@@ -146,6 +148,18 @@ def test_decompose_matrix_state(tmp_path, capsys):
     assert doc == {"n": 1, "terms": [{"string": "I", "coeff": 1.0}]}
 
 
+def test_a_state_inside_the_hermiticity_tolerance_decomposes_as_its_hermitian_part(tmp_path, capsys):
+    # the residual |M - M*| is 9.8e-11, inside HERMITIAN_ATOL, yet the XXXXXXXX coefficient's imaginary part
+    # is 256 * 0.49e-10 = 1.25e-8: the state is accepted, and the decomposition keeps the real parts
+    n = 8
+    mat = np.eye(2**n) / 2**n + 0.49e-10j * string_matrix("X" * n)
+    want = hs_decompose(DensityMatrix((mat + mat.conj().T) / 2, n))
+    assert is_close(hs_decompose(DensityMatrix.from_matrix(mat)), want, atol=0.0)
+    entries = [[z.real, z.imag] for z in mat.ravel().tolist()]
+    assert main(["decompose", write_json(tmp_path, "skew.json", {"matrix": n, "entries": entries}), "--json"]) == 0
+    assert capsys.readouterr() == (operator_json(n, want.labels(), want.coeffs.tolist()) + "\n", "")
+
+
 def _state_docs():
     yield from ({"catalog": name} for name in ENTRY_NAMES)
     rng = np.random.default_rng(7)
@@ -193,13 +207,24 @@ def test_decompose_with_no_kept_terms(ghz3_file, capsys, flags, out):
 
 
 def test_decompose_mds_r_zero_is_identity_only(tmp_path, capsys):
-    state_file = write_json(
-        tmp_path, "mds0.json", {"catalog": "mds", "params": {"R": 1e-15}}
-    )
+    for r in (0, 0.0, -0.0, 1e-15):
+        state_file = write_json(tmp_path, "mds0.json", {"catalog": "mds", "params": {"R": r}})
+        assert main(["decompose", state_file]) == 0
+        assert capsys.readouterr() == ("n 3\nterms 1\nIII 1\n", "")
+
+
+def test_decompose_mds_at_a_negative_r(tmp_path, capsys):
+    # every |R| <= 1/sqrt(3) is a state, the witness's range R > 1/3 or not
+    state_file = write_json(tmp_path, "mds.json", {"catalog": "mds", "params": {"R": -0.3, "p": 0.5}})
     assert main(["decompose", state_file]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[1] == "terms 1"
-    assert lines[2] == "III 1"
+    assert capsys.readouterr() == ("n 3\nterms 4\nIII 1\nXXX -0.15\nYYY -0.15\nZZZ -0.15\n", "")
+
+
+@pytest.mark.parametrize("r", [0.9, -0.9])
+def test_decompose_refuses_an_mds_r_past_the_state_range(tmp_path, capsys, r):
+    state_file = write_json(tmp_path, "mds.json", {"catalog": "mds", "params": {"R": r}})
+    assert main(["decompose", state_file]) == 1
+    assert capsys.readouterr() == ("", f"error: mds requires |r| <= 1/sqrt(3) ~ 0.577350, got {r}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +319,16 @@ def test_alpha_refuses_a_grid_past_its_budget_before_the_ascent(bell_g3_file, mo
     assert captured.err == "error: grid of 274625000 points exceeds the budget of 250000000; lower divisions\n"
 
 
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_alpha_past_memory_prints_one_error_line(bell_g3_file, capsys, flags):
+    # alpha_max's per-start values array would take 8e17 bytes, more than any address space holds, so numpy
+    # refuses it without allocating
+    assert main(["alpha", bell_g3_file, "--starts", str(10**17), *flags]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
 def test_alpha_accepts_the_largest_seed(bell_g3_file, capsys):
     assert main(["alpha", bell_g3_file, "--seed", str(2**64 - 1), "--starts", "1"]) == 0
     assert "starts_used 1" in capsys.readouterr().out
@@ -353,8 +388,9 @@ def test_verify_passes_and_is_byte_identical(capsys):
 
 def test_outputs_match_the_golden_file(generated_by_seed):
     # every printed byte that follows neither the BLAS thread count nor the BLAS kernel: the 40 graded rows
-    # and the verdict, the reports and refusals, and bound and decompose on the seed 1-3 files, as
-    # tests/make_golden.py wrote them; a changed printed digit is a changed paper number
+    # and the verdict, the reports and refusals, bound on the seed 1-3 operator files and decompose on their
+    # catalog and non-positive state files, as tests/make_golden.py wrote them; a changed printed digit is a
+    # changed paper number
     root = generated_by_seed(SEEDS[0]).parent
     for seed in SEEDS:
         generated_by_seed(seed)
@@ -382,6 +418,12 @@ def test_verify_names_a_corrupted_field(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "ghz3 beta_cl 2 expected 3 FAIL" in out
     assert out.splitlines()[-1].startswith("RESULT FAIL")
+
+
+def test_rows_follow_the_order_of_the_expected_fields(cat):
+    entry = cat["w3"]
+    reversed_entry = dataclasses.replace(entry, expected=dict(reversed(entry.expected.items())))
+    assert entry_rows(reversed_entry) == entry_rows(entry)[::-1]
 
 
 def test_verify_entries_reports_rows(cat):

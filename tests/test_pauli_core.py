@@ -368,7 +368,7 @@ def test_a_large_norm_matrix_skips_the_factorization(monkeypatch):
     # ||rho||_F = sqrt(2) * 1e6 puts delta = 12 * eps * ||rho||_F above |EIGENVALUE_FLOOR|
     mat = np.array([[0.5, 1e6], [1e6, 0.5]], dtype=complex)
     want = _outcome(eigvalsh_positivity, DensityMatrix(mat, 1))
-    assert want == (InvalidStateError, f"matrix has a negative eigenvalue {np.linalg.eigvalsh(mat)[0]}")
+    assert want == (InvalidStateError, f"matrix has a negative eigenvalue {np.linalg.eigvalsh(mat)[0]:.12g}")
     cholesky = count_calls(monkeypatch, np.linalg, "cholesky")
     eigvalsh = count_calls(monkeypatch, np.linalg, "eigvalsh")
     assert _outcome(DensityMatrix.from_matrix, mat) == want
