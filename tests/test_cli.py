@@ -31,7 +31,7 @@ from hswit.pauli_core import DensityMatrix
 from hswit.states import ENTRY_NAMES, catalog, ghz, mix_white_noise, w_state
 
 from conftest import count_calls, random_density, string_matrix
-from make_golden import GOLDEN, SEEDS
+from make_golden import GOLDEN, REFUSALS, REPORTS, SEEDS
 from make_golden import outputs as golden_outputs
 from reference import is_close
 
@@ -361,6 +361,25 @@ def test_report_json(capsys):
     assert doc["fields"]["beta_cl"]["computed"] == 5.0
 
 
+# `report`'s text for every entry and three mds scales, and the two refusals, byte for byte as the golden file
+# holds them (text only: --json prints alpha to the last bit)
+_GOLDEN = json.loads(GOLDEN.read_text())
+
+
+@pytest.mark.parametrize("args", REPORTS)
+def test_report_text_is_byte_identical(capsys, args):
+    assert main(["report", *args]) == 0
+    out, err = capsys.readouterr()
+    assert _GOLDEN[" ".join(["report", *args])] == {"exit": 0, "stdout": out, "stderr": err} and err == ""
+
+
+@pytest.mark.parametrize("args", REFUSALS)
+def test_report_refusals_are_byte_identical(capsys, args):
+    assert main(["report", *args]) == 1
+    out, err = capsys.readouterr()
+    assert _GOLDEN[" ".join(["report", *args])] == {"exit": 1, "stdout": out, "stderr": err} and out == ""
+
+
 def test_report_mds_with_ineffective_scale(capsys):
     assert main(["report", "mds", "--mds-r", "0.2"]) == 1
     assert "witness" in capsys.readouterr().err
@@ -394,10 +413,9 @@ def test_outputs_match_the_golden_file(generated_by_seed):
     root = generated_by_seed(SEEDS[0]).parent
     for seed in SEEDS:
         generated_by_seed(seed)
-    golden = json.loads(GOLDEN.read_text())
     runs = golden_outputs(root)
-    assert list(runs) == list(golden)
-    assert {argv: run for argv, run in runs.items() if run != golden[argv]} == {}
+    assert list(runs) == list(_GOLDEN)
+    assert {argv: run for argv, run in runs.items() if run != _GOLDEN[argv]} == {}
 
 
 def test_verify_json(capsys):
