@@ -24,9 +24,9 @@ import numpy as np
 
 from .hs import HSOperator, require_identity_free
 from .pauli_core import AXIS_LABELS, BLOCK_ELEMENTS, Array
+from .screen import LOW_BITS, _blocks
 
 DEFAULT_MAX_ASSIGNMENTS = 1 << 26
-LOW_BITS = 11  # at most 2^11 codes per row of the screen, the width of one matmul
 _MEASURED_AXES = np.arange(1, 4)
 
 
@@ -102,15 +102,6 @@ def _odd(x: Array) -> Array:
     return (np.bitwise_count(x) & np.uint8(1)).view(bool)
 
 
-def _signed_sums(rows: Array, coeffs: Array, high_masks: Array, low_signs: Array, out: Array) -> None:
-    """Write sum_t c_t * sign_t at every code of the given rows to ``out``, (rows, 2^low): one matrix product.
-
-    ``high_masks`` are the terms' masks over a code's high bits (its row),
-    ``low_signs`` their (T, 2^low) signs over its low bits.
-    """
-    np.matmul(np.where(_odd(rows[:, None] & high_masks), -coeffs, coeffs), low_signs, out=out)
-
-
 def _expand(reduced: Array, letter_values: list[Array], margin: float, below: int) -> Array:
     """The full codes under reduced codes, with only the signs of q's k pairs that can be best.
 
@@ -180,14 +171,14 @@ def classical_bound(op: HSOperator) -> BoundResult:
     removing q would save less than its bookkeeping costs: then k = 0,
     and S_I is the whole operator.
 
-    A term's sign at r factors into a sign over r's high bits (its row)
-    and one over its low bits, so each S_g over a chunk of rows is one
-    matrix product of a high and a low sign table: k + 1 products over
-    2^(m - k) reduced codes, where the full enumeration has 2^m.  The low
-    bits number ceil((m - k) / 2), at most LOW_BITS and fewer when the T
-    terms would make a sign table past BLOCK_ELEMENTS entries.  A chunk
-    takes as many rows as keep its k + 1 sums and its rows' sign tables
-    within BLOCK_ELEMENTS entries, and at least one.
+    The screen shared with ``alpha_grid_oracle`` (``screen._blocks``)
+    takes each of the other m - k pairs as a site of two points, +1 and
+    -1, the second flipping the terms that measure the pair, so its flat
+    index is the reduced code.  It folds the last ceil((m - k) / 2) pairs
+    into one table, at most LOW_BITS and fewer where T terms would pass
+    BLOCK_ELEMENTS entries, and walks the rest in chunks: k + 1 matrix
+    products a chunk, over 2^(m - k) reduced codes where the full
+    enumeration has 2^m.
 
     The products only screen: BLAS sums in an order of its own.  A value
     summed in any order is within (T - 1) eps/2 sum|c| of the true one
@@ -221,45 +212,34 @@ def classical_bound(op: HSOperator) -> BoundResult:
     coeffs = op.coeffs
     margin = 8 * (len(coeffs) + 1) * sys.float_info.epsilon * float(np.abs(coeffs).sum())
 
-    # q and its k pairs, adjacent in pair order; k stays 0 when m - k <= LOW_BITS, as it is for any q
-    # when m <= LOW_BITS + 1.  Then the term masks over the other m - k pairs, and the terms by letter on q.
-    k, reduced, groups = 0, masks, [slice(None)]
+    # q's k pairs, adjacent in pair order; k stays 0 when m - k <= LOW_BITS, as for any q when m <= LOW_BITS + 1.
+    # The other pairs are the screen's sites, its terms grouped by letter on q: I, then q's pairs in order.
+    k, below, order, groups = 0, 0, slice(None), [slice(None)]
     if m > LOW_BITS + 1:
         qubits = [qubit for qubit, _ in pairs]
         q = max(qubits, key=qubits.count)  # the first of the busiest qubits
         if m - qubits.count(q) > LOW_BITS:
-            k = qubits.count(q)
-            below = m - k - qubits.index(q)  # pairs after q's: the code bits under q's k bits
-            letters = (masks >> below) & ((1 << k) - 1)  # the bit of q's pair a term measures, 0 for I
-            reduced = (masks >> (below + k) << below) | (masks & ((1 << below) - 1))
-            groups = [np.flatnonzero(letters == letter) for letter in [0] + [1 << i for i in range(k - 1, -1, -1)]]
+            k, first = qubits.count(q), qubits.index(q)
+            below = m - k - first  # pairs after q's: the code bits under q's k bits
+            letters = incidence[:, first : first + k] @ np.arange(1, k + 1)  # 0 for I on q, g for q's g-th pair
+            order = np.argsort(letters, kind="stable")
+            ends = np.cumsum(np.bincount(letters, minlength=k + 1)).tolist()
+            groups = [slice(start, end) for start, end in zip([0] + ends, ends)]
+            incidence = np.delete(incidence, np.s_[first : first + k], axis=1)
+    # a site's first point is its +1 outcome and its second the -1 outcome, which flips the terms measuring it
+    factors = np.where(incidence[order].T[:, None, :] & np.array([[False], [True]]), -1.0, 1.0)
 
-    table_rows = max(1, BLOCK_ELEMENTS // len(coeffs))
-    low = min((m - k + 1) // 2, LOW_BITS, table_rows.bit_length() - 1)
-    low_codes = np.arange(1 << low)
-    tables = [
-        (coeffs[terms], reduced[terms] >> low, np.where(_odd(reduced[terms, None] & low_codes), -1.0, 1.0))
-        for terms in groups
-    ]
-    total_rows = 2 ** (m - k - low)
-    chunk_rows = min(max(1, BLOCK_ELEMENTS // ((k + 1) << low)), max(1, table_rows >> k), total_rows)
-    sums = np.empty((k + 1, chunk_rows, 1 << low))  # S_I, then S_g for q's pairs in order; every chunk reuses them
-    magnitude = np.empty((chunk_rows, 1 << low)) if k else None
-    best_value = -np.inf
-    best_code = 0
-    exact_checks = 0
-    for start in range(0, total_rows, chunk_rows):
-        rows = np.arange(start, min(start + chunk_rows, total_rows))
-        block = sums[:, : len(rows)]
-        for table, out in zip(tables, block):
-            _signed_sums(rows, *table, out)
-        screen = block[0]
+    best_value, best_code, exact_checks = -np.inf, 0, 0
+    magnitude = None  # |S_g| over a chunk, allocated at the first, the largest
+    for offset, block in _blocks(factors, coeffs[order], groups):
+        screen = block[0]  # S_I, then S_g for q's pairs in order
         for g in range(1, k + 1):
-            screen += np.abs(block[g], out=magnitude[: len(rows)])
+            magnitude = np.empty_like(screen) if magnitude is None else magnitude
+            screen += np.abs(block[g], out=magnitude[: len(screen)])
         threshold = screen.max() - margin
         overflow = not math.isfinite(threshold)  # overflow or NaN in the screen: keep every code
         near = np.arange(screen.size) if overflow else np.flatnonzero(screen >= threshold)
-        codes = near + (start << low)
+        codes = near + offset
         if k:
             letter_values = [block[g].ravel()[near] for g in range(1, k + 1)]
             codes = _expand(codes, letter_values, math.inf if overflow else margin, below)

@@ -25,7 +25,6 @@ starts ran beside it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -33,6 +32,7 @@ import numpy as np
 
 from .hs import HSOperator, require_identity_free
 from .pauli_core import BLOCK_ELEMENTS, Array
+from .screen import _blocks
 from .states import ProductState
 
 DEGENERATE_FIELD = 1e-14
@@ -281,36 +281,10 @@ def alpha_max(op: HSOperator, starts: int = 64, seed: int = 0) -> AlphaResult:
     return AlphaResult(alpha, argmax, starts, sweeps, converged, at_best)
 
 
-def _khatri_rao(left: Array, right: Array) -> Array:
-    """Column-wise products of every column of ``left`` with every column of ``right``, left-major."""
-    return (left[:, :, None] * right[:, None, :]).reshape(left.shape[0], -1)
-
-
 def grid_point_count(n: int, divisions: int) -> int:
     """Number of product-state grid points visited at this resolution."""
     per_qubit = (divisions + 1) * divisions
     return per_qubit**n
-
-
-def _grid_layout(n: int, points: int, n_terms: int) -> tuple[int, int, int]:
-    """(split, width, block): how ``alpha_grid_oracle`` walks a grid within BLOCK_ELEMENTS.
-
-    Qubits split..n-1 fold into one table of terms x points**(n - split)
-    entries: as many trailing qubits as fit, and one whenever n >= 2 even
-    if it does not fit, so no matrix product runs against a one-column
-    table.  A block pairs ``block`` grid points of qubits 0..split-1 (a
-    row of terms each) with ``width`` columns of the table.  Its rows and
-    its values fit too, except that a block holds at least one grid point
-    and, where the table has them, one qubit's columns.  Blocks are near
-    square, since a product of a few rows against many columns repacks
-    the columns for every few rows.
-    """
-    folds = min(1, n - 1)
-    while folds < n - 1 and points ** (folds + 1) * n_terms <= BLOCK_ELEMENTS:
-        folds += 1
-    width = min(points**folds, max(points, math.isqrt(BLOCK_ELEMENTS)))
-    block = max(1, BLOCK_ELEMENTS // max(width, n_terms))
-    return n - folds, width, block
 
 
 def alpha_grid_oracle(op: HSOperator, divisions: int) -> float:
@@ -324,21 +298,23 @@ def alpha_grid_oracle(op: HSOperator, divisions: int) -> float:
     product-state maximum up to rounding of order eps * sum|c|, and
     converges to it as divisions grows.
 
-    Trailing qubits are folded once into a row-wise (Khatri-Rao) table,
-    stored terms x grid points as the matrix products read it; the grid
-    points of the other qubits are walked in blocks, one matrix product
-    per block and slice of table columns (see ``_grid_layout``).  Apart
-    from the n per-qubit factor tables (grid points x terms each), the
-    table, a block's rows and a block's values each stay within
-    BLOCK_ELEMENTS entries.  Where a point's term products are
-    split between the walked and the folded qubits depends on that
-    bound, so the value's last bits do too.
+    Each qubit is a site of the screen ``classical_bound`` shares
+    (``screen._blocks``), its factor table holding every grid point's
+    component along each term's axis.  Trailing qubits fold into one
+    Khatri-Rao table, terms x grid points, while its columns stay within
+    2^LOW_BITS, its entries within BLOCK_ELEMENTS and the folded qubits
+    no more than the walked ones; the grid points of the other qubits are
+    walked in chunks, one matrix product per chunk.  Apart from the n
+    factor tables (grid points x terms each), no array exceeds
+    BLOCK_ELEMENTS entries, except that a chunk holds at least one grid
+    point.  Where a point's term products are split between the walked
+    and the folded qubits depends on that bound, so the value's last bits
+    do too.
     """
     require_identity_free(op)
     if divisions < 4:
         raise ValueError(f"divisions must be at least 4, got {divisions}")
-    n = op.n
-    total = grid_point_count(n, divisions)
+    total = grid_point_count(op.n, divisions)
     if total > DEFAULT_GRID_BUDGET:
         raise ValueError(f"grid of {total} points exceeds the budget of {DEFAULT_GRID_BUDGET}; lower divisions")
     if not len(op):
@@ -346,35 +322,9 @@ def alpha_grid_oracle(op: HSOperator, divisions: int) -> float:
 
     thetas = np.linspace(0.0, np.pi, divisions + 1)
     phis = np.linspace(0.0, 2.0 * np.pi, divisions, endpoint=False)
-    theta_grid, phi_grid = np.meshgrid(thetas, phis, indexing="ij")
-    sin_t = np.sin(theta_grid.ravel())
-    vectors = np.column_stack(
-        (sin_t * np.cos(phi_grid.ravel()), sin_t * np.sin(phi_grid.ravel()), np.cos(theta_grid.ravel()))
-    )
-    points = vectors.shape[0]
-    components = np.column_stack((np.ones(points), vectors))
-
-    axes, coeffs = op.axes, op.coeffs
-    n_terms = len(op)
-    # per-qubit matrices B_k[i, t] = component of grid point i along term t's axis
-    per_qubit = [components[:, axes[:, k]] for k in range(n)]
-    split, width, block = _grid_layout(n, points, n_terms)
-
-    # fold qubits split..n-1 into one table, terms x points: qubit k * (qubit k+1 * ...)
-    table = np.ones((n_terms, 1))
-    for k in range(n - 1, split - 1, -1):
-        table = _khatri_rao(per_qubit[k].T, table)
-
-    # walk the grid points of qubits 0..split-1 in blocks of flat indices, qubit 0 most significant
-    columns = table.shape[1]
-    count = points**split
-    best = -np.inf
-    for lo in range(0, count, block):
-        index = np.unravel_index(np.arange(lo, min(count, lo + block)), (points,) * split)
-        rows = per_qubit[0][index[0]]
-        rows *= coeffs
-        for b, i in zip(per_qubit[1:], index[1:]):
-            rows *= b[i]  # (coefficients * qubit 0) * qubit 1 * ...: the order fixes the rounding
-        for c in range(0, columns, width):
-            best = max(best, float(np.max(rows @ table[:, c:c + width])))
-    return best
+    theta, phi = (grid.ravel() for grid in np.meshgrid(thetas, phis, indexing="ij"))
+    sin_t = np.sin(theta)
+    components = np.column_stack((np.ones(theta.size), sin_t * np.cos(phi), sin_t * np.sin(phi), np.cos(theta)))
+    # qubit k's factor table: every grid point's component along each term's axis on qubit k
+    values = _blocks(components[:, op.axes.T].transpose(1, 0, 2), op.coeffs)
+    return max(float(block.max()) for _, block in values)

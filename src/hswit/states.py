@@ -63,15 +63,14 @@ def mds(r: float) -> DensityMatrix:
     Its eigenvalues are (1 +/- r sqrt(3))/8, four of each, so the matrix
     is a state exactly when |r| <= 1/sqrt(3).
     """
-    return _mds_state(r, mds_g_operator(r))
+    return _mds_state(r)
 
 
-def _mds_state(r: float, g: HSOperator) -> DensityMatrix:
-    """``mds(r)`` from its kernel ``g``, ``mds_g_operator(r)``, built once by the caller."""
-    if abs(r) > MDS_R_LIMIT + 1e-12:
+def _mds_state(r: float, g: HSOperator | None = None) -> DensityMatrix:
+    """``mds(r)``, from its kernel ``g`` = ``mds_g_operator(r)`` where the caller has built it."""
+    if not abs(r) <= MDS_R_LIMIT + 1e-12:  # NaN too, before the kernel's own check names a coefficient
         raise InvalidStateError(f"mds requires |r| <= 1/sqrt(3) ~ {MDS_R_LIMIT:.6f}, got {r}")
-    eye = np.eye(8, dtype=complex)
-    mat = (eye + hs_reconstruct(g)) / 8.0
+    mat = (np.eye(8, dtype=complex) + hs_reconstruct(mds_g_operator(r) if g is None else g)) / 8.0
     return DensityMatrix(mat, 3)
 
 
@@ -116,14 +115,6 @@ class ProductState:
     @property
     def n(self) -> int:
         return len(self.angles)
-
-    def bloch_vectors(self) -> Array:
-        """(n, 3) array of per-qubit Bloch vectors."""
-        out = np.empty((self.n, 3), dtype=float)
-        for k, (theta, phi) in enumerate(self.angles):
-            sin_t = np.sin(theta)
-            out[k] = (sin_t * np.cos(phi), sin_t * np.sin(phi), np.cos(theta))
-        return out
 
     def statevector(self) -> Array:
         """The 2^n amplitudes, qubit A most significant.

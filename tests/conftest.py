@@ -1,14 +1,16 @@
 """Shared fixtures: the reference catalog, the benchmark's generated inputs, random-state helpers,
-a dense string oracle and the Mermin family.
+call and chunk recorders, a dense string oracle and the Mermin family.
 """
 
 import functools
 import itertools
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from hswit import screen
 from hswit.hs import HSOperator
 from hswit.pauli_core import DensityMatrix
 from hswit.states import catalog
@@ -68,6 +70,21 @@ def count_calls(monkeypatch, module, name: str) -> list:
 
     monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def record_chunks(monkeypatch, module, bound: int) -> Counter:
+    """Set the screen's working-set bound to ``bound`` and count the chunks of each (rows, columns) the
+    screen yields to ``module``; returns the counts."""
+    monkeypatch.setattr(screen, "BLOCK_ELEMENTS", bound)
+    shapes, blocks = Counter(), screen._blocks
+
+    def recording(*args):
+        for offset, block in blocks(*args):
+            shapes[block.shape[1:]] += 1
+            yield offset, block
+
+    monkeypatch.setattr(module, "_blocks", recording)
+    return shapes
 
 
 PAULI = {

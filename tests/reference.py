@@ -10,9 +10,9 @@ product-state value beside the blocked ascent, one start's draws from its
 own generator beside a block's draws from one reset bit generator, and a
 sampled lower bound beside the exhaustive classical bound.  The rest
 record what only tests read: the ascent's value after every sweep, by
-running the package's ascent one sweep at a time, and an axis
-relabeling and a coefficient-wise comparison of operators, for the
-paper's relabeling identity.  None is reached by a command or a library
+running the package's ascent one sweep at a time, a product state's
+Bloch vectors, and an axis relabeling and a coefficient-wise comparison
+of operators, for the paper's relabeling identity.  None is reached by a command or a library
 path, so none lives in the package.
 """
 
@@ -34,6 +34,7 @@ from hswit.pauli_core import (
     check_qubit_count,
 )
 from hswit.product_max import ASCENT_MAX_SWEEPS, _ascend, _components, _table, _values
+from hswit.states import ProductState
 
 JACOBI_TOL = 1e-12  # off-diagonal norm at which Jacobi sweeps stop, relative above norm 1
 JACOBI_MAX_SWEEPS = 100
@@ -154,6 +155,15 @@ def lone_start(seed: int, start: int, n: int, min_norm: float = 1e-12) -> Array:
             if norm > min_norm:
                 out[k] = v / norm
                 break
+    return out
+
+
+def bloch_vectors(ps: ProductState) -> Array:
+    """(n, 3) array of the product state's per-qubit Bloch vectors."""
+    out = np.empty((ps.n, 3), dtype=float)
+    for k, (theta, phi) in enumerate(ps.angles):
+        sin_t = np.sin(theta)
+        out[k] = (sin_t * np.cos(phi), sin_t * np.sin(phi), np.cos(theta))
     return out
 
 

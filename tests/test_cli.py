@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hswit
-from hswit import hs, lhv_bound, product_max, states
+from hswit import hs, lhv_bound, product_max, screen, states
 from hswit.cli import (
     build_parser,
     decompose_text,
@@ -220,8 +220,9 @@ def test_decompose_mds_at_a_negative_r(tmp_path, capsys):
     assert capsys.readouterr() == ("n 3\nterms 4\nIII 1\nXXX -0.15\nYYY -0.15\nZZZ -0.15\n", "")
 
 
-@pytest.mark.parametrize("r", [0.9, -0.9])
+@pytest.mark.parametrize("r", [0.9, -0.9, float("nan"), float("inf")])
 def test_decompose_refuses_an_mds_r_past_the_state_range(tmp_path, capsys, r):
+    # NaN and Infinity, as JSON writes them, fail mds's own range check, not a kernel coefficient's
     state_file = write_json(tmp_path, "mds.json", {"catalog": "mds", "params": {"R": r}})
     assert main(["decompose", state_file]) == 1
     assert capsys.readouterr() == ("", f"error: mds requires |r| <= 1/sqrt(3) ~ 0.577350, got {r}\n")
@@ -414,6 +415,41 @@ def test_outputs_match_the_golden_file(generated_by_seed):
     for seed in SEEDS:
         generated_by_seed(seed)
     runs = golden_outputs(root)
+    assert list(runs) == list(_GOLDEN)
+    assert {argv: run for argv, run in runs.items() if run != _GOLDEN[argv]} == {}
+
+
+# runs tests/make_golden.py's command list from the directory in argv[2], with the tests directory in argv[1]
+# on the path, and prints the outputs as one JSON document
+_GOLDEN_RUN = """
+import json, sys
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+from make_golden import outputs
+print(json.dumps(outputs(Path(sys.argv[2]))))
+"""
+
+
+def _dynamic_arch_openblas() -> bool:
+    blas = np.show_config(mode="dicts")["Build Dependencies"].get("blas", {})
+    return "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
+
+
+@pytest.mark.skipif(
+    not _dynamic_arch_openblas(),
+    reason="numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS, so OPENBLAS_CORETYPE cannot pick another kernel",
+)
+@pytest.mark.parametrize("coretype", ["Haswell", "Prescott"])
+def test_outputs_match_the_golden_file_under_other_blas_kernels(generated_by_seed, coretype):
+    # each kernel sums a matrix product in an order of its own, and bound's screen runs one per chunk and
+    # letter; OPENBLAS_CORETYPE is read only when numpy loads, so each kernel runs in a process of its own,
+    # on the files this process wrote
+    root = generated_by_seed(SEEDS[0]).parent
+    for seed in SEEDS:
+        generated_by_seed(seed)
+    proc = _python(["-c", _GOLDEN_RUN, str(Path(__file__).parent), str(root)], env={"OPENBLAS_CORETYPE": coretype})
+    assert (proc.returncode, proc.stderr) == (0, "")
+    runs = json.loads(proc.stdout)
     assert list(runs) == list(_GOLDEN)
     assert {argv: run for argv, run in runs.items() if run != _GOLDEN[argv]} == {}
 
@@ -651,8 +687,8 @@ def test_bounds_and_maxima_do_not_depend_on_the_block_size(generated, monkeypatc
     argvs = _invariant_commands(generated) + [["alpha", f, "--json"] for f in _generated_files(generated, "bell")]
     assert Counter(argv[0] for argv in argvs) == {"bound": 19, "report": 6, "alpha": 19, "decompose": 4}
     default = [_run(capsys, argv)[:2] for argv in argvs]
-    monkeypatch.setattr(lhv_bound, "BLOCK_ELEMENTS", 4096)
-    monkeypatch.setattr(product_max, "BLOCK_ELEMENTS", 4096)
+    for module in (lhv_bound, product_max, screen):  # the exact pass, the ascent's blocks and the screen
+        monkeypatch.setattr(module, "BLOCK_ELEMENTS", 4096)
     small = [_run(capsys, argv)[:2] for argv in argvs]
     assert all(rc == 0 for rc, _ in default)
     assert small == default

@@ -18,7 +18,7 @@ from hswit.pauli_core import AXIS_LABELS, SIGMA, DensityMatrix
 from hswit.states import ProductState, ghz, product_state, w_state
 
 from conftest import random_density, string_matrix
-from reference import is_close, relabel
+from reference import bloch_vectors, is_close, relabel
 
 # Every nonzero coefficient of the three-qubit single-excitation state,
 # derived by hand from the amplitudes and frozen here.  The diagonal
@@ -188,7 +188,7 @@ def test_product_state_coefficients_factorize():
     phis = rng.uniform(0, 2 * np.pi, 3)
     ps = ProductState(tuple(zip(thetas, phis)))
     coeffs = hs_decompose(product_state(ps))
-    blochs = ps.bloch_vectors()
+    blochs = bloch_vectors(ps)
     factors = [np.concatenate(([1.0], b)) for b in blochs]
     for label in _words(3):
         axes = [AXIS_LABELS.index(letter) for letter in label]

@@ -16,8 +16,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import mermin
-from hswit import lhv_bound
+from conftest import mermin, record_chunks
+from hswit import lhv_bound, screen
 from hswit.hs import HSOperator, require_identity_free
 from hswit.lhv_bound import (
     BLOCK_ELEMENTS,
@@ -177,20 +177,15 @@ def _random_coefficient_op(rng, n, kind, n_terms=None):
 
 
 def _bound_in_blocks(monkeypatch, op, elements):
-    """classical_bound with its working-set bound, the module constant BLOCK_ELEMENTS, set to ``elements``."""
+    """classical_bound with BLOCK_ELEMENTS, the working-set bound of its screen and its exact pass, at ``elements``."""
     monkeypatch.setattr(lhv_bound, "BLOCK_ELEMENTS", elements)
+    monkeypatch.setattr(screen, "BLOCK_ELEMENTS", elements)
     return classical_bound(op)
 
 
 def _chunk_shapes(monkeypatch, op, elements):
-    """classical_bound at the given bound, and the (rows, codes per row) of every letter sum it screened."""
-    shapes, signed_sums = [], lhv_bound._signed_sums
-
-    def recording(rows, coeffs, high_masks, low_signs, out):
-        shapes.append(out.shape)
-        signed_sums(rows, coeffs, high_masks, low_signs, out)
-
-    monkeypatch.setattr(lhv_bound, "_signed_sums", recording)
+    """classical_bound at the given bound, and the (rows, codes per row) of every chunk its screen yielded."""
+    shapes = record_chunks(monkeypatch, lhv_bound, elements)
     return _bound_in_blocks(monkeypatch, op, elements), set(shapes)
 
 
@@ -227,15 +222,15 @@ def test_bound_equals_the_per_term_enumerator_on_random_ops(kind, monkeypatch):
 
 @pytest.mark.parametrize("kind", ["normal", "dyadic"])
 def test_bound_equals_the_per_term_enumerator_over_several_chunks(kind, monkeypatch):
-    # m = 18 measured pairs, three of them on the closed-form qubit, so 2^15 reduced codes: chunks of one
-    # row of 8 codes, of 12 or 14 rows of 64 codes with a partial last chunk, and all 128 rows of 256 codes
+    # m = 18 measured pairs, three of them on the closed-form qubit, so 2^15 reduced codes: chunks of 8 rows
+    # of 8 codes (15 rows fit, rounded down to whole trailing pairs), of 16 rows of 64 codes, and all 128
+    # rows of 256 codes
     op = _random_coefficient_op(np.random.default_rng(4), 6, kind, n_terms=40)
     assert len(_incidence(op)[0]) == 18
     want = _per_term_enumeration(op)
-    rows = 12 if kind == "normal" else 14
     for elements, shapes in [
-        (16 * len(op) - 1, {(1, 8)}),
-        (4096, {(rows, 64), (8, 64)}),
+        (16 * len(op) - 1, {(8, 8)}),
+        (4096, {(16, 64)}),
         (BLOCK_ELEMENTS, {(128, 256)}),
     ]:
         got, seen = _chunk_shapes(monkeypatch, op, elements)
@@ -520,10 +515,36 @@ def test_bound_working_set_at_the_default_bound(monkeypatch):
     finally:
         tracemalloc.stop()
     assert shapes == {(32, 2048)}
-    # the k + 1 letter sums fill one bound; the low sign tables and the magnitudes |S_g| fit in another
+    # the k + 1 letter sums fill one bound; the folded +/-1 table, the rows table and |S_g| fit in another
     assert peak <= 2 * 8 * BLOCK_ELEMENTS
     wider = _bound_in_blocks(monkeypatch, op, 4 * BLOCK_ELEMENTS)  # chunks of 128 rows
     assert (got.beta_cl, got.maximizer) == (wider.beta_cl, wider.maximizer)
+
+
+def _closed_form_pairs(pairs):
+    """k: the busiest qubit's pair count when the other pairs number more than LOW_BITS, else 0."""
+    qubits = [qubit for qubit, _ in pairs]
+    busiest = max(map(qubits.count, qubits))
+    return busiest if len(pairs) - busiest > lhv_bound.LOW_BITS else 0
+
+
+def test_the_screen_folds_half_the_other_pairs_capped_as_before(monkeypatch):
+    # the screen's table holds the last ceil((m - k) / 2) of the m - k screened pairs, at most LOW_BITS of
+    # them and no more than keep T terms x 2^low within BLOCK_ELEMENTS entries
+    rng = np.random.default_rng(26)
+    ops = [mermin(n) for n in range(3, 9)] + [_random_coefficient_op(rng, n, "normal") for n in range(1, 7)]
+    ops += [_layout_op(rng, layout, "normal", identity_on_q=False) for layout in _LAYOUTS]
+    # nine qubits measuring 26 pairs, three on the closed-form qubit: ceil(23 / 2) = 12 pairs, capped at 11
+    words = sorted({"".join(rng.choice(list("XYZ"), size=8)) + str(rng.choice(list("XY"))) for _ in range(40)})
+    ops.append(HSOperator(9, dict(zip(words, rng.normal(size=len(words)).tolist()))))
+    assert len(_incidence(ops[-1])[0]) == 26
+    for op in ops:
+        pairs = _incidence(op)[0]
+        k = _closed_form_pairs(pairs)
+        for elements in (BLOCK_ELEMENTS, 4096, 17)[: 3 if len(pairs) <= 10 else 2 if len(pairs) <= 20 else 1]:
+            _, shapes = _chunk_shapes(monkeypatch, op, elements)
+            low = min((len(pairs) - k + 1) // 2, lhv_bound.LOW_BITS, max(1, elements // len(op)).bit_length() - 1)
+            assert {columns for _, columns in shapes} == {1 << low}, (op.n, len(pairs), k, elements)
 
 
 def test_sampled_bound_rejects_values_that_overflow_as_the_bound_does():

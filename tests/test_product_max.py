@@ -1,6 +1,7 @@
 """Alternating ascent over product states and the exhaustive grid oracle."""
 
 import json
+import math
 import sys
 import tracemalloc
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hswit import product_max
+from hswit import product_max, screen
 from hswit.cli import load_operator
 from hswit.hs import HSOperator, overlap
 from hswit.lhv_bound import classical_bound
@@ -25,7 +26,8 @@ from hswit.product_max import (
 )
 from hswit.states import ProductState, mds_g_operator
 
-from reference import ascent_history, lone_start, objective
+from conftest import record_chunks
+from reference import ascent_history, bloch_vectors, lone_start, objective
 
 ALPHA_CASES = [
     ("ghz3", 1.0),
@@ -45,7 +47,7 @@ def _random_blochs(rng, n):
 def _product_coeffs(ps):
     """Hilbert-Schmidt coefficients of a product state: R_s = prod_k v_k[s_k] with v_k[0] = 1."""
     table = np.ones(())
-    for bloch in ps.bloch_vectors():
+    for bloch in bloch_vectors(ps):
         table = np.multiply.outer(table, np.concatenate(([1.0], bloch)))
     return HSOperator.from_dense(table)
 
@@ -187,7 +189,7 @@ def test_alpha_scaling_equivariance(cat):
     base = alpha_max(op, starts=16)
     scaled = alpha_max(4.0 * op, starts=16)
     assert abs(scaled.alpha - 4.0 * base.alpha) < 1e-9
-    back = objective(op, scaled.argmax.bloch_vectors())
+    back = objective(op, bloch_vectors(scaled.argmax))
     assert abs(back - base.alpha) < 1e-9
 
 
@@ -286,52 +288,65 @@ def _grid_by_enumeration(op, divisions):
     return float(np.max(terms @ op.coeffs))
 
 
-# BLOCK_ELEMENTS as a function of (n, terms), and the walk that bound must give, checked on its layout
-# (n, split, table columns, columns per product, grid points per block); divisions 4 give 20 points per
-# qubit and the operators have up to 30 terms
-@pytest.mark.parametrize("bound,walk", [
-    # every qubit but qubit 0 folded, one block and one product
-    pytest.param(lambda n, t: 20**9 * t,
-                 lambda n, split, columns, width, block: split == 1 and width == columns and block >= 20,
-                 id="all-but-qubit-0-folded"),
-    # one qubit folded, a prefix of two or more qubits from n = 3
-    pytest.param(lambda n, t: 20 * t, lambda n, split, columns, width, block: n - split == min(1, n - 1),
-                 id="one-fold"),
-    # one-row blocks; nothing folds at n = 1, one qubit from n = 2 although its table passes the bound
-    pytest.param(lambda n, t: t,
-                 lambda n, split, columns, width, block: n - split == min(1, n - 1) and block == 1,
-                 id="one-row-blocks"),
-    # blocks of 12 grid points, a partial last block for every n; at n <= 2 qubit 0 alone in blocks of 12 and 8
-    pytest.param(lambda n, t: 12 * max(min(20, 20 ** (n - 1)), t),
-                 lambda n, split, columns, width, block: block == 12,
-                 id="partial-last-block"),
-    # every qubit but qubit 0 folded, its columns in slices from n = 3, the last slice partial
-    pytest.param(lambda n, t: 3 * 20 ** (n - 1) * t,
-                 lambda n, split, columns, width, block: split == 1 and (n < 3 or columns % width != 0),
-                 id="partial-last-slice"),
+def _chunks(total, rows, columns):
+    """The (rows, columns) of the chunks that walk ``total`` rows, ``rows`` at a time."""
+    return {(min(rows, total), columns)} | ({(total % rows, columns)} if total > rows and total % rows else set())
+
+
+# the screen's BLOCK_ELEMENTS as a function of (n, terms), and the chunks that bound must give, checked on
+# the counts of each chunk's (rows, columns); divisions 4 give 20 points per qubit and the operators have up
+# to 30 terms
+@pytest.mark.parametrize("bound,chunks", [
+    # ceil(n / 2) qubits folded, within 2^LOW_BITS columns past the first, and one chunk of every walked point
+    pytest.param(lambda n, t: 20**4 * t,
+                 lambda n, t, shapes: shapes == {(20 ** (n // 2), 20 ** ((n + 1) // 2)): 1},
+                 id="balanced-fold"),
+    # one qubit folded: the table of 20 columns fits, one of 400 does not
+    pytest.param(lambda n, t: 20 * t, lambda n, t, shapes: {c for _, c in shapes} == {20}, id="one-fold"),
+    # ceil(n / 2) qubits folded, the walked rows in one table within the bound, and chunks of max(t, 20) of
+    # its rows, the last one partial
+    pytest.param(lambda n, t: 400 * max(t, 20),
+                 lambda n, t, shapes: set(shapes) == _chunks(20 ** (n // 2), max(t, 20), 20 ** ((n + 1) // 2)),
+                 id="rows-table"),
+    # no qubit folded: a one-column table, and chunks of 19 gathered points (isqrt(bound) where that is fewer)
+    pytest.param(lambda n, t: 20 * t - 1,
+                 lambda n, t, shapes: set(shapes) == _chunks(20**n, min(19, math.isqrt(20 * t - 1)), 1),
+                 id="no-fold"),
 ])
-def test_grid_oracle_matches_an_enumeration_of_every_point(monkeypatch, bound, walk):
+def test_grid_oracle_matches_an_enumeration_of_every_point(monkeypatch, bound, chunks):
     rng = np.random.default_rng(41)
-    divisions, points = 4, 20
+    divisions = 4
     for n in (1, 2, 3, 4):
         for _ in range(3):
             op = _random_operator(rng, n, int(rng.integers(1, min(4**n - 1, 30) + 1)))
-            monkeypatch.setattr(product_max, "BLOCK_ELEMENTS", bound(n, len(op)))
-            split, width, block = product_max._grid_layout(n, points, len(op))
-            assert walk(n, split, points ** (n - split), width, block), (n, len(op), split, width, block)
+            shapes = record_chunks(monkeypatch, product_max, bound(n, len(op)))
+            got = alpha_grid_oracle(op, divisions)
+            assert chunks(n, len(op), shapes), (n, len(op), set(shapes))
             want = _grid_by_enumeration(op, divisions)
-            scale = 1.0 + np.abs(op.coeffs).sum()
-            assert abs(alpha_grid_oracle(op, divisions) - want) <= 1e-12 * scale, (n, op.labels())
+            assert abs(got - want) <= 1e-12 * (1.0 + np.abs(op.coeffs).sum()), (n, op.labels())
 
 
-def test_grid_oracle_matches_an_enumeration_on_one_qubit_at_many_divisions():
-    # 360,600 grid points of up to three terms: more rows than one block holds, the last block partial
+@pytest.mark.parametrize("n", [3, 4])
+def test_grid_oracle_gathers_the_leading_qubits_when_their_rows_pass_the_bound(monkeypatch, n):
+    # 24 terms at 40 entries a term: one qubit folded, and the 20^(n-1) walked rows pass the bound, so a
+    # chunk is 20 rows, the last walked qubit's rows times the other qubits' gathered factors
+    op = _random_operator(np.random.default_rng(n), n, 24)
+    shapes = record_chunks(monkeypatch, product_max, 40 * len(op))
+    got = alpha_grid_oracle(op, 4)
+    assert shapes == {(20, 20): 20 ** (n - 2)}
+    assert abs(got - _grid_by_enumeration(op, 4)) <= 1e-12 * (1.0 + np.abs(op.coeffs).sum()), op.labels()
+
+
+def test_grid_oracle_matches_an_enumeration_on_one_qubit_at_many_divisions(monkeypatch):
+    # 360,600 grid points of up to three terms: too wide a table to fold, so the points are walked in
+    # chunks of isqrt(BLOCK_ELEMENTS), the last one partial
     rng = np.random.default_rng(12)
     for terms in (1, 2, 3):
         op = _random_operator(rng, 1, terms)
-        assert product_max._grid_layout(1, 360_600, terms)[2] < 360_600
+        shapes = record_chunks(monkeypatch, product_max, screen.BLOCK_ELEMENTS)
         want = _grid_by_enumeration(op, 600)
         assert abs(alpha_grid_oracle(op, 600) - want) <= 1e-12 * (1.0 + np.abs(op.coeffs).sum()), op.labels()
+        assert set(shapes) == _chunks(360_600, math.isqrt(screen.BLOCK_ELEMENTS), 1)
 
 
 def _traced_peak(function, *args, **kwargs):
@@ -343,44 +358,34 @@ def _traced_peak(function, *args, **kwargs):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("bound_per_term", [16, 100])
-def test_grid_oracle_blocks_stay_within_the_block_bound_for_many_terms(monkeypatch, bound_per_term):
-    # 255 terms against a table of one qubit's 20 columns, folded within the bound (100 per term) or past it
-    # (16 per term): the terms, not the table, must bound a block
+def test_grid_oracle_chunks_stay_within_the_block_bound_for_many_terms(monkeypatch):
+    # 255 terms on four qubits against a bound of 100 entries a term: one qubit's table fits, two do not,
+    # and the terms, not the table, bound a chunk's rows: 100 rows of 20 columns, of which the last walked
+    # qubit fills the rows table and the other two are gathered
     op = _random_operator(np.random.default_rng(8), 4, 255)
-    points, bound = 20, bound_per_term * len(op)
-    monkeypatch.setattr(product_max, "BLOCK_ELEMENTS", bound)
-    assert product_max._grid_layout(4, points, len(op)) == (3, points, bound_per_term)
-    tables = (op.n + 1) * points * len(op) * 8  # the per-qubit factors and the one folded qubit
-    # two arrays of at most `bound` entries live at once (a block's rows beside a gathered factor
-    # or beside its values); the third is slack for the small arrays
+    points, bound = 20, 100 * len(op)
+    shapes = record_chunks(monkeypatch, product_max, bound)
+    tables = op.n * points * len(op) * 8  # the per-qubit factors
+    # two arrays of at most `bound` entries live at once (a chunk's rows beside its gathered prefix or
+    # beside its sums); the third is slack for the folded table and the small arrays
     assert _traced_peak(alpha_grid_oracle, op, 4) <= tables + 3 * 8 * bound
+    assert shapes == {(100, 20): 80}
 
 
 def test_grid_oracle_working_set_at_the_default_bound():
     # four qubits, 24 terms, 6 divisions (42 points a qubit): the benchmark's operator shape
     op = _random_operator(np.random.default_rng(19), 4, 24)
     tables = op.n * 42 * len(op) * 8  # the per-qubit factors
-    assert _traced_peak(alpha_grid_oracle, op, 6) <= tables + 3 * 8 * product_max.BLOCK_ELEMENTS
+    assert _traced_peak(alpha_grid_oracle, op, 6) <= tables + 3 * 8 * screen.BLOCK_ELEMENTS
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_grid_oracle_folds_a_qubit_whatever_the_bound(monkeypatch, n):
-    # a one-column table would make every matrix product a thin one
-    folds, khatri_rao = [], product_max._khatri_rao
-
-    def counting(left, right):
-        folds.append(left.shape[1])
-        return khatri_rao(left, right)
-
-    monkeypatch.setattr(product_max, "_khatri_rao", counting)
-    monkeypatch.setattr(product_max, "BLOCK_ELEMENTS", 1)
-    op = _random_operator(np.random.default_rng(n), n, 3)
-    assert abs(alpha_grid_oracle(op, 4) - _grid_by_enumeration(op, 4)) <= 1e-12 * (1.0 + np.abs(op.coeffs).sum())
-    assert folds == [20]
-    # the shape that ran about 45 times slower with a one-column table: 2 qubits, 10 terms, 60 divisions
-    monkeypatch.setattr(product_max, "BLOCK_ELEMENTS", 32_768)
-    assert product_max._grid_layout(2, grid_point_count(1, 60), 10)[0] == 1
+def test_grid_oracle_folds_one_qubit_past_the_column_cap(monkeypatch):
+    # two qubits at 60 divisions have 3,660 points each, past 2^LOW_BITS; walking both would run every
+    # product against one column, about 50 times slower
+    op = _random_operator(np.random.default_rng(2), 2, 10)
+    shapes = record_chunks(monkeypatch, product_max, screen.BLOCK_ELEMENTS)
+    alpha_grid_oracle(op, 60)
+    assert {columns for _, columns in shapes} == {grid_point_count(1, 60)}
 
 
 def test_grid_oracle_validates_divisions(cat):

@@ -78,7 +78,8 @@ def test_one_ascent_sweep_as_the_benchmark_calls_it():
     assert isinstance(run, hswit.Ascent) and run.sweeps == 1 and run.blochs.shape == (op.n, 3)
 
 
-def test_operators_keep_no_test_only_methods():
-    # relabeling and comparing operators live in tests/reference.py
+def test_operators_and_states_keep_no_test_only_methods():
+    # relabeling and comparing operators, and a product state's Bloch vectors, live in tests/reference.py
     assert not hasattr(hswit.HSOperator, "relabel")
     assert not hasattr(hswit.HSOperator, "is_close")
+    assert not hasattr(hswit.ProductState, "bloch_vectors")
