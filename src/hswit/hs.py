@@ -4,7 +4,9 @@ A state rho with coefficients R_s satisfies 2^n rho = sum_s R_s sigma_s
 with R_s = Tr(rho sigma_s).  Operators such as Bell operators are stored
 directly as sum_s O_s sigma_s.  With those conventions the expectation
 value of an operator in a state is the plain coefficient dot product:
-Tr(O rho) = sum_s O_s R_s, with no dimension factor.
+Tr(O rho) = sum_s O_s R_s, with no dimension factor.  A witness instead
+reads rho where O's matrix is nonzero, at most u 2^n entries for O's u
+distinct flip masks, planned once from O's dense matrix (``_trace_plan``).
 """
 
 from __future__ import annotations
@@ -233,78 +235,28 @@ def overlap(op: HSOperator, state_coeffs: HSOperator) -> float:
     return float(op.coeffs @ state_coeffs._values_at(op.codes))
 
 
-_DIGIT_BITS = np.array([[0], [1]])  # shifts that bring each digit's low, then high bit to the even places
-_EVEN_PLACES = 0x5555555555555555
-_GATHER_STEPS = (  # (shift, keep): each step halves the spacing of bits spread over the even places
-    (1, 0x3333333333333333),
-    (2, 0x0F0F0F0F0F0F0F0F),
-    (4, 0x00FF00FF00FF00FF),
-    (8, 0x0000FFFF0000FFFF),
-    (16, 0x00000000FFFFFFFF),
-)
-
-
-def _flip_sign_masks(codes: Array, n: int) -> tuple[Array, Array]:
-    """Flip mask x (X and Y qubits) and sign mask z (Y and Z) of each code; qubit 0 is the top bit."""
-    masks = (codes >> _DIGIT_BITS) & _EVEN_PLACES  # X = 01, Y = 10, Z = 11: rows (low bits, high bits)
-    masks[0] ^= masks[1]  # low xor high: set for X and Y
-    for shift, keep in _GATHER_STEPS[: (n - 1).bit_length()]:
-        masks |= masks >> shift
-        masks &= keep
-    return masks[0], masks[1]
-
-
-def _walsh_hadamard(rows: Array) -> Array:
-    """sum_j (-1)^popcount(j & z) rows[:, j] for every z, by one butterfly per bit; overwrites ``rows``."""
-    half = rows.shape[1] // 2
-    buffers = rows, np.empty_like(rows)
-    reads = [(b[:, 0::2], b[:, 1::2]) for b in buffers]  # transform the low bit ...
-    writes = [(b[:, :half], b[:, half:]) for b in buffers]  # ... and rotate it to the top
-    for bit in range(half.bit_length()):
-        (even, odd), (low, high) = reads[bit & 1], writes[~bit & 1]
-        np.add(even, odd, out=low)
-        np.subtract(even, odd, out=high)
-    return buffers[half.bit_length() & 1]
-
-
-_I_POWERS = np.array([1, 1j, -1, -1j])  # i^k for k % 4
-
-
 def _trace_plan(op: HSOperator) -> tuple[Array, Array]:
-    """The part of Tr(O rho) on O's support that depends on O alone: (picks, weights).
+    """O's nonzero matrix entries, the part of Tr(O rho) that depends on O alone: (picks, weights).
 
-    A string with flip mask x (its X and Y qubits), sign mask z (its Y and
-    Z qubits), k letters Y and coefficient c contributes
-    Re[c i^k sum_j (-1)^popcount(j & z) rho[j, j ^ x]].  Summed over the
-    strings that share a flip mask x, the weight of rho[j, j ^ x] is
-    h_x[j], the Walsh-Hadamard transform over z of their values c i^k, so
-    Tr(O rho) = Re sum_x sum_j h_x[j] rho[j, j ^ x].  The plan scatters
-    those values into one table of O's u distinct flip masks by 2^n sign
-    masks and transforms it once, O(u n 2^n).  ``picks`` holds the flat
-    positions of the u 2^n entries rho[j, j ^ x] in ``rho.matrix.ravel()``
-    and ``weights`` their weights conj(h_x) viewed as floats, two per
-    entry, so the plan takes 24 bytes an entry it reads.
+    O is Hermitian, so Tr(O rho) = Re sum_p conj(O_p) rho_p over flat
+    positions p, at most u 2^n of them nonzero for O's u distinct flip
+    masks (X and Y qubits).  ``picks`` holds those positions ascending and
+    ``weights`` the entries O_p viewed as floats, 24 bytes an entry read.
+    Building it runs ``hs_reconstruct`` once, O(n 4^n) whatever O is,
+    through a temporary 4^n complex matrix, 16 MiB at the cap.
     """
-    n, dim = op.n, 1 << op.n
-    flips, signs = _flip_sign_masks(op.codes, n)
-    used = np.zeros(dim, dtype=bool)
-    used[flips] = True
-    rows = np.flatnonzero(used)
-    row_of = (np.cumsum(used) - 1)[flips]  # each term's row in the table
-    table = np.zeros((len(rows), dim), dtype=complex)
-    table[row_of, signs] = op.coeffs * _I_POWERS[np.bitwise_count(flips & signs) & 3]
-    weights = np.conjugate(_walsh_hadamard(table)).view(float)  # Re h_x[j], -Im h_x[j] in turn
-    picks = (np.arange(dim) * (dim + 1)) ^ rows[:, None]  # flat index of rho[j, j ^ x]
-    return picks.ravel(), weights.ravel()
+    dense = hs_reconstruct(op).ravel()
+    picks = np.flatnonzero(dense)
+    return picks, dense[picks].view(float)
 
 
 def _trace_on_support(plan: tuple[Array, Array], rho: DensityMatrix) -> float:
-    """Tr(O rho) from O's ``_trace_plan``, without the 4^n transform.
+    """Tr(O rho) from O's ``_trace_plan``, without decomposing rho.
 
-    One gather of rho's entries at the plan's read positions and one dot
-    product with its weights: O(u 2^n) for O's u distinct flip masks, at
-    most O(4^n).  The gathered copy takes 16 bytes an entry, 2/3 of the
-    plan, and is never larger than rho.
+    One gather of rho's entries at the plan's picks and one dot product
+    of their float views with the weights: O(u 2^n) for O's u distinct
+    flip masks, at most O(4^n).  The gathered copy takes 16 bytes an
+    entry, 2/3 of the plan, and is never larger than rho.
     """
     picks, weights = plan
     return float(weights @ rho.matrix.ravel()[picks].view(float))

@@ -65,9 +65,10 @@ class Witness:
     def _support_plan(self) -> tuple[Array, Array]:
         """G's support plan for Tr(G rho) (``hs._trace_plan``), built on the first evaluation.
 
-        Building it runs the one Walsh-Hadamard transform of G's signed
-        weights; it holds the flat read positions in rho and their
-        weights, O(u 2^n) for G's u distinct flip masks.
+        Building it reconstructs G's dense matrix once, O(n 4^n), through a
+        temporary 4^n complex matrix (16 MiB at the cap); it keeps the flat
+        positions of G's nonzero entries and the entries themselves, at
+        most u 2^n for G's u distinct flip masks.
         """
         return _trace_plan(self.g)
 
@@ -83,13 +84,13 @@ def build_witness(g: HSOperator) -> Witness:
 def eval_witness(witness: Witness, rho: DensityMatrix) -> float:
     """Tr(E_W rho) = alpha - Tr(G rho); negative values certify entanglement.
 
-    Tr(G rho) is read from the entries of rho on G's support, without
-    decomposing rho.  What depends on G alone is planned once per witness,
-    on its first evaluation: the read positions rho[j, j ^ x] for the u
-    distinct flip masks x (X and Y qubits) of G's strings, and their
-    weights, one Walsh-Hadamard transform of G's signed coefficients,
-    O(u n 2^n).  Each call is then one gather and one dot product,
-    O(u 2^n), at most O(4^n).
+    Tr(G rho) is read from rho where G's matrix is nonzero, without
+    decomposing rho.  G's nonzero entries and their positions, at most
+    u 2^n for the u distinct flip masks (X and Y qubits) of its strings,
+    are planned once per witness, on its first evaluation, from G's dense
+    matrix: O(n 4^n) and a temporary 4^n complex matrix, 16 MiB at the
+    cap.  Each call is then one gather and one dot product, O(u 2^n), at
+    most O(4^n).
     """
     if rho.n != witness.n:
         raise ValueError(f"state has {rho.n} qubits, witness expects {witness.n}")
@@ -122,8 +123,9 @@ def mds_entanglement_threshold() -> float:
     Runs the pipeline at every probe, down to the two numbers its sign
     compares: build G(r) and the state from that one operator, take
     alpha(r) as the best value of MDS_THRESHOLD_STARTS ascent starts, read
-    Tr(G rho) through G's support plan (``hs._trace_plan``, which does not
-    decompose the state), and bisect on the sign of alpha - Tr(G rho).
+    Tr(G rho) at G's nonzero matrix entries (``hs._trace_plan``, one
+    O(n 4^n) reconstruct a probe; the state is not decomposed), and
+    bisect on the sign of alpha - Tr(G rho).
     These are the floats ``eval_witness(Witness(g, alpha_max(g,
     starts=MDS_THRESHOLD_STARTS)), mds(r))`` subtracts, without the
     maximizer's angles or the rest of the ``AlphaResult``.  The starts do

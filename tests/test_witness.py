@@ -153,38 +153,42 @@ def test_eval_witness_with_a_full_support_kernel():
     _assert_matches_the_decomposition(g, _full_rank_state(rng, 3))
 
 
-@pytest.mark.parametrize("elements", [1 << 15, 40])
-@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
-def test_a_plan_reads_each_entry_of_its_rows_once_within_the_block_bound(n, elements):
-    """The plan reads rho[j, j ^ x] for every j and each of G's u distinct flip masks x, once: u 2^n entries.
+def test_a_plan_reads_g_s_nonzero_entries_once_on_its_flip_masks():
+    """The plan reads rho[j, k] only where j ^ k is one of G's flip masks (X and Y qubits), once each.
 
-    It lays them out one flip mask's row after another, so any block of whole
-    rows, at most ``elements`` entries (one row when 2^n is larger), is a slice
-    of the flat plan, and the blocks' traces add up to the one-gather trace.
+    Its reads are ascending flat positions, two weights each, so any block of
+    consecutive reads is a slice of the flat plan, and the blocks' traces add
+    up to the one-gather trace.
     """
-    rng, dim = np.random.default_rng(200 + n), 2**n
-    rho = _full_rank_state(rng, n)
-    entries = rho.matrix.ravel()
-    for terms in (1, 3 * n, 300):
-        g = _kernel(rng, n, terms)
-        flips = np.unique(hs._flip_sign_masks(g.codes, n)[0])
-        picks, weights = hs._trace_plan(g)
-        assert len(weights) == 2 * len(picks)
-        rows, columns = np.divmod(picks, dim)
-        assert len(picks) == len(flips) * dim == len(np.unique(picks))
-        assert ((rows ^ columns).reshape(-1, dim) == flips[:, None]).all()
-        step = max(1, elements // dim) * dim
-        assert step <= elements or step == dim
-        blocks = [
-            weights[2 * start : 2 * (start + step)] @ entries[picks[start : start + step]].view(float)
-            for start in range(0, len(picks), step)
-        ]
-        whole = hs._trace_on_support((picks, weights), rho)
-        assert abs(sum(blocks) - whole) <= 1e-12 * (1 + np.abs(g.coeffs).sum())
+    rng = np.random.default_rng(200)
+    for n in range(3, 9):
+        dim, rho = 2**n, _full_rank_state(rng, n)
+        entries = rho.matrix.ravel()
+        for terms in (1, 3 * n, 300):
+            g = _kernel(rng, n, terms)
+            flips = np.isin(g.axes, (1, 2)) @ (1 << np.arange(n - 1, -1, -1))
+            picks, weights = hs._trace_plan(g)
+            assert len(weights) == 2 * len(picks)
+            assert (np.diff(picks) > 0).all()
+            rows, columns = np.divmod(picks, dim)
+            assert np.isin(rows ^ columns, flips).all()
+            assert len(picks) <= len(np.unique(flips)) * dim
+            whole = hs._trace_on_support((picks, weights), rho)
+            for step in (40, 1 << 15):
+                blocks = [
+                    weights[2 * start : 2 * (start + step)] @ entries[picks[start : start + step]].view(float)
+                    for start in range(0, len(picks), step)
+                ]
+                assert abs(sum(blocks) - whole) <= 1e-12 * (1 + np.abs(g.coeffs).sum())
+
+
+def test_each_catalog_witness_reads_only_g_s_nonzero_entries(witnesses):
+    reads = {name: len(w._support_plan[0]) for name, w in witnesses.items()}
+    assert reads == {"ghz3": 10, "w3": 28, "ghz4": 18, "w4": 64, "cl4": 8, "mds": 16}
 
 
 def test_a_witness_plans_once_and_evaluates_as_a_fresh_one(monkeypatch):
-    """The masks and the Walsh-Hadamard transform run when a witness plans, never per state."""
+    """G's dense matrix is reconstructed when a witness plans, never per state."""
     rng = np.random.default_rng(11)
     g, target = _kernel(rng, 4, 40), _full_rank_state(rng, 4)
     states = []
@@ -196,14 +200,13 @@ def test_a_witness_plans_once_and_evaluates_as_a_fresh_one(monkeypatch):
             states.append(mix_white_noise(target, rng.uniform()))
         else:
             states.append(_full_rank_state(rng, 4))
-    masks, transform, calls = hs._flip_sign_masks, hs._walsh_hadamard, []
-    monkeypatch.setattr(hs, "_flip_sign_masks", lambda codes, n: calls.append("masks") or masks(codes, n))
-    monkeypatch.setattr(hs, "_walsh_hadamard", lambda rows: calls.append("transform") or transform(rows))
+    reconstruct, calls = hs.hs_reconstruct, []
+    monkeypatch.setattr(hs, "hs_reconstruct", lambda op: calls.append(op) or reconstruct(op))
     w = _witness_at(g)
     values = [eval_witness(w, rho) for rho in states]
-    assert calls == ["masks", "transform"]
+    assert calls == [g]
     assert values == [eval_witness(_witness_at(g), rho) for rho in states]
-    assert calls == ["masks", "transform"] * (1 + len(states))
+    assert calls == [g] * (1 + len(states))
 
 
 def test_eval_witness_does_not_decompose_the_state(cat, witnesses, monkeypatch):
