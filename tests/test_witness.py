@@ -153,33 +153,33 @@ def test_eval_witness_with_a_full_support_kernel():
     _assert_matches_the_decomposition(g, _full_rank_state(rng, 3))
 
 
-def test_a_plan_reads_g_s_nonzero_entries_once_on_its_flip_masks():
+@pytest.mark.parametrize("step", [1 << 15, 40])
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+def test_a_plan_reads_g_s_nonzero_entries_once_on_its_flip_masks(n, step):
     """The plan reads rho[j, k] only where j ^ k is one of G's flip masks (X and Y qubits), once each.
 
     Its reads are ascending flat positions, two weights each, so any block of
-    consecutive reads is a slice of the flat plan, and the blocks' traces add
-    up to the one-gather trace.
+    ``step`` consecutive reads is a slice of the flat plan, and the blocks'
+    traces add up to the one-gather trace.
     """
-    rng = np.random.default_rng(200)
-    for n in range(3, 9):
-        dim, rho = 2**n, _full_rank_state(rng, n)
-        entries = rho.matrix.ravel()
-        for terms in (1, 3 * n, 300):
-            g = _kernel(rng, n, terms)
-            flips = np.isin(g.axes, (1, 2)) @ (1 << np.arange(n - 1, -1, -1))
-            picks, weights = hs._trace_plan(g)
-            assert len(weights) == 2 * len(picks)
-            assert (np.diff(picks) > 0).all()
-            rows, columns = np.divmod(picks, dim)
-            assert np.isin(rows ^ columns, flips).all()
-            assert len(picks) <= len(np.unique(flips)) * dim
-            whole = hs._trace_on_support((picks, weights), rho)
-            for step in (40, 1 << 15):
-                blocks = [
-                    weights[2 * start : 2 * (start + step)] @ entries[picks[start : start + step]].view(float)
-                    for start in range(0, len(picks), step)
-                ]
-                assert abs(sum(blocks) - whole) <= 1e-12 * (1 + np.abs(g.coeffs).sum())
+    rng, dim = np.random.default_rng(200 + n), 2**n
+    rho = _full_rank_state(rng, n)
+    entries = rho.matrix.ravel()
+    for terms in (1, 3 * n, 300):
+        g = _kernel(rng, n, terms)
+        flips = np.isin(g.axes, (1, 2)) @ (1 << np.arange(n - 1, -1, -1))
+        picks, weights = hs._trace_plan(g)
+        assert len(weights) == 2 * len(picks)
+        assert (np.diff(picks) > 0).all()
+        rows, columns = np.divmod(picks, dim)
+        assert np.isin(rows ^ columns, flips).all()
+        assert len(picks) <= len(np.unique(flips)) * dim
+        blocks = [
+            weights[2 * start : 2 * (start + step)] @ entries[picks[start : start + step]].view(float)
+            for start in range(0, len(picks), step)
+        ]
+        whole = hs._trace_on_support((picks, weights), rho)
+        assert abs(sum(blocks) - whole) <= 1e-12 * (1 + np.abs(g.coeffs).sum())
 
 
 def test_each_catalog_witness_reads_only_g_s_nonzero_entries(witnesses):
