@@ -39,7 +39,6 @@ DEGENERATE_FIELD = 1e-14
 DEFAULT_GRID_BUDGET = 250_000_000
 ASCENT_TOL = 1e-10  # a start stops once a sweep improves it by less than this
 ASCENT_MAX_SWEEPS = 500
-MIN_DRAW_NORM = 1e-12  # shorter random triples are redrawn
 ASCENT_OVERFLOW = "the ascent overflows the float range; scale the coefficients down"
 
 
@@ -186,33 +185,17 @@ def _draw_starts(seed: int, lo: int, out: Array) -> Array:
     Start j draws from its own Philox stream, keyed on (seed, j) with a
     zero counter.  Philox is counter-based, so one bit generator serves
     the whole block: its state is reset to each start's key in turn.
-    Qubit q normalizes the q-th triple of the start's normal draws that
-    is longer than MIN_DRAW_NORM; shorter triples are skipped, so a start
-    that has one draws again from its reset stream and reads on past
-    its first n triples.
+    Qubit q normalizes the q-th normal triple of its start's stream.
     """
     k, n = out.shape[:2]
     bits = np.random.Philox(key=np.array([seed, lo], dtype=np.uint64))
     rng = np.random.Generator(bits)
     state = bits.state  # zero counter, empty buffer; only the key changes from start to start
-
-    def stream(start: int) -> np.random.Generator:
-        state["state"]["key"][1] = start
-        bits.state = state
-        return rng
-
     for s in range(k):
-        out[s] = stream(lo + s).normal(size=(n, 3))
-    lengths = _lengths(out.reshape(k * n, 3)).reshape(k, n)
-    for s in np.flatnonzero((lengths <= MIN_DRAW_NORM).any(axis=1)).tolist():
-        draws = stream(lo + s).normal(size=(n, 3))
-        drawn = _lengths(draws)
-        while (short := n - np.count_nonzero(drawn > MIN_DRAW_NORM)) > 0:
-            more = rng.normal(size=(short, 3))
-            draws, drawn = np.concatenate((draws, more)), np.concatenate((drawn, _lengths(more)))
-        keep = np.flatnonzero(drawn > MIN_DRAW_NORM)[:n]
-        out[s], lengths[s] = draws[keep], drawn[keep]
-    out /= lengths[:, :, None]
+        state["state"]["key"][1] = lo + s
+        bits.state = state
+        out[s] = rng.normal(size=(n, 3))
+    out /= _lengths(out.reshape(k * n, 3)).reshape(k, n, 1)
     return out
 
 

@@ -2,10 +2,12 @@
 
 The catalog pairs each reference state with its Bell operator (when one
 is known), its witness operator kernel G, and the expected benchmark
-numbers those operators must reproduce.  Operator tables are transcribed
-constants: the W(4) operator carries a Z^4 coefficient three times the
-state's, so deriving the tables from state coefficients is wrong in
-general.
+numbers those operators must reproduce.  Five entries are rows of one
+table, built by one path; the mds entry, whose operators and numbers
+depend on its mixing coefficient, has a builder of its own.  Operator
+tables are transcribed constants: the W(4) operator carries a Z^4
+coefficient three times the state's, so deriving the tables from state
+coefficients is wrong in general.
 """
 
 from __future__ import annotations
@@ -185,14 +187,14 @@ class CatalogEntry:
         return hs_decompose(self.state)
 
 
-def _ghz3_entry(name: str) -> CatalogEntry:
-    bell = HSOperator(3, {"XXX": 1, "XYY": -1, "YXY": -1, "YYX": -1})
-    g = bell + HSOperator(3, {"ZZI": 1})
-    return CatalogEntry(
-        name,
-        ghz(3),
-        bell,
-        g,
+# One row per transcribed entry, in ENTRY_NAMES order: the state's constructor, the Bell operator's
+# terms, the terms G adds to the Bell operator (none: G is the Bell operator), and the expected numbers.
+_HALF = Fraction(1, 2)
+_TABLE = {
+    "ghz3": (
+        functools.partial(ghz, 3),
+        {"XXX": 1, "XYY": -1, "YXY": -1, "YYX": -1},
+        {"ZZI": 1},
         {
             "beta_cl": Fraction(2),
             "beta_qu": Fraction(4),
@@ -202,17 +204,11 @@ def _ghz3_entry(name: str) -> CatalogEntry:
             "witness_value": Fraction(-4),
             "pcrit_witness": Fraction(1, 5),
         },
-    )
-
-
-def _w3_entry(name: str) -> CatalogEntry:
-    bell = HSOperator(3, {"ZXX": 1, "XZX": 1, "XXZ": 1, "ZZZ": -1})
-    g = bell + HSOperator(3, {"YYI": 1})
-    return CatalogEntry(
-        name,
-        w_state(3),
-        bell,
-        g,
+    ),
+    "w3": (
+        functools.partial(w_state, 3),
+        {"ZXX": 1, "XZX": 1, "XXZ": 1, "ZZZ": -1},
+        {"YYI": 1},
         {
             "beta_cl": Fraction(2),
             "beta_qu": Fraction(3),
@@ -222,12 +218,9 @@ def _w3_entry(name: str) -> CatalogEntry:
             "witness_value": Fraction(-8, 3),
             "pcrit_witness": Fraction(3, 11),
         },
-    )
-
-
-def _ghz4_entry(name: str) -> CatalogEntry:
-    bell = HSOperator(
-        4,
+    ),
+    "ghz4": (
+        functools.partial(ghz, 4),
         {
             "XXXX": 1,
             "YYYY": 1,
@@ -238,13 +231,7 @@ def _ghz4_entry(name: str) -> CatalogEntry:
             "YXYX": -1,
             "YYXX": -1,
         },
-    )
-    g = bell + HSOperator(4, {"ZZZZ": 1})
-    return CatalogEntry(
-        name,
-        ghz(4),
-        bell,
-        g,
+        {"ZZZZ": 1},
         {
             "beta_cl": Fraction(4),
             "beta_qu": Fraction(8),
@@ -254,34 +241,25 @@ def _ghz4_entry(name: str) -> CatalogEntry:
             "witness_value": Fraction(-8),
             "pcrit_witness": Fraction(1, 9),
         },
-    )
-
-
-def _w4_entry(name: str) -> CatalogEntry:
-    half = Fraction(1, 2)
-    bell = HSOperator(
-        4,
+    ),
+    "w4": (
+        functools.partial(w_state, 4),
         {
             "ZZZZ": -3,
-            "ZZXX": half,
-            "ZXZX": half,
-            "ZXXZ": half,
-            "XZXZ": half,
-            "XZZX": half,
-            "XXZZ": half,
-            "ZZYY": half,
-            "ZYZY": half,
-            "ZYYZ": half,
-            "YZYZ": half,
-            "YZZY": half,
-            "YYZZ": half,
+            "ZZXX": _HALF,
+            "ZXZX": _HALF,
+            "ZXXZ": _HALF,
+            "XZXZ": _HALF,
+            "XZZX": _HALF,
+            "XXZZ": _HALF,
+            "ZZYY": _HALF,
+            "ZYZY": _HALF,
+            "ZYYZ": _HALF,
+            "YZYZ": _HALF,
+            "YZZY": _HALF,
+            "YYZZ": _HALF,
         },
-    )
-    return CatalogEntry(
-        name,
-        w_state(4),
-        bell,
-        bell,
+        {},
         {
             "beta_cl": Fraction(5),
             "beta_qu": Fraction(6),
@@ -291,12 +269,9 @@ def _w4_entry(name: str) -> CatalogEntry:
             "witness_value": Fraction(-3),
             "pcrit_witness": Fraction(1, 2),
         },
-    )
-
-
-def _cl4_entry(name: str) -> CatalogEntry:
-    bell = HSOperator(
-        4,
+    ),
+    "cl4": (
+        cluster4,
         {
             "XYXY": 1,
             "XYYX": 1,
@@ -307,12 +282,7 @@ def _cl4_entry(name: str) -> CatalogEntry:
             "YYZI": -1,
             "YYIZ": -1,
         },
-    )
-    return CatalogEntry(
-        name,
-        cluster4(),
-        bell,
-        bell,
+        {},
         {
             "beta_cl": Fraction(4),
             "beta_qu": Fraction(8),
@@ -322,7 +292,8 @@ def _cl4_entry(name: str) -> CatalogEntry:
             "witness_value": Fraction(-6),
             "pcrit_witness": Fraction(1, 4),
         },
-    )
+    ),
+}
 
 
 def _mds_entry(name: str, r: float) -> CatalogEntry:
@@ -342,15 +313,7 @@ def _mds_entry(name: str, r: float) -> CatalogEntry:
     )
 
 
-_BUILDERS = {
-    "ghz3": _ghz3_entry,
-    "w3": _w3_entry,
-    "ghz4": _ghz4_entry,
-    "w4": _w4_entry,
-    "cl4": _cl4_entry,
-    "mds": _mds_entry,
-}
-ENTRY_NAMES = tuple(_BUILDERS)
+ENTRY_NAMES = (*_TABLE, "mds")
 
 
 def catalog_entry(name: str, mds_r: float = 0.5) -> CatalogEntry:
@@ -362,8 +325,13 @@ def catalog_entry(name: str, mds_r: float = 0.5) -> CatalogEntry:
     """
     if not 0.0 < mds_r <= MDS_R_LIMIT + 1e-12:
         raise ValueError(f"mds_r must lie in (0, 1/sqrt(3)], got {mds_r}")
-    build = _BUILDERS[name]
-    return build(name, mds_r) if name == "mds" else build(name)
+    if name == "mds":
+        return _mds_entry(name, mds_r)
+    state, bell_terms, g_terms, expected = _TABLE[name]
+    rho = state()
+    bell = HSOperator(rho.n, bell_terms)
+    g = bell + HSOperator(rho.n, g_terms) if g_terms else bell
+    return CatalogEntry(name, rho, bell, g, dict(expected))  # a dict of its own: no entry can change the table
 
 
 def catalog(mds_r: float = 0.5) -> dict[str, CatalogEntry]:

@@ -123,12 +123,13 @@ def mds_entanglement_threshold() -> float:
     Runs the pipeline at every probe, down to the two numbers its sign
     compares: build G(r) and the state from that one operator, take
     alpha(r) as the best value of MDS_THRESHOLD_STARTS ascent starts, read
-    Tr(G rho) at G's nonzero matrix entries (``hs._trace_plan``, one
-    O(n 4^n) reconstruct a probe; the state is not decomposed), and
-    bisect on the sign of alpha - Tr(G rho).
-    These are the floats ``eval_witness(Witness(g, alpha_max(g,
-    starts=MDS_THRESHOLD_STARTS)), mds(r))`` subtracts, without the
-    maximizer's angles or the rest of the ``AlphaResult``.  The starts do
+    Tr(G rho) as r Tr(G(1) rho), since G(r) = r G(1), at G(1)'s nonzero
+    matrix entries (``hs._trace_plan``, planned once a bisection; the
+    state is not decomposed), and bisect on the sign of alpha - Tr(G rho).
+    These are the numbers ``eval_witness(Witness(g, alpha_max(g,
+    starts=MDS_THRESHOLD_STARTS)), mds(r))`` subtracts, alpha bit for bit
+    and the trace up to its last bits, without the maximizer's angles or
+    the rest of the ``AlphaResult``.  The starts do
     not depend on r, so they are drawn once and every probe ascends from
     the same ones, and the probes differ only in r.  The bracket is
     [MDS_THRESHOLD_R_LO, MDS_R_LIMIT] and the bisection stops once it is
@@ -138,13 +139,14 @@ def mds_entanglement_threshold() -> float:
     """
     r_lo, r_hi = MDS_THRESHOLD_R_LO, MDS_R_LIMIT
     draws = _draw_starts(0, 0, np.empty((MDS_THRESHOLD_STARTS, 3, 3)))
+    plan = _trace_plan(mds_g_operator(1.0))
 
     def witness_value(r: float) -> float:
         g = mds_g_operator(r)
         alpha = float(_ascend(g.axes, g.coeffs, draws, ASCENT_MAX_SWEEPS).values.max())
         if not np.isfinite(alpha):
             raise ValueError(ASCENT_OVERFLOW)
-        return alpha - _trace_on_support(_trace_plan(g), _mds_state(r, g))
+        return alpha - r * _trace_on_support(plan, _mds_state(r, g))
 
     lo_val = witness_value(r_lo)
     hi_val = witness_value(r_hi)

@@ -141,20 +141,16 @@ def partial_transpose(rho: DensityMatrix, qubit: int) -> Array:
     return tensor.reshape(rho.dim, rho.dim).copy()
 
 
-def lone_start(seed: int, start: int, n: int, min_norm: float = 1e-12) -> Array:
+def lone_start(seed: int, start: int, n: int) -> Array:
     """Unit Bloch vectors of one start, from a Generator of its own over Philox keyed on (seed, start).
 
-    Each qubit draws normal triples until one is longer than ``min_norm``.
+    Qubit k normalizes the k-th normal triple the generator draws.
     """
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, start], dtype=np.uint64)))
     out = np.empty((n, 3))
     for k in range(n):
-        while True:
-            v = rng.normal(size=3)
-            norm = np.linalg.norm(v)
-            if norm > min_norm:
-                out[k] = v / norm
-                break
+        v = rng.normal(size=3)
+        out[k] = v / np.linalg.norm(v)
     return out
 
 

@@ -387,9 +387,8 @@ def test_report_mds_with_ineffective_scale(capsys):
 
 
 def test_one_name_builds_one_entry(ghz3_file, monkeypatch, capsys):
-    built = []
-    for name, build in states._BUILDERS.items():
-        monkeypatch.setitem(states._BUILDERS, name, lambda *args, build=build: built.append(args[0]) or build(*args))
+    built, entry = [], states.CatalogEntry
+    monkeypatch.setattr(states, "CatalogEntry", lambda name, *args: built.append(name) or entry(name, *args))
     for argv in (["report", "ghz3"], ["report", "ghz3", "--mds-r", "0.4"], ["decompose", ghz3_file]):
         built.clear()
         assert main(argv) == 0

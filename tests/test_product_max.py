@@ -584,29 +584,16 @@ def test_start_draws_stay_within_the_block_bound(monkeypatch, bound):
     assert peak <= 8 * starts + 10 * 8 * bound
 
 
-@pytest.mark.parametrize("floor", [product_max.MIN_DRAW_NORM, 1.0])
-def test_block_draws_are_the_lone_starts_bit_for_bit(monkeypatch, floor):
-    # compared as raw words, so a signed zero counts; with a floor of 1 about a fifth of all triples are redrawn
-    monkeypatch.setattr(product_max, "MIN_DRAW_NORM", floor)
+def test_block_draws_are_the_lone_starts_bit_for_bit():
+    # compared as raw words, so a signed zero counts
     for seed in (0, 1, 2**63, 2**64 - 1):
         for n in range(1, 11):
             for lo in (0, 7, 2**40):
                 for k in (1, 17, 64):
                     out = np.empty((k, n, 3))
                     assert _draw_starts(seed, lo, out) is out
-                    want = np.stack([lone_start(seed, lo + s, n, min_norm=floor) for s in range(k)])
+                    want = np.stack([lone_start(seed, lo + s, n) for s in range(k)])
                     assert np.array_equal(out.view(np.uint64), want.view(np.uint64)), (seed, n, lo, k)
-
-
-def test_start_draws_skip_short_triples(monkeypatch):
-    # with a floor of 1 about a fifth of all triples are redrawn, shifting later qubits
-    monkeypatch.setattr(product_max, "MIN_DRAW_NORM", 1.0)
-    draws = _draw_starts(3, 0, np.empty((20, 5, 3)))
-    shifted = 0
-    for s, got in enumerate(draws):
-        np.testing.assert_array_equal(got, lone_start(3, s, 5, min_norm=1.0))
-        shifted += not np.array_equal(got, lone_start(3, s, 5))
-    assert shifted > 0
 
 
 def test_alpha_max_matches_lone_starts_across_blocks(cat, monkeypatch):

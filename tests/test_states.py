@@ -1,7 +1,9 @@
 """Reference states, the operator catalog, and state transformations."""
 
 import dataclasses
+import importlib
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ import pytest
 from hswit.hs import hs_decompose, hs_reconstruct
 from hswit.pauli_core import DensityMatrix, InvalidStateError
 from hswit.states import (
+    ENTRY_NAMES,
     MDS_R_LIMIT,
     CatalogEntry,
     ProductState,
@@ -203,6 +206,28 @@ def test_catalog_names_and_order():
     for name, entry in entries.items():
         assert entry.name == name
         assert entry.expected
+
+
+@pytest.fixture(scope="module")
+def paper():
+    """``bench/paper.py``, the benchmark's own transcription of the paper's entries, imported as it is."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+        return importlib.import_module("paper")
+
+
+def _terms(op):
+    return dict(zip(op.labels(), op.coeffs.tolist()))
+
+
+@pytest.mark.parametrize("name", ENTRY_NAMES)
+def test_catalog_matches_the_benchmark_transcription(cat, paper, name):
+    entry = cat[name]
+    assert ENTRY_NAMES == paper.ENTRIES
+    assert (None if entry.bell is None else _terms(entry.bell)) == paper.BELL.get(name)
+    assert _terms(entry.g_witness) == paper.witness_kernel(name)
+    assert list({k: float(v) for k, v in entry.expected.items()}.items()) == list(paper.expected(name).items())
+    assert np.max(np.abs(entry.state.matrix - paper.state_matrix(name))) <= 1e-12
 
 
 def test_catalog_state_coeffs_are_the_decomposition(cat):

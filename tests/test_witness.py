@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import mermin
-from hswit import hs, witness
+from hswit import hs, states, witness
 from hswit.cli import entry_rows
 from hswit.hs import HSOperator, hs_decompose, hs_reconstruct, overlap
 from hswit.lhv_bound import classical_bound
@@ -320,11 +320,18 @@ def test_entanglement_threshold_of_the_disordered_family(monkeypatch):
     monkeypatch.setattr(witness, "_draw_starts", lambda seed, lo, out: draws.append(len(out)) or draw(seed, lo, out))
     monkeypatch.setattr(witness, "mds_g_operator", lambda r: kernels.append(build(r)) or kernels[-1])
     monkeypatch.setattr(witness, "_ascend", ascended)
+    reconstruct, reconstructed = hs.hs_reconstruct, []
+    for module in (hs, states):
+        monkeypatch.setattr(module, "hs_reconstruct", lambda op: reconstructed.append(op) or reconstruct(op))
     threshold = mds_entanglement_threshold()
     # the starts are drawn once, not once a probe, and every probe finds what alpha_max finds from them
     assert draws == [MDS_THRESHOLD_STARTS]  # one call, which fills every start
-    assert len(kernels) == len(ascents) == 32
-    for g, (axes, coeffs, runs) in zip(kernels, ascents):
+    assert len(kernels) == 33 and len(ascents) == 32
+    assert kernels[0].labels() == ["XXX", "YYY", "ZZZ"] and kernels[0].coeffs.tolist() == [1.0, 1.0, 1.0]
+    # one reconstruct a bisection plans G(1)'s read, and one a probe builds its state from G(r)
+    assert len(reconstructed) == 33
+    assert all(op is g for op, g in zip(reconstructed, kernels))
+    for g, (axes, coeffs, runs) in zip(kernels[1:], ascents):
         np.testing.assert_array_equal(axes, g.axes)
         np.testing.assert_array_equal(coeffs, g.coeffs)
         assert float(runs.values.max()) == alpha_max(g, starts=MDS_THRESHOLD_STARTS).alpha
