@@ -65,14 +65,9 @@ def mds(r: float) -> DensityMatrix:
     Its eigenvalues are (1 +/- r sqrt(3))/8, four of each, so the matrix
     is a state exactly when |r| <= 1/sqrt(3).
     """
-    return _mds_state(r)
-
-
-def _mds_state(r: float, g: HSOperator | None = None) -> DensityMatrix:
-    """``mds(r)``, from its kernel ``g`` = ``mds_g_operator(r)`` where the caller has built it."""
     if not abs(r) <= MDS_R_LIMIT + 1e-12:  # NaN too, before the kernel's own check names a coefficient
         raise InvalidStateError(f"mds requires |r| <= 1/sqrt(3) ~ {MDS_R_LIMIT:.6f}, got {r}")
-    mat = (np.eye(8, dtype=complex) + hs_reconstruct(mds_g_operator(r) if g is None else g)) / 8.0
+    mat = (np.eye(8, dtype=complex) + hs_reconstruct(mds_g_operator(r))) / 8.0
     return DensityMatrix(mat, 3)
 
 
@@ -297,12 +292,11 @@ _TABLE = {
 
 
 def _mds_entry(name: str, r: float) -> CatalogEntry:
-    g = mds_g_operator(r)
     return CatalogEntry(
         name,
-        _mds_state(r, g),
+        mds(r),
         None,
-        g,
+        mds_g_operator(r),
         {
             "alpha": r,
             "trace_g_rho": 3.0 * r * r,

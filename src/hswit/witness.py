@@ -22,17 +22,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
 from .hs import HSOperator, _trace_on_support, _trace_plan, overlap, require_identity_free
 from .lhv_bound import BoundResult, classical_bound
 from .pauli_core import Array, DensityMatrix
-from .product_max import ASCENT_MAX_SWEEPS, ASCENT_OVERFLOW, AlphaResult, _ascend, _draw_starts, alpha_max
-from .states import MDS_R_LIMIT, CatalogEntry, _mds_state, mds_g_operator
+from .product_max import AlphaResult, alpha_max
+from .states import MDS_R_LIMIT, CatalogEntry, mds, mds_g_operator
 
 MDS_THRESHOLD_R_LO = 1e-6
 MDS_THRESHOLD_TOL = 1e-9  # bracket width at which the bisection stops
-MDS_THRESHOLD_STARTS = 16  # ascent starts of every probe's witness, drawn once per bisection
+MDS_THRESHOLD_STARTS = 16  # ascent starts of alpha(G(1)), the one ascent of a bisection
 
 
 class WitnessIneffectiveError(Exception):
@@ -120,33 +118,26 @@ def pcrit_witness(alpha: float, trace_g_rho: float) -> float:
 def mds_entanglement_threshold() -> float:
     """Mixing coefficient where the mds witness starts detecting the family.
 
-    Runs the pipeline at every probe, down to the two numbers its sign
-    compares: build G(r) and the state from that one operator, take
-    alpha(r) as the best value of MDS_THRESHOLD_STARTS ascent starts, read
-    Tr(G rho) as r Tr(G(1) rho), since G(r) = r G(1), at G(1)'s nonzero
-    matrix entries (``hs._trace_plan``, planned once a bisection; the
-    state is not decomposed), and bisect on the sign of alpha - Tr(G rho).
-    These are the numbers ``eval_witness(Witness(g, alpha_max(g,
-    starts=MDS_THRESHOLD_STARTS)), mds(r))`` subtracts, alpha bit for bit
-    and the trace up to its last bits, without the maximizer's angles or
-    the rest of the ``AlphaResult``.  The starts do
-    not depend on r, so they are drawn once and every probe ascends from
-    the same ones, and the probes differ only in r.  The bracket is
+    The witness value at r is Tr(E_W rho(r)) = alpha(G(r)) - Tr(G(r) rho(r)).
+    G(r) = r G(1) exactly, so alpha(G(r)) = r alpha(G(1)), and for r > 0
+    its sign is that of f(r) = alpha(G(1)) - Tr(G(1) rho(r)).  A bisection
+    makes one ascent, ``alpha_max(mds_g_operator(1.0),
+    starts=MDS_THRESHOLD_STARTS)``, and plans G(1)'s read once
+    (``hs._trace_plan``).  A probe builds rho(r) and reads Tr(G(1) rho(r))
+    at G(1)'s nonzero matrix entries, without decomposing the state; it
+    builds no operator and runs no ascent.  The bracket is
     [MDS_THRESHOLD_R_LO, MDS_R_LIMIT] and the bisection stops once it is
     MDS_THRESHOLD_TOL wide.  No closed form of the crossing is assumed.
-    Witness values that do not change sign across the bracket raise
-    ``ValueError``, and so does a best value that is not finite.
+    Values of f that do not change sign across the bracket raise
+    ``ValueError``, and so does an ascent whose best value is not finite.
     """
     r_lo, r_hi = MDS_THRESHOLD_R_LO, MDS_R_LIMIT
-    draws = _draw_starts(0, 0, np.empty((MDS_THRESHOLD_STARTS, 3, 3)))
-    plan = _trace_plan(mds_g_operator(1.0))
+    g1 = mds_g_operator(1.0)
+    alpha1 = alpha_max(g1, starts=MDS_THRESHOLD_STARTS).alpha
+    plan = _trace_plan(g1)
 
     def witness_value(r: float) -> float:
-        g = mds_g_operator(r)
-        alpha = float(_ascend(g.axes, g.coeffs, draws, ASCENT_MAX_SWEEPS).values.max())
-        if not np.isfinite(alpha):
-            raise ValueError(ASCENT_OVERFLOW)
-        return alpha - r * _trace_on_support(plan, _mds_state(r, g))
+        return alpha1 - _trace_on_support(plan, mds(r))
 
     lo_val = witness_value(r_lo)
     hi_val = witness_value(r_hi)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import mermin
-from hswit import hs, states, witness
+from hswit import hs, product_max, states, witness
 from hswit.cli import entry_rows
 from hswit.hs import HSOperator, hs_decompose, hs_reconstruct, overlap
 from hswit.lhv_bound import classical_bound
@@ -310,31 +310,33 @@ def test_pcrit_witness_values_and_domain():
 
 
 def test_entanglement_threshold_of_the_disordered_family(monkeypatch):
-    draw, build, ascend = witness._draw_starts, witness.mds_g_operator, witness._ascend
-    draws, kernels, ascents = [], [], []
+    build, probe_state, ascend = witness.mds_g_operator, witness.mds, product_max._ascend
+    kernels, probes, ascents = [], [], []
 
-    def ascended(axes, coeffs, *args):
-        ascents.append((axes, coeffs, ascend(axes, coeffs, *args)))
-        return ascents[-1][2]
+    def ascended(axes, coeffs, blochs, *args):
+        ascents.append((axes, coeffs, len(blochs)))
+        return ascend(axes, coeffs, blochs, *args)
 
-    monkeypatch.setattr(witness, "_draw_starts", lambda seed, lo, out: draws.append(len(out)) or draw(seed, lo, out))
     monkeypatch.setattr(witness, "mds_g_operator", lambda r: kernels.append(build(r)) or kernels[-1])
-    monkeypatch.setattr(witness, "_ascend", ascended)
+    monkeypatch.setattr(witness, "mds", lambda r: probes.append(r) or probe_state(r))
+    monkeypatch.setattr(product_max, "_ascend", ascended)
     reconstruct, reconstructed = hs.hs_reconstruct, []
     for module in (hs, states):
         monkeypatch.setattr(module, "hs_reconstruct", lambda op: reconstructed.append(op) or reconstruct(op))
     threshold = mds_entanglement_threshold()
-    # the starts are drawn once, not once a probe, and every probe finds what alpha_max finds from them
-    assert draws == [MDS_THRESHOLD_STARTS]  # one call, which fills every start
-    assert len(kernels) == 33 and len(ascents) == 32
+    # one operator and one ascent of every start a bisection, on G(1); the probes build neither
+    assert len(kernels) == 1
     assert kernels[0].labels() == ["XXX", "YYY", "ZZZ"] and kernels[0].coeffs.tolist() == [1.0, 1.0, 1.0]
-    # one reconstruct a bisection plans G(1)'s read, and one a probe builds its state from G(r)
-    assert len(reconstructed) == 33
-    assert all(op is g for op, g in zip(reconstructed, kernels))
-    for g, (axes, coeffs, runs) in zip(kernels[1:], ascents):
-        np.testing.assert_array_equal(axes, g.axes)
-        np.testing.assert_array_equal(coeffs, g.coeffs)
-        assert float(runs.values.max()) == alpha_max(g, starts=MDS_THRESHOLD_STARTS).alpha
+    assert len(ascents) == 1
+    axes, coeffs, starts = ascents[0]
+    np.testing.assert_array_equal(axes, kernels[0].axes)
+    np.testing.assert_array_equal(coeffs, kernels[0].coeffs)
+    assert starts == MDS_THRESHOLD_STARTS
+    # one reconstruct a bisection plans G(1)'s read, and one a probe builds its state
+    assert len(probes) == 32 and len(reconstructed) == 33
+    assert reconstructed[0] is kernels[0]
+    for r, g in zip(probes, reconstructed[1:]):
+        assert g.labels() == ["XXX", "YYY", "ZZZ"] and g.coeffs.tolist() == [r, r, r]
     assert abs(threshold - 1 / 3) <= 1e-9 + 1e-12
     # bit for bit: the bracket is fixed, so this one float fixes the signs at its two
     # ends and at all 30 midpoints (+-+--+--++++--++-+--+-++-++++--+); the nearest
@@ -344,10 +346,30 @@ def test_entanglement_threshold_of_the_disordered_family(monkeypatch):
 
 
 def test_a_probe_whose_best_value_is_not_finite_raises(monkeypatch):
-    ascend = witness._ascend
-    monkeypatch.setattr(witness, "_ascend", lambda *args: ascend(*args)._replace(values=np.full(16, np.nan)))
+    ascend = product_max._ascend
+    monkeypatch.setattr(product_max, "_ascend", lambda *args: ascend(*args)._replace(values=np.full(16, np.nan)))
     with pytest.raises(ValueError, match="^the ascent overflows the float range; scale the coefficients down$"):
         mds_entanglement_threshold()
+
+
+def test_threshold_probes_read_the_sign_of_every_per_probe_witness():
+    # alpha(G(r)) is r alpha(G(1)) bit for bit, and alpha(G(1)) - Tr(G(1) rho(r)) has the
+    # sign of the witness value the per-probe pipeline reads, near the crossing too
+    rng = np.random.default_rng(20191)
+    rs = np.concatenate((rng.uniform(1e-6, MDS_R_LIMIT, 200), 1 / 3 + rng.uniform(-1e-7, 1e-7, 100)))
+    g1 = mds_g_operator(1.0)
+    alpha1 = alpha_max(g1, starts=MDS_THRESHOLD_STARTS).alpha
+    plan = hs._trace_plan(g1)
+    signs = []
+    for r in rs.tolist():
+        g = mds_g_operator(r)
+        result = alpha_max(g, starts=MDS_THRESHOLD_STARTS)
+        assert result.alpha == r * alpha1, r
+        rho = mds(r)
+        probe = alpha1 - hs._trace_on_support(plan, rho)
+        assert np.sign(probe) == np.sign(eval_witness(Witness(g, result), rho)), r
+        signs.append(np.sign(probe))
+    assert signs.count(1.0) > 50 and signs.count(-1.0) > 50
 
 
 @pytest.mark.parametrize("r,sign", [(0.4, -1.0), (0.3, 1.0), (MDS_R_LIMIT, -1.0)])
