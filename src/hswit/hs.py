@@ -245,9 +245,13 @@ def _trace_plan(op: HSOperator) -> tuple[Array, Array]:
     Building it runs ``hs_reconstruct`` once, O(n 4^n) whatever O is,
     through a temporary 4^n complex matrix, 16 MiB at the cap.
     """
-    dense = hs_reconstruct(op).ravel()
-    picks = np.flatnonzero(dense)
-    return picks, dense[picks].view(float)
+    return _matrix_plan(hs_reconstruct(op))
+
+
+def _matrix_plan(matrix: Array) -> tuple[Array, Array]:
+    """The ``_trace_plan`` of the operator whose dense matrix is ``matrix``, for a caller that keeps the matrix."""
+    picks = np.flatnonzero(matrix)
+    return picks, matrix.ravel()[picks].view(float)
 
 
 def _trace_on_support(plan: tuple[Array, Array], rho: DensityMatrix) -> float:

@@ -71,6 +71,11 @@ def mds(r: float) -> DensityMatrix:
     return DensityMatrix(mat, 3)
 
 
+def _mds_from_g1(g1_matrix: Array, r: float) -> DensityMatrix:
+    """rho(r) = (I + r G(1))/8 from G(1)'s matrix: ``mds(r)`` bit for bit at every r it takes with |r| >= PRUNE_TOL."""
+    return DensityMatrix((np.eye(8, dtype=complex) + r * g1_matrix) / 8.0, 3)
+
+
 @dataclass(frozen=True)
 class ProductState:
     """A pure product state, one (theta, phi) Bloch pair per qubit.
@@ -93,21 +98,18 @@ class ProductState:
 
     @classmethod
     def from_bloch_vectors(cls, vectors: Array) -> ProductState:
-        """Build from an (n, 3) array of unit Bloch vectors."""
+        """Build from an (n, 3) array of unit Bloch vectors, all qubits in one pass over contiguous columns."""
         vecs = np.asarray(vectors, dtype=float)
         if vecs.ndim != 2 or vecs.shape[1] != 3:
             raise ValueError(f"expected an (n, 3) array, got shape {vecs.shape}")
         norms = np.linalg.norm(vecs, axis=1)
         if np.max(np.abs(norms - 1.0)) > 1e-9:
             raise ValueError("Bloch vectors must have unit norm")
-        angles = []
-        for x, y, z in vecs:
-            theta = float(np.arccos(np.clip(z, -1.0, 1.0)))
-            phi = float(np.arctan2(y, x)) % (2.0 * np.pi)
-            if phi >= 2.0 * np.pi:  # a tiny negative atan2 can wrap to exactly 2*pi
-                phi = 0.0
-            angles.append((theta, phi))
-        return cls(tuple(angles))
+        x, y, z = np.array(vecs.T)  # contiguous copies, so the ufuncs run one loop whatever the caller's layout
+        theta = np.arccos(np.clip(z, -1.0, 1.0))
+        phi = np.arctan2(y, x) % (2.0 * np.pi)
+        phi[phi >= 2.0 * np.pi] = 0.0  # a tiny negative atan2 can wrap to exactly 2*pi
+        return cls(tuple(zip(theta.tolist(), phi.tolist())))
 
     @property
     def n(self) -> int:

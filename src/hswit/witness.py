@@ -22,11 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .hs import HSOperator, _trace_on_support, _trace_plan, overlap, require_identity_free
+from .hs import HSOperator, _matrix_plan, _trace_on_support, _trace_plan, hs_reconstruct, overlap, require_identity_free
 from .lhv_bound import BoundResult, classical_bound
 from .pauli_core import Array, DensityMatrix
 from .product_max import AlphaResult, alpha_max
-from .states import MDS_R_LIMIT, CatalogEntry, mds, mds_g_operator
+from .states import MDS_R_LIMIT, CatalogEntry, _mds_from_g1, mds_g_operator
 
 MDS_THRESHOLD_R_LO = 1e-6
 MDS_THRESHOLD_TOL = 1e-9  # bracket width at which the bisection stops
@@ -121,11 +121,11 @@ def mds_entanglement_threshold() -> float:
     The witness value at r is Tr(E_W rho(r)) = alpha(G(r)) - Tr(G(r) rho(r)).
     G(r) = r G(1) exactly, so alpha(G(r)) = r alpha(G(1)), and for r > 0
     its sign is that of f(r) = alpha(G(1)) - Tr(G(1) rho(r)).  A bisection
-    makes one ascent, ``alpha_max(mds_g_operator(1.0),
-    starts=MDS_THRESHOLD_STARTS)``, and plans G(1)'s read once
-    (``hs._trace_plan``).  A probe builds rho(r) and reads Tr(G(1) rho(r))
-    at G(1)'s nonzero matrix entries, without decomposing the state; it
-    builds no operator and runs no ascent.  The bracket is
+    makes one ascent, ``alpha_max(G(1), starts=MDS_THRESHOLD_STARTS)``, and
+    one ``hs_reconstruct``, of G(1), whose matrix plans G(1)'s read
+    (``hs._trace_plan``) and builds every probe's rho(r) = (I + r G(1))/8,
+    ``mds(r)`` bit for bit.  A probe reads Tr(G(1) rho(r)) at G(1)'s
+    nonzero entries; it builds no operator and runs no ascent.  The bracket is
     [MDS_THRESHOLD_R_LO, MDS_R_LIMIT] and the bisection stops once it is
     MDS_THRESHOLD_TOL wide.  No closed form of the crossing is assumed.
     Values of f that do not change sign across the bracket raise
@@ -134,10 +134,11 @@ def mds_entanglement_threshold() -> float:
     r_lo, r_hi = MDS_THRESHOLD_R_LO, MDS_R_LIMIT
     g1 = mds_g_operator(1.0)
     alpha1 = alpha_max(g1, starts=MDS_THRESHOLD_STARTS).alpha
-    plan = _trace_plan(g1)
+    g1_matrix = hs_reconstruct(g1)
+    plan = _matrix_plan(g1_matrix)
 
     def witness_value(r: float) -> float:
-        return alpha1 - _trace_on_support(plan, mds(r))
+        return alpha1 - _trace_on_support(plan, _mds_from_g1(g1_matrix, r))
 
     lo_val = witness_value(r_lo)
     hi_val = witness_value(r_hi)

@@ -11,9 +11,11 @@ own generator beside a block's draws from one reset bit generator, and a
 sampled lower bound beside the exhaustive classical bound.  The rest
 record what only tests read: the ascent's value after every sweep, by
 running the package's ascent one sweep at a time, a product state's
-Bloch vectors, and an axis relabeling and a coefficient-wise comparison
-of operators, for the paper's relabeling identity.  None is reached by a command or a library
-path, so none lives in the package.
+Bloch vectors, their angles one qubit at a time beside
+``from_bloch_vectors``'s one pass, and an axis relabeling and a
+coefficient-wise comparison of operators, for the paper's relabeling
+identity.  None is reached by a command or a library path, so none
+lives in the package.
 """
 
 from typing import Mapping, NamedTuple
@@ -161,6 +163,23 @@ def bloch_vectors(ps: ProductState) -> Array:
         sin_t = np.sin(theta)
         out[k] = (sin_t * np.cos(phi), sin_t * np.sin(phi), np.cos(theta))
     return out
+
+
+def bloch_angles(vectors: Array) -> tuple[tuple[float, float], ...]:
+    """(theta, phi) of each row of an (n, 3) array of unit Bloch vectors, one qubit at a time.
+
+    theta is the arccos of the clipped z and phi the arctan2 of (y, x)
+    taken mod 2 pi, with a wrap to exactly 2 pi sent to 0.0: the angles
+    ``ProductState.from_bloch_vectors`` computes for all qubits at once.
+    """
+    angles = []
+    for x, y, z in np.asarray(vectors, dtype=float):
+        theta = float(np.arccos(np.clip(z, -1.0, 1.0)))
+        phi = float(np.arctan2(y, x)) % (2.0 * np.pi)
+        if phi >= 2.0 * np.pi:  # a tiny negative atan2 can wrap to exactly 2*pi
+            phi = 0.0
+        angles.append((theta, phi))
+    return tuple(angles)
 
 
 def objective(op: HSOperator, blochs: Array) -> float:

@@ -24,7 +24,7 @@ from hswit.states import (
     w_state,
 )
 
-from reference import bloch_vectors, hermitian_eigenvalues, partial_transpose
+from reference import bloch_angles, bloch_vectors, hermitian_eigenvalues, partial_transpose
 
 
 def test_ghz_amplitudes():
@@ -169,6 +169,23 @@ def test_bloch_round_trip():
     np.testing.assert_allclose(bloch_vectors(ps), vecs, atol=1e-12)
     with pytest.raises(ValueError, match="unit"):
         ProductState.from_bloch_vectors(2 * vecs)
+
+
+def test_bloch_angles_are_the_per_qubit_loop_bit_for_bit():
+    # compared as raw words; the poles, and a wrap of phi to exactly 2 pi, which becomes 0.0
+    rng = np.random.default_rng(17)
+    cases = [rng.normal(size=(n, 3)) for n in range(1, 9) for _ in range(40)]
+    poles = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
+    wrap = np.array([[1.0, -1e-300, 0.0]])
+    cases += [poles, wrap, np.vstack((rng.normal(size=(3, 3)), poles, wrap))]
+    for vecs in cases:
+        vecs = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
+        got = np.array(ProductState.from_bloch_vectors(vecs).angles)
+        want = np.array(bloch_angles(vecs))
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), vecs
+    assert ProductState.from_bloch_vectors(wrap).angles == ((np.pi / 2, 0.0),)
+    with pytest.raises(ValueError, match="^Bloch vectors must have unit norm$"):
+        ProductState.from_bloch_vectors(np.vstack((poles, [[0.0, 0.0, 1.0 + 1e-8]])))
 
 
 def test_single_qubit_statevector():

@@ -310,7 +310,7 @@ def test_pcrit_witness_values_and_domain():
 
 
 def test_entanglement_threshold_of_the_disordered_family(monkeypatch):
-    build, probe_state, ascend = witness.mds_g_operator, witness.mds, product_max._ascend
+    build, probe_state, ascend = witness.mds_g_operator, states.mds, product_max._ascend
     kernels, probes, ascents = [], [], []
 
     def ascended(axes, coeffs, blochs, *args):
@@ -318,10 +318,10 @@ def test_entanglement_threshold_of_the_disordered_family(monkeypatch):
         return ascend(axes, coeffs, blochs, *args)
 
     monkeypatch.setattr(witness, "mds_g_operator", lambda r: kernels.append(build(r)) or kernels[-1])
-    monkeypatch.setattr(witness, "mds", lambda r: probes.append(r) or probe_state(r))
+    monkeypatch.setattr(states, "mds", lambda r: probes.append(r) or probe_state(r))
     monkeypatch.setattr(product_max, "_ascend", ascended)
     reconstruct, reconstructed = hs.hs_reconstruct, []
-    for module in (hs, states):
+    for module in (hs, states, witness):
         monkeypatch.setattr(module, "hs_reconstruct", lambda op: reconstructed.append(op) or reconstruct(op))
     threshold = mds_entanglement_threshold()
     # one operator and one ascent of every start a bisection, on G(1); the probes build neither
@@ -332,17 +332,44 @@ def test_entanglement_threshold_of_the_disordered_family(monkeypatch):
     np.testing.assert_array_equal(axes, kernels[0].axes)
     np.testing.assert_array_equal(coeffs, kernels[0].coeffs)
     assert starts == MDS_THRESHOLD_STARTS
-    # one reconstruct a bisection plans G(1)'s read, and one a probe builds its state
-    assert len(probes) == 32 and len(reconstructed) == 33
-    assert reconstructed[0] is kernels[0]
-    for r, g in zip(probes, reconstructed[1:]):
-        assert g.labels() == ["XXX", "YYY", "ZZZ"] and g.coeffs.tolist() == [r, r, r]
+    # one reconstruct a bisection, of G(1): its matrix plans the read and builds every probe's state
+    assert reconstructed == [kernels[0]]
+    assert probes == []
     assert abs(threshold - 1 / 3) <= 1e-9 + 1e-12
     # bit for bit: the bracket is fixed, so this one float fixes the signs at its two
     # ends and at all 30 midpoints (+-+--+--++++--++-+--+-++-++++--+); the nearest
     # midpoint lies 4.9e-11 from the crossing
     assert threshold == 0.33333333355291384
     assert threshold.hex() == "0x1.555555591b0f0p-2"
+
+
+def test_threshold_probes_are_the_mds_states_bit_for_bit(monkeypatch):
+    # (I + r G(1))/8 from G(1)'s matrix is mds(r) as raw words, at the bisection's own probes and at
+    # seeded r: both bracket ends, 200 across the bracket and 100 within 1e-7 of the crossing
+    g1 = mds_g_operator(1.0)
+    probe, read, built, plans = states._mds_from_g1, hs._trace_on_support, [], []
+    monkeypatch.setattr(witness, "_mds_from_g1", lambda matrix, r: built.append((matrix, r)) or probe(matrix, r))
+    monkeypatch.setattr(witness, "_trace_on_support", lambda plan, rho: plans.append(plan) or read(plan, rho))
+    mds_entanglement_threshold()
+    assert len(built) == len(plans) == 32
+    g1_matrix = built[0][0]
+    assert np.array_equal(g1_matrix.view(np.uint64), hs_reconstruct(g1).view(np.uint64))
+    want_picks, want_weights = hs._trace_plan(g1)
+    for (matrix, _), (picks, weights) in zip(built, plans):
+        assert matrix is g1_matrix
+        assert np.array_equal(picks, want_picks)
+        assert np.array_equal(weights.view(np.uint64), want_weights.view(np.uint64))
+    rng = np.random.default_rng(33)
+    seeded = np.concatenate(
+        (
+            [witness.MDS_THRESHOLD_R_LO, MDS_R_LIMIT],
+            rng.uniform(witness.MDS_THRESHOLD_R_LO, MDS_R_LIMIT, 200),
+            1 / 3 + rng.uniform(-1e-7, 1e-7, 100),
+        )
+    )
+    for r in [r for _, r in built] + seeded.tolist():
+        got = states._mds_from_g1(g1_matrix, r).matrix
+        assert np.array_equal(got.view(np.uint64), mds(r).matrix.view(np.uint64)), r
 
 
 def test_a_probe_whose_best_value_is_not_finite_raises(monkeypatch):
