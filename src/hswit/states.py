@@ -63,16 +63,16 @@ def mds(r: float) -> DensityMatrix:
     """Three-qubit mixed state 8 rho = III + r (XXX + YYY + ZZZ).
 
     Its eigenvalues are (1 +/- r sqrt(3))/8, four of each, so the matrix
-    is a state exactly when |r| <= 1/sqrt(3).
+    is a state exactly when |r| <= 1/sqrt(3).  It is built from G(1)'s
+    matrix, so no r is small enough for its terms to be pruned.
     """
-    if not abs(r) <= MDS_R_LIMIT + 1e-12:  # NaN too, before the kernel's own check names a coefficient
+    if not abs(r) <= MDS_R_LIMIT + 1e-12:  # NaN too
         raise InvalidStateError(f"mds requires |r| <= 1/sqrt(3) ~ {MDS_R_LIMIT:.6f}, got {r}")
-    mat = (np.eye(8, dtype=complex) + hs_reconstruct(mds_g_operator(r))) / 8.0
-    return DensityMatrix(mat, 3)
+    return _mds_from_g1(hs_reconstruct(mds_g_operator(1.0)), r)
 
 
 def _mds_from_g1(g1_matrix: Array, r: float) -> DensityMatrix:
-    """rho(r) = (I + r G(1))/8 from G(1)'s matrix: ``mds(r)`` bit for bit at every r it takes with |r| >= PRUNE_TOL."""
+    """rho(r) = (I + r G(1))/8 from G(1)'s matrix, for a caller that builds many r from one matrix."""
     return DensityMatrix((np.eye(8, dtype=complex) + r * g1_matrix) / 8.0, 3)
 
 

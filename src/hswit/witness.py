@@ -123,8 +123,8 @@ def mds_entanglement_threshold() -> float:
     its sign is that of f(r) = alpha(G(1)) - Tr(G(1) rho(r)).  A bisection
     makes one ascent, ``alpha_max(G(1), starts=MDS_THRESHOLD_STARTS)``, and
     one ``hs_reconstruct``, of G(1), whose matrix plans G(1)'s read
-    (``hs._trace_plan``) and builds every probe's rho(r) = (I + r G(1))/8,
-    ``mds(r)`` bit for bit.  A probe reads Tr(G(1) rho(r)) at G(1)'s
+    (``hs._matrix_plan``) and builds every probe's rho(r) = (I + r G(1))/8
+    the way ``mds(r)`` does.  A probe reads Tr(G(1) rho(r)) at G(1)'s
     nonzero entries; it builds no operator and runs no ascent.  The bracket is
     [MDS_THRESHOLD_R_LO, MDS_R_LIMIT] and the bisection stops once it is
     MDS_THRESHOLD_TOL wide.  No closed form of the crossing is assumed.

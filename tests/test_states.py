@@ -61,9 +61,22 @@ def test_mds_g_operator_terms():
 
 
 def test_mds_matrix_from_its_coefficients():
-    rho = mds(0.4)
-    expected = (np.eye(8) + hs_reconstruct(mds_g_operator(0.4))) / 8
-    np.testing.assert_allclose(rho.matrix, expected, atol=1e-12)
+    # (I + r G(1))/8 has the raw words of (I + G(r))/8 wherever G(r) keeps its terms: at the mds
+    # threshold's bracket ends, across the bracket, near its crossing and at negative r
+    rng = np.random.default_rng(33)
+    lo, hi = 1e-6, MDS_R_LIMIT
+    rs = np.concatenate(([0.4, lo, hi, -hi, 1e-12], rng.uniform(lo, hi, 200), 1 / 3 + rng.uniform(-1e-7, 1e-7, 100)))
+    for r in np.concatenate((rs, -rs[5:105])).tolist():
+        expected = (np.eye(8, dtype=complex) + hs_reconstruct(mds_g_operator(r))) / 8.0
+        assert np.array_equal(mds(r).matrix.view(np.uint64), expected.view(np.uint64)), r
+
+
+@pytest.mark.parametrize("r", [1e-13, -5e-13, 1e-300])
+def test_mds_keeps_a_scale_below_the_prune_tolerance(r):
+    # G(r) would prune to no terms here; rho(r) still carries r, not I/8
+    rho = mds(r).matrix
+    assert rho[0, 0] == (1.0 + r) / 8.0
+    assert rho[0, 7] == r * (1 + 1j) / 8.0
 
 
 @pytest.mark.parametrize("r", [0.1, 0.2, 1 / 3, 0.5, MDS_R_LIMIT])

@@ -343,33 +343,22 @@ def test_entanglement_threshold_of_the_disordered_family(monkeypatch):
     assert threshold.hex() == "0x1.555555591b0f0p-2"
 
 
-def test_threshold_probes_are_the_mds_states_bit_for_bit(monkeypatch):
-    # (I + r G(1))/8 from G(1)'s matrix is mds(r) as raw words, at the bisection's own probes and at
-    # seeded r: both bracket ends, 200 across the bracket and 100 within 1e-7 of the crossing
+def test_threshold_probes_share_one_g1_matrix_and_plan(monkeypatch):
+    # every probe state and the read plan come from one reconstruct of G(1), and each probe is mds(r)
     g1 = mds_g_operator(1.0)
     probe, read, built, plans = states._mds_from_g1, hs._trace_on_support, [], []
     monkeypatch.setattr(witness, "_mds_from_g1", lambda matrix, r: built.append((matrix, r)) or probe(matrix, r))
-    monkeypatch.setattr(witness, "_trace_on_support", lambda plan, rho: plans.append(plan) or read(plan, rho))
+    monkeypatch.setattr(witness, "_trace_on_support", lambda plan, rho: plans.append((plan, rho)) or read(plan, rho))
     mds_entanglement_threshold()
     assert len(built) == len(plans) == 32
     g1_matrix = built[0][0]
     assert np.array_equal(g1_matrix.view(np.uint64), hs_reconstruct(g1).view(np.uint64))
     want_picks, want_weights = hs._trace_plan(g1)
-    for (matrix, _), (picks, weights) in zip(built, plans):
+    for (matrix, r), ((picks, weights), rho) in zip(built, plans):
         assert matrix is g1_matrix
         assert np.array_equal(picks, want_picks)
         assert np.array_equal(weights.view(np.uint64), want_weights.view(np.uint64))
-    rng = np.random.default_rng(33)
-    seeded = np.concatenate(
-        (
-            [witness.MDS_THRESHOLD_R_LO, MDS_R_LIMIT],
-            rng.uniform(witness.MDS_THRESHOLD_R_LO, MDS_R_LIMIT, 200),
-            1 / 3 + rng.uniform(-1e-7, 1e-7, 100),
-        )
-    )
-    for r in [r for _, r in built] + seeded.tolist():
-        got = states._mds_from_g1(g1_matrix, r).matrix
-        assert np.array_equal(got.view(np.uint64), mds(r).matrix.view(np.uint64)), r
+        assert np.array_equal(rho.matrix.view(np.uint64), mds(r).matrix.view(np.uint64)), r
 
 
 def test_a_probe_whose_best_value_is_not_finite_raises(monkeypatch):
